@@ -55,30 +55,32 @@
  *                         TMCC_JOBS or all cores)
  *   --dispatch MODE       how --sweep executes (docs/SWEEP.md):
  *                           thread  in-process SimRunner (default)
- *                           fork    fault-tolerant forked worker
- *                                   processes (the --shards executor)
- *                           queue   enqueue on a lease-based work
- *                                   queue served by tmcc_simd daemons
- *   --shards N            shard count for fork/queue dispatch (env:
- *                         TMCC_SHARDS; unset/0 with --dispatch=fork|
- *                         queue defaults to hardware_concurrency
- *                         clamped to [1,64]; --shards N alone implies
- *                         --dispatch=fork for back-compat)
+ *                           fork    a private work queue under
+ *                                   --sweep-dir served by --shards
+ *                                   local worker processes
+ *                           queue   enqueue on a shared work queue
+ *                                   served by tmcc_simd daemons
+ *   --shards N            shard count (and local worker count) for
+ *                         fork/queue dispatch (env: TMCC_SHARDS;
+ *                         unset/0 with --dispatch=fork|queue defaults
+ *                         to hardware_concurrency clamped to [1,64];
+ *                         --shards N alone implies --dispatch=fork)
  *   --queue-dir DIR       queue directory for --dispatch=queue (env:
  *                         TMCC_QUEUE_DIR; default tmcc-queue); shared
  *                         with the tmcc_simd workers serving it
  *   --queue-poll SEC      result-poll interval (default 0.5)
  *   --queue-timeout SEC   give up waiting for workers after SEC
  *                         (default: wait forever)
- *   --sweep-dir DIR       sweep directory for the manifest and shard
- *                         files; reuse it to resume an interrupted
- *                         sweep (default: tmcc-sweep-<gridkey8>)
- *   --shard-timeout SEC   per-attempt wall-clock watchdog; a worker
- *                         exceeding it is SIGKILLed and the shard
- *                         retried (default: none)
- *   --shard-attempts N    attempt cap per shard before it is marked
- *                         failed in the manifest (default: 3)
- *   --shard-spec FILE     internal: run as a sweep shard worker
+ *   --sweep-dir DIR       fork: the private queue directory; reuse it
+ *                         to resume an interrupted sweep (default:
+ *                         tmcc-sweep-<gridkey8>).  queue: the sweep's
+ *                         subdirectory name in the queue directory
+ *   --shard-timeout SEC   per-attempt deadline; a claim past it is
+ *                         reclaimed (and a local worker holding it
+ *                         killed) even while it heartbeats (default:
+ *                         none)
+ *   --shard-attempts N    attempts per shard before it settles as
+ *                         failed (default: 3)
  *   --ckpt-dir DIR        persist setup checkpoints to DIR and restore
  *                         from them on later runs (env: TMCC_CKPT_DIR;
  *                         TMCC_CKPT=0 disables checkpointing entirely)
@@ -100,9 +102,8 @@
 #include "common/trace.hh"
 #include "sim/checkpoint.hh"
 #include "sim/runner.hh"
-#include "sim/shard_runner.hh"
+#include "sim/sweep_daemon.hh"
 #include "sim/sweep_manifest.hh"
-#include "sim/sweep_queue.hh"
 #include "sim/system.hh"
 #include "workloads/trace.hh"
 
@@ -338,7 +339,7 @@ main(int argc, char **argv)
     std::string tenant_flag; //!< last --tenant* flag seen (validation)
     unsigned jobs = 0;
 
-    // Sharded-sweep supervisor knobs (docs/SWEEP.md).
+    // Sharded-sweep knobs (docs/SWEEP.md).
     unsigned shards = 0;
     bool shards_flag = false; //!< --shards given on the command line
     std::string sweep_dir;
@@ -348,7 +349,7 @@ main(int argc, char **argv)
         shards = static_cast<unsigned>(
             parseNonNegativeCount(env, "TMCC_SHARDS"));
 
-    // Queue-dispatch knobs (docs/SWEEP.md phase 2).
+    // Queue-dispatch knobs (docs/SWEEP.md).
     std::string dispatch;
     std::string queue_dir = "tmcc-queue";
     double queue_poll = 0.5;
@@ -500,10 +501,10 @@ main(int argc, char **argv)
         } else if (arg == "--shard-attempts") {
             shard_attempts = static_cast<unsigned>(
                 parsePositiveCount(value(), "--shard-attempts"));
-        } else if (arg == "--shard-spec") {
-            // Sweep worker mode: run the shard and publish its result
-            // file; the supervisor interprets our exit status.
-            return ShardRunner::workerMain(value());
+        } else if (arg == sweepWorkerFlag) {
+            // Local worker of a --dispatch=fork sweep: drain the
+            // private queue the parent spawned us on.
+            return SweepDaemon::localWorkerMain(value());
         } else if (arg == "--ckpt-dir") {
             CheckpointStore::global().setDiskDir(value());
         } else if (arg.rfind("--ckpt-dir=", 0) == 0) {
@@ -624,71 +625,58 @@ main(int argc, char **argv)
 
         // One merged BENCH_sweep_<set>.json whichever executor runs
         // the grid, so sharded and in-process sweeps are byte-for-byte
-        // comparable (the sweep-smoke CI job diffs exactly this).
+        // comparable (the queue-smoke CI job diffs exactly this).
         bench::BenchReport report("sweep_" + sweep);
         std::vector<SimResult> results;
         std::vector<bool> valid(configs.size(), true);
         bool sweep_ok = true;
 
-        if (dmode == Dispatch::Fork) {
-            ShardOptions so;
-            so.shards = shards;
-            so.workerJobs = jobs ? jobs : 1;
-            so.timeoutSeconds = shard_timeout;
-            so.maxAttempts = shard_attempts;
-            so.workerPath = selfExePath(argv[0]);
-            so.sweepDir =
-                !sweep_dir.empty()
-                    ? sweep_dir
-                    : "tmcc-sweep-" + sweepGridKey(configs).substr(0, 8);
-            std::printf("sweeping %zu entries (%s) across %u worker "
-                        "processes, arch %s, sweep dir %s\n",
-                        configs.size(), sweep.c_str(), so.shards,
-                        arch_label, so.sweepDir.c_str());
-            ShardRunner runner(so);
-            SweepOutcome outcome = runner.run(configs);
-            results = std::move(outcome.results);
-            valid = outcome.resultValid;
-            sweep_ok = outcome.ok();
-            std::printf("[sweep] %u/%zu shards done (%u resumed, %u "
-                        "retries, %u failed)\n",
-                        outcome.completedShards, outcome.shards.size(),
-                        outcome.resumedShards, outcome.retries,
-                        outcome.failedShards);
-            for (const auto &shard : outcome.shards)
-                if (shard.state == ShardState::Failed)
-                    std::fprintf(stderr,
-                                 "[sweep] shard %u FAILED after %u "
-                                 "attempts: %s\n",
-                                 shard.id, shard.attempts,
-                                 shard.lastError.c_str());
-        } else if (dmode == Dispatch::Queue) {
+        if (dmode != Dispatch::Thread) {
             QueueOptions qo;
-            qo.queueDir = queue_dir;
-            qo.sweepName = sweep_dir; // subdirectory name when set
             qo.shards = shards;
             qo.workerJobs = jobs ? jobs : 1;
+            qo.maxAttempts = shard_attempts;
+            qo.attemptSeconds = shard_timeout;
             qo.pollSeconds = queue_poll;
             qo.timeoutSeconds = queue_timeout;
-            std::printf("sweeping %zu entries (%s) via work queue %s "
-                        "(%u shards), arch %s\n",
-                        configs.size(), sweep.c_str(),
-                        queue_dir.c_str(), shards, arch_label);
+            if (dmode == Dispatch::Fork) {
+                // A private queue under the sweep dir, holding only
+                // this sweep, served by local worker processes.
+                qo.queueDir = !sweep_dir.empty()
+                                  ? sweep_dir
+                                  : "tmcc-sweep-" +
+                                        sweepGridKey(configs).substr(0, 8);
+                qo.sweepName = "sweep";
+                qo.workerPath = selfExePath(argv[0]);
+                std::printf("sweeping %zu entries (%s) across %u worker "
+                            "processes, arch %s, sweep dir %s\n",
+                            configs.size(), sweep.c_str(), shards,
+                            arch_label, qo.queueDir.c_str());
+            } else {
+                qo.queueDir = queue_dir;
+                qo.sweepName = sweep_dir; // subdirectory name when set
+                std::printf("sweeping %zu entries (%s) via work queue %s "
+                            "(%u shards), arch %s\n",
+                            configs.size(), sweep.c_str(),
+                            queue_dir.c_str(), shards, arch_label);
+            }
             QueueClient client(qo);
             SweepOutcome outcome = client.run(configs);
             results = std::move(outcome.results);
             valid = outcome.resultValid;
             sweep_ok = outcome.ok();
             std::printf("[sweep] %u/%zu shards merged (%u resumed, %u "
-                        "reclaimed, %u unfinished)\n",
+                        "retries, %u failed)\n",
                         outcome.completedShards, outcome.shards.size(),
                         outcome.resumedShards, outcome.retries,
                         outcome.failedShards);
             for (const auto &shard : outcome.shards)
                 if (shard.state != ShardState::Done)
                     std::fprintf(stderr,
-                                 "[sweep] shard %u unfinished: %s\n",
-                                 shard.id, shard.lastError.c_str());
+                                 "[sweep] shard %u FAILED after %u "
+                                 "attempts: %s\n",
+                                 shard.id, shard.attempts,
+                                 shard.lastError.c_str());
         } else {
             SimRunner runner(jobs);
             std::printf("sweeping %zu entries (%s) on %u threads, "
@@ -698,8 +686,8 @@ main(int argc, char **argv)
             try {
                 results = runner.run(configs);
             } catch (const std::exception &e) {
-                // A failed run must fail the sweep visibly: CI and the
-                // sweep supervisor key off the exit status, not logs.
+                // A failed run must fail the sweep visibly: CI keys off
+                // the exit status, not logs.
                 std::fprintf(stderr, "sweep failed: %s\n", e.what());
                 flush_trace();
                 return 1;

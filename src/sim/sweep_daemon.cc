@@ -25,16 +25,6 @@ namespace
 
 namespace fs = std::filesystem;
 
-std::string
-defaultWorkerId()
-{
-    char host[256] = "unknown-host";
-    if (::gethostname(host, sizeof(host) - 1) != 0)
-        std::snprintf(host, sizeof(host), "unknown-host");
-    host[sizeof(host) - 1] = '\0';
-    return std::string(host) + ":" + std::to_string(::getpid());
-}
-
 /** Sleep `seconds` in small slices, returning early when `stop` set. */
 void
 interruptibleSleep(double seconds, const std::atomic<bool> &stop)
@@ -44,19 +34,6 @@ interruptibleSleep(double seconds, const std::atomic<bool> &stop)
     while (!stop.load() &&
            std::chrono::steady_clock::now() < deadline)
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
-}
-
-/** A CRC-clean result for this grid already exists. */
-bool
-shardResultValid(const std::string &dir, const std::string &gridKey,
-                 std::uint32_t shardId)
-{
-    std::error_code ec;
-    const std::string path = sweepShardFile(dir, shardId, "result");
-    if (!fs::exists(path, ec))
-        return false;
-    auto loaded = ShardResultFile::load(path);
-    return loaded.ok() && loaded.value().gridKey == gridKey;
 }
 
 } // namespace
@@ -76,7 +53,7 @@ SweepDaemon::SweepDaemon(DaemonOptions opts) : opts_(std::move(opts))
 {
     opts_.validate();
     if (opts_.workerId.empty())
-        opts_.workerId = defaultWorkerId();
+        opts_.workerId = sweepWorkerId(::getpid());
 }
 
 SweepDaemon::Stats
@@ -167,8 +144,9 @@ SweepDaemon::scanOnce(bool &idle)
             if (opts_.maxShards != 0 &&
                 shardsServed_.load() >= opts_.maxShards)
                 return served;
-            if (shardResultValid(dir, req.gridKey, shard))
-                continue;
+            if (shardResultValid(dir, req.gridKey, shard) ||
+                exhaustedShardAttempts(dir, shard, req.maxAttempts) != 0)
+                continue; // settled: merged or failed
             idle = false; // work exists, even if someone else holds it
             served |= serveShard(dir, req, shard);
         }
@@ -180,8 +158,10 @@ bool
 SweepDaemon::serveShard(const std::string &sweepDir,
                         const QueueRequest &req, std::uint32_t shardId)
 {
-    ClaimAttempt ca = tryClaimShard(sweepDir, req.gridKey, shardId,
-                                    opts_.workerId, opts_.leaseSeconds);
+    ClaimAttempt ca =
+        tryClaimShard(sweepDir, req.gridKey, shardId, opts_.workerId,
+                      opts_.leaseSeconds, req.maxAttempts,
+                      req.attemptSeconds);
     if (!ca.claimed) {
         if (ca.reason.rfind("lost claim race", 0) == 0)
             claimsLost_.fetch_add(1);
@@ -190,7 +170,7 @@ SweepDaemon::serveShard(const std::string &sweepDir,
     if (ca.reclaimed) {
         reclaims_.fetch_add(1);
         if (opts_.verbose)
-            std::printf("[simd %s] reclaimed stale lease on shard %u "
+            std::printf("[simd %s] took over the claim on shard %u "
                         "of %s (attempt %u)\n",
                         opts_.workerId.c_str(), shardId,
                         sweepDir.c_str(), ca.claim.attempt);
@@ -279,12 +259,18 @@ SweepDaemon::serveShard(const std::string &sweepDir,
         file.results.push_back(runner.run({spec.configs[i]}).front());
         configsRun_.fetch_add(1);
 
-        if (i == 0 &&
-            sweepTestHookFires("TMCC_QUEUE_TEST_KILL", shardId,
-                               claim.attempt)) {
-            // Simulate a crashed/OOM-killed daemon: die mid-shard
-            // without publishing, leaving the claim to go stale.
+        if (i == 0 && sweepTestHookFires("TMCC_SHARD_TEST_KILL", shardId,
+                                         claim.attempt)) {
+            // Simulate a crashed/OOM-killed worker: die mid-shard
+            // without publishing, leaving the claim behind.
             ::raise(SIGKILL);
+        }
+        if (i == 0 && sweepTestHookFires("TMCC_SHARD_TEST_HANG", shardId,
+                                         claim.attempt)) {
+            // Simulate a wedged worker: the heartbeat keeps renewing
+            // until the attempt deadline voids the lease.
+            for (;;)
+                std::this_thread::sleep_for(std::chrono::seconds(3600));
         }
 
         const SimResult &last = file.results.back();
@@ -323,8 +309,27 @@ SweepDaemon::serveShard(const std::string &sweepDir,
     file.ckptRejected =
         ck_after.rejectedFiles - ck_before.rejectedFiles;
 
-    const Status st =
-        file.save(sweepShardFile(sweepDir, shardId, "result"));
+    const std::string rpath = sweepShardFile(sweepDir, shardId, "result");
+    Status st;
+    if (sweepTestHookFires("TMCC_SHARD_TEST_CORRUPT", shardId,
+                           claim.attempt)) {
+        // Publish a file that keeps its size but fails its CRC: flip
+        // its last payload byte before the rename, so no reader ever
+        // sees it intact.
+        const std::string staged = rpath + ".corrupt";
+        st = file.save(staged);
+        if (FILE *f = std::fopen(staged.c_str(), "r+b")) {
+            std::fseek(f, -1, SEEK_END);
+            const int c = std::fgetc(f);
+            std::fseek(f, -1, SEEK_END);
+            std::fputc(c ^ 0xff, f);
+            std::fclose(f);
+        }
+        if (st.ok() && std::rename(staged.c_str(), rpath.c_str()) != 0)
+            st = Status::internal("cannot rename " + staged);
+    } else {
+        st = file.save(rpath);
+    }
     if (!st.ok()) {
         warn("shard " + std::to_string(shardId) +
              " result publication failed: " + st.toString());
@@ -339,6 +344,20 @@ SweepDaemon::serveShard(const std::string &sweepDir,
                     opts_.workerId.c_str(), shardId, sweepDir.c_str(),
                     spec.configs.size());
     return true;
+}
+
+int
+SweepDaemon::localWorkerMain(const std::string &queueDir)
+{
+    // The spawning client reaps this process and releases any claim it
+    // left behind, so the lease only matters if the client dies too.
+    DaemonOptions o;
+    o.queueDir = queueDir;
+    o.pollSeconds = 0.2;
+    o.once = true;
+    o.verbose = false;
+    SweepDaemon(o).serve();
+    return 0;
 }
 
 } // namespace tmcc

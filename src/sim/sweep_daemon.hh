@@ -1,27 +1,28 @@
 /**
  * @file
  * SweepDaemon: the serving side of the lease-based sweep work queue
- * (sweep_queue.hh, docs/SWEEP.md phase 2), wrapped by the `tmcc_simd`
- * binary.
+ * (sweep_queue.hh, docs/SWEEP.md), wrapped by the `tmcc_simd` binary
+ * and by the local worker processes of `--dispatch=fork`.
  *
- * One long-running daemon process scans a queue directory for enqueued
- * sweeps (REQUEST.tmccq markers), claims pending shards through the
- * lease protocol, and runs them *in-process* through SimRunner.  That
- * is the whole point versus `--dispatch=fork`: one process serves many
- * shards and many sweeps, so binary startup, the memoized profile
- * library, and warm setup checkpoints are paid once per daemon instead
- * of once per shard.
+ * One daemon process scans a queue directory for enqueued sweeps
+ * (REQUEST.tmccq markers), claims pending shards through the lease
+ * protocol, and runs them *in-process* through SimRunner, so binary
+ * startup, the memoized profile library, and warm setup checkpoints
+ * are paid once per daemon instead of once per shard.
  *
  * While a shard runs, a heartbeat thread renews its claim every
- * leaseSeconds/3; if renewal discovers the lease was reclaimed (the
- * daemon stalled past its lease), the shard is abandoned without
- * publishing.  Configs run one at a time, and after each the daemon
- * streams a ShardProgress file for the enqueuing client.
+ * leaseSeconds/3; if renewal discovers the lease was lost (reclaimed
+ * after the daemon stalled past its lease, or past the attempt
+ * deadline), the shard is abandoned without publishing.  Configs run
+ * one at a time, and after each the daemon streams a ShardProgress
+ * file for the enqueuing client.
  *
- * Failure-injection hook for tests/CI (format as in shard_runner.hh):
- *   TMCC_QUEUE_TEST_KILL=<shard>@<attempt|*>   raise(SIGKILL)
- *     mid-shard — after the first config, before publishing — leaving
- *     a live claim behind for another daemon to reclaim after expiry.
+ * Failure-injection hooks for tests/CI, each "<shard>@<attempt|*>"
+ * matched against the claimed shard and attempt:
+ *   TMCC_SHARD_TEST_KILL     raise(SIGKILL) mid-shard — after the
+ *                            first config, before publishing
+ *   TMCC_SHARD_TEST_HANG     hang mid-shard (for the attempt deadline)
+ *   TMCC_SHARD_TEST_CORRUPT  publish a result file with a bad CRC
  */
 
 #ifndef TMCC_SIM_SWEEP_DAEMON_HH
@@ -98,6 +99,13 @@ class SweepDaemon
      * calls requestStop() (in-process tests).
      */
     std::uint64_t serve();
+
+    /**
+     * Entry point of a local sweep worker (`<binary> --sweep-worker
+     * DIR`, spawned by QueueClient): drain the private queue in DIR
+     * with default options and return the process exit code.
+     */
+    static int localWorkerMain(const std::string &queueDir);
 
     /** Ask a running serve() to return after the current shard. */
     void requestStop() { stop_.store(true); }

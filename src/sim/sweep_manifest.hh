@@ -2,16 +2,16 @@
  * @file
  * On-disk artifacts of a sharded sweep (see docs/SWEEP.md):
  *
- *  - ShardSpec: the work order the supervisor hands a worker process —
- *    the full SimConfigs of one shard plus their indices in the
- *    original grid, the sweep's grid key, and the attempt number.
+ *  - ShardSpec: the work order the enqueuing client leaves for the
+ *    workers — the full SimConfigs of one shard plus their indices in
+ *    the original grid and the sweep's grid key.
  *  - ShardResultFile: what a worker publishes back — the SimResults of
  *    its configs, bit-exact (doubles travel as raw bit patterns), so a
  *    merged sweep is indistinguishable from a serial SimRunner run.
- *  - SweepManifest: the supervisor's durable record of the sweep — the
+ *  - SweepManifest: the client's durable record of the sweep — the
  *    grid key, the shard partition, and each shard's state/attempts —
- *    rewritten atomically after every transition so an interrupted
- *    sweep resumes by re-running only missing/failed shards.
+ *    rewritten atomically as shards settle so an interrupted sweep
+ *    resumes by re-running only missing/failed shards.
  *
  * All three use the common versioned-file container (magic + format
  * version + CRC-32 + atomic temp-file+rename publication); corrupt or
@@ -54,13 +54,13 @@ struct ShardSpec
 {
     // v2: SimConfig gained the kernel mode + sampling geometry.
     // v3: SimConfig gained the multi-tenant knobs.
-    static constexpr std::uint32_t formatVersion = 3;
+    // v4: dropped the attempt and result path (the claim holds the
+    //     attempt; results go to shard-NNN.result).
+    static constexpr std::uint32_t formatVersion = 4;
 
     std::string gridKey;
     std::uint32_t shardId = 0;
-    std::uint32_t attempt = 1;   //!< 1-based; rewritten per retry
     std::uint32_t workerJobs = 1;
-    std::string resultPath;      //!< where the worker publishes results
     std::vector<std::uint64_t> configIndices; //!< into the full grid
     std::vector<SimConfig> configs;
 
@@ -104,7 +104,7 @@ enum class ShardState : std::uint8_t
 
 const char *shardStateName(ShardState s);
 
-/** The supervisor's durable sweep record (MANIFEST.tmccsweep). */
+/** The client's durable sweep record (MANIFEST.tmccsweep). */
 struct SweepManifest
 {
     static constexpr std::uint32_t formatVersion = 1;

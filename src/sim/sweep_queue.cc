@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,13 +13,15 @@
 #include <thread>
 
 #include <sys/stat.h>
+#include <sys/types.h>
+#include <sys/wait.h>
 #include <time.h>
+#include <unistd.h>
 
 #include "common/log.hh"
 #include "common/versioned_file.hh"
 #include "sim/checkpoint.hh"
 #include "sim/runner.hh"
-#include "sim/sweep_manifest.hh"
 
 namespace tmcc
 {
@@ -35,6 +39,7 @@ std::atomic<std::uint64_t> queueSweepsTotal{0};
 std::atomic<std::uint64_t> queueMergedTotal{0};
 std::atomic<std::uint64_t> queueReclaimedTotal{0};
 std::atomic<std::uint64_t> queueResumedTotal{0};
+std::atomic<std::uint64_t> queueFailedTotal{0};
 
 double
 wallSeconds()
@@ -54,6 +59,34 @@ serializeClaim(ByteWriter &w, const ShardClaim &c)
     w.str(c.owner);
     w.u64(c.heartbeatSeq);
     w.f64(c.leaseSeconds);
+    w.f64(c.deadline);
+    w.u8(c.released ? 1 : 0);
+}
+
+/** Whether `claim`, loaded from `path`, still protects a running
+ * attempt: not released, renewed within its lease, inside its
+ * deadline. */
+bool
+shardClaimLive(const ShardClaim &claim, const std::string &path)
+{
+    if (claim.released ||
+        (claim.deadline > 0.0 && wallSeconds() > claim.deadline))
+        return false;
+    const double age = shardClaimAgeSeconds(path);
+    return age >= 0.0 && age <= claim.leaseSeconds;
+}
+
+/** Describe how a waitpid status ended. */
+std::string
+exitDescription(int status)
+{
+    if (WIFEXITED(status))
+        return "exited with status " + std::to_string(WEXITSTATUS(status));
+    if (WIFSIGNALED(status))
+        return std::string("killed by signal ") +
+               std::to_string(WTERMSIG(status)) + " (" +
+               strsignal(WTERMSIG(status)) + ")";
+    return "ended with wait status " + std::to_string(status);
 }
 
 } // namespace
@@ -70,6 +103,16 @@ std::string
 sweepRequestPath(const std::string &sweepDir)
 {
     return sweepDir + "/REQUEST.tmccq";
+}
+
+std::string
+sweepWorkerId(long pid)
+{
+    char host[256] = "unknown-host";
+    if (::gethostname(host, sizeof(host) - 1) != 0)
+        std::snprintf(host, sizeof(host), "unknown-host");
+    host[sizeof(host) - 1] = '\0';
+    return std::string(host) + ":" + std::to_string(pid);
 }
 
 bool
@@ -111,6 +154,8 @@ QueueRequest::save(const std::string &path) const
     w.u64(totalConfigs);
     w.u32(shardCount);
     w.u32(workerJobs);
+    w.u32(maxAttempts);
+    w.f64(attemptSeconds);
     return writeVersionedFile(path, requestMagic, formatVersion,
                               w.buffer());
 }
@@ -127,9 +172,13 @@ QueueRequest::load(const std::string &path)
     req.totalConfigs = r.u64();
     req.shardCount = r.u32();
     req.workerJobs = r.u32();
+    req.maxAttempts = r.u32();
+    req.attemptSeconds = r.f64();
     TMCC_RETURN_IF_ERROR(r.finish("QueueRequest"));
     if (req.shardCount == 0)
         return Status::corruption("QueueRequest with zero shards");
+    if (!std::isfinite(req.attemptSeconds) || req.attemptSeconds < 0.0)
+        return Status::corruption("QueueRequest with a bad deadline");
     return req;
 }
 
@@ -165,9 +214,13 @@ ShardClaim::load(const std::string &path)
     c.owner = r.str();
     c.heartbeatSeq = r.u64();
     c.leaseSeconds = r.f64();
+    c.deadline = r.f64();
+    const std::uint8_t released = r.u8();
     TMCC_RETURN_IF_ERROR(r.finish("ShardClaim"));
-    if (c.owner.empty() || c.attempt == 0 ||
-        !std::isfinite(c.leaseSeconds) || c.leaseSeconds <= 0.0)
+    c.released = released != 0;
+    if (c.owner.empty() || c.attempt == 0 || released > 1 ||
+        !std::isfinite(c.leaseSeconds) || c.leaseSeconds <= 0.0 ||
+        !std::isfinite(c.deadline) || c.deadline < 0.0)
         return Status::corruption(path + ": implausible claim record");
     return c;
 }
@@ -225,10 +278,37 @@ shardClaimAgeSeconds(const std::string &path)
     return wallSeconds() - mtime;
 }
 
+bool
+shardResultValid(const std::string &dir, const std::string &gridKey,
+                 std::uint32_t shardId)
+{
+    std::error_code ec;
+    const std::string path = sweepShardFile(dir, shardId, "result");
+    if (!fs::exists(path, ec))
+        return false;
+    auto loaded = ShardResultFile::load(path);
+    return loaded.ok() && loaded.value().gridKey == gridKey;
+}
+
+std::uint32_t
+exhaustedShardAttempts(const std::string &dir, std::uint32_t shardId,
+                       std::uint32_t maxAttempts)
+{
+    if (maxAttempts == 0)
+        return 0;
+    const std::string path = sweepShardFile(dir, shardId, "claim");
+    auto claim = ShardClaim::load(path);
+    if (!claim.ok() || claim->attempt < maxAttempts ||
+        shardClaimLive(*claim, path))
+        return 0;
+    return claim->attempt;
+}
+
 ClaimAttempt
 tryClaimShard(const std::string &dir, const std::string &gridKey,
               std::uint32_t shardId, const std::string &owner,
-              double leaseSeconds)
+              double leaseSeconds, std::uint32_t maxAttempts,
+              double attemptSeconds)
 {
     const std::string path = sweepShardFile(dir, shardId, "claim");
     ClaimAttempt out;
@@ -243,25 +323,30 @@ tryClaimShard(const std::string &dir, const std::string &gridKey,
     if (fs::exists(path, ec)) {
         auto existing = ShardClaim::load(path);
         if (existing.ok()) {
-            const double age = shardClaimAgeSeconds(path);
-            if (age >= 0.0 && age <= existing.value().leaseSeconds) {
-                out.reason = "held by " + existing.value().owner +
-                             " (age " + std::to_string(age) + "s of " +
-                             std::to_string(
-                                 existing.value().leaseSeconds) +
-                             "s lease)";
+            const ShardClaim &prev = existing.value();
+            if (shardClaimLive(prev, path)) {
+                out.reason = "held by " + prev.owner + " (attempt " +
+                             std::to_string(prev.attempt) + ")";
                 return out;
             }
-            // Stale: the owner died or stalled past its lease.  The
-            // next claimant inherits the attempt count (failure hooks
-            // and reclaim accounting key off it).
-            out.claim.attempt = existing.value().attempt + 1;
+            // Released, stale (the owner died or stalled past its
+            // lease) or past its deadline.  The next claimant inherits
+            // the attempt count: the cap, failure hooks and reclaim
+            // accounting key off it.
+            if (maxAttempts != 0 && prev.attempt >= maxAttempts) {
+                out.reason = "attempt cap reached after " +
+                             std::to_string(prev.attempt) + " attempts";
+                return out;
+            }
+            out.claim.attempt = prev.attempt + 1;
         }
-        // Corrupt/truncated claims are never trusted: reclaim now.
+        // Corrupt/truncated claims are never trusted: replace now.
         fs::remove(path, ec); // ENOENT = another reclaimer was faster
         out.reclaimed = true;
     }
 
+    out.claim.deadline =
+        attemptSeconds > 0.0 ? wallSeconds() + attemptSeconds : 0.0;
     const Status st = out.claim.saveExclusive(path);
     if (st.ok()) {
         out.claimed = true;
@@ -289,6 +374,10 @@ renewShardClaim(const std::string &dir, ShardClaim &claim)
         return Status::internal("lease stolen by " + cur.owner +
                                 " (attempt " +
                                 std::to_string(cur.attempt) + ")");
+    if (claim.deadline > 0.0 && wallSeconds() > claim.deadline)
+        return Status::internal("lease lost: attempt " +
+                                std::to_string(claim.attempt) +
+                                " is past its deadline");
     ++claim.heartbeatSeq;
     return claim.saveRenew(path);
 }
@@ -302,8 +391,9 @@ releaseShardClaim(const std::string &dir, const ShardClaim &claim)
     if (!current.ok() || current.value().owner != claim.owner ||
         current.value().attempt != claim.attempt)
         return; // not ours any more; leave it alone
-    std::error_code ec;
-    fs::remove(path, ec);
+    ShardClaim done = current.value();
+    done.released = true;
+    (void)done.saveRenew(path);
 }
 
 void
@@ -317,6 +407,10 @@ QueueOptions::validate() const
             "queue timeout must be >= 0 seconds (0 = wait forever)");
     fatalIf(workerJobs == 0,
             "queue worker jobs must be a positive integer");
+    fatalIf(maxAttempts == 0,
+            "shard attempt cap must be a positive integer");
+    fatalIf(!std::isfinite(attemptSeconds) || attemptSeconds < 0.0,
+            "shard timeout must be >= 0 seconds (0 = none)");
 }
 
 QueueClient::QueueClient(QueueOptions opts) : opts_(std::move(opts))
@@ -332,6 +426,7 @@ QueueClient::totals()
     t.mergedShards = queueMergedTotal.load();
     t.reclaimedShards = queueReclaimedTotal.load();
     t.resumedShards = queueResumedTotal.load();
+    t.failedShards = queueFailedTotal.load();
     return t;
 }
 
@@ -342,6 +437,7 @@ QueueClient::resetTotals()
     queueMergedTotal = 0;
     queueReclaimedTotal = 0;
     queueResumedTotal = 0;
+    queueFailedTotal = 0;
 }
 
 std::string
@@ -360,7 +456,9 @@ QueueClient::enqueue(const std::vector<SimConfig> &grid)
             "cannot create sweep directory " + dir);
 
     // Load or create the manifest; the partition must be stable across
-    // re-enqueues so workers and client agree on config indices.
+    // re-enqueues so workers and client agree on config indices.  A
+    // manifest for a different grid means the directory belongs to
+    // another sweep — refuse rather than silently mixing result sets.
     const std::string mpath = dir + "/MANIFEST.tmccsweep";
     SweepManifest manifest;
     bool have_manifest = false;
@@ -369,15 +467,15 @@ QueueClient::enqueue(const std::vector<SimConfig> &grid)
         if (loaded.ok()) {
             manifest = std::move(loaded).value();
             fatalIf(manifest.gridKey != key,
-                    "queue sweep directory " + dir +
+                    "sweep directory " + dir +
                         " holds a different sweep (manifest grid " +
                         manifest.gridKey + ", this grid " + key +
-                        "); use a fresh sweep name");
+                        "); use a fresh --sweep-dir");
             fatalIf(manifest.totalConfigs != grid.size(),
-                    "queue sweep manifest config count mismatch");
+                    "sweep manifest config count mismatch");
             have_manifest = true;
         } else {
-            warn("queue sweep manifest rejected, re-partitioning: " +
+            warn("sweep manifest rejected, re-partitioning: " +
                  loaded.status().toString());
         }
     }
@@ -391,28 +489,37 @@ QueueClient::enqueue(const std::vector<SimConfig> &grid)
         manifest.shards.assign(n_shards, SweepManifest::Shard{});
         for (unsigned s = 0; s < n_shards; ++s)
             manifest.shards[s].id = s;
+        // Round-robin partition: adjacent grid entries land on
+        // different shards, balancing heterogeneous-cost grids.
         for (std::size_t i = 0; i < grid.size(); ++i)
             manifest.shards[i % n_shards].configIndices.push_back(i);
         fatalIf(!manifest.save(mpath).ok(),
                 "cannot write sweep manifest " + mpath);
     }
 
-    // Shard specs: the work orders the daemons execute.  Written (or
+    // Shard specs: the work orders the workers execute.  Written (or
     // refreshed) before the request marker so a visible request always
-    // has complete specs.
+    // has complete specs.  Every shard still missing a valid result
+    // gets a fresh attempt budget: drop claims that no longer protect
+    // a running attempt (a live one keeps its worker).
     for (const SweepManifest::Shard &shard : manifest.shards) {
         ShardSpec spec;
         spec.gridKey = key;
         spec.shardId = shard.id;
-        spec.attempt = 1;
         spec.workerJobs = opts_.workerJobs;
-        spec.resultPath = sweepShardFile(dir, shard.id, "result");
         spec.configIndices = shard.configIndices;
         for (std::uint64_t idx : shard.configIndices)
             spec.configs.push_back(grid[idx]);
         const std::string spath = sweepShardFile(dir, shard.id, "spec");
         fatalIf(!spec.save(spath).ok(),
                 "cannot write shard spec " + spath);
+
+        const std::string cpath = sweepShardFile(dir, shard.id, "claim");
+        if (!fs::exists(cpath, ec) || shardResultValid(dir, key, shard.id))
+            continue;
+        auto claim = ShardClaim::load(cpath);
+        if (!claim.ok() || !shardClaimLive(claim.value(), cpath))
+            fs::remove(cpath, ec);
     }
 
     QueueRequest req;
@@ -420,6 +527,8 @@ QueueClient::enqueue(const std::vector<SimConfig> &grid)
     req.totalConfigs = grid.size();
     req.shardCount = static_cast<std::uint32_t>(manifest.shards.size());
     req.workerJobs = opts_.workerJobs;
+    req.maxAttempts = opts_.maxAttempts;
+    req.attemptSeconds = opts_.attemptSeconds;
     fatalIf(!req.save(sweepRequestPath(dir)).ok(),
             "cannot write queue request in " + dir);
     queueSweepsTotal.fetch_add(1);
@@ -437,16 +546,24 @@ QueueClient::run(const std::vector<SimConfig> &grid)
                                "enqueue: " +
                                    manifest_or.status().toString());
     SweepManifest manifest = std::move(manifest_or).value();
+    std::vector<SweepManifest::Shard> &shards = manifest.shards;
 
     SweepOutcome out;
     out.results.resize(grid.size());
     out.resultValid.assign(grid.size(), false);
 
-    std::vector<bool> merged(manifest.shards.size(), false);
-    unsigned unmerged = static_cast<unsigned>(manifest.shards.size());
+    // A shard is settled once merged or failed at the attempt cap.
+    std::vector<bool> settled(shards.size(), false);
+    unsigned unsettled = static_cast<unsigned>(shards.size());
+    // Last rejected publication per shard, so each one warns once.
+    std::vector<fs::file_time_type> rejected(shards.size());
+
+    const auto claim_path = [&](std::size_t s) {
+        return sweepShardFile(dir, shards[s].id, "claim");
+    };
 
     const auto try_merge = [&](std::size_t s, bool resume) -> bool {
-        SweepManifest::Shard &shard = manifest.shards[s];
+        SweepManifest::Shard &shard = shards[s];
         const std::string rpath =
             sweepShardFile(dir, shard.id, "result");
         std::error_code ec;
@@ -454,11 +571,17 @@ QueueClient::run(const std::vector<SimConfig> &grid)
             return false;
         auto loaded = ShardResultFile::load(rpath);
         if (!loaded.ok()) {
-            // Torn/corrupt publications never merge; the lease
-            // protocol will have the shard re-run.
-            if (!resume)
-                warn("shard " + std::to_string(shard.id) +
-                     " result rejected: " + loaded.status().toString());
+            // Torn/corrupt publications never merge; the shard's next
+            // attempt re-runs it.  Every attempt publishes a fresh
+            // file, so its timestamp names the publication.
+            const auto stamp = fs::last_write_time(rpath, ec);
+            if (!ec && stamp != rejected[s]) {
+                rejected[s] = stamp;
+                shard.lastError =
+                    "result rejected: " + loaded.status().toString();
+                warn("shard " + std::to_string(shard.id) + " " +
+                     shard.lastError);
+            }
             return false;
         }
         const ShardResultFile &file = loaded.value();
@@ -483,18 +606,17 @@ QueueClient::run(const std::vector<SimConfig> &grid)
         ck.rejectedFiles = file.ckptRejected;
         CheckpointStore::global().recordExternal(ck);
 
-        merged[s] = true;
-        --unmerged;
+        settled[s] = true;
+        --unsettled;
         ++out.completedShards;
+        out.retries += file.attempt - 1;
         queueMergedTotal.fetch_add(1);
         if (resume) {
             ++out.resumedShards;
             queueResumedTotal.fetch_add(1);
         }
-        if (file.attempt > 1) {
+        if (file.attempt > 1)
             queueReclaimedTotal.fetch_add(1);
-            ++out.retries; // the shard needed more than one claim
-        }
         shard.state = ShardState::Done;
         shard.attempts = file.attempt;
         shard.lastError.clear();
@@ -506,45 +628,177 @@ QueueClient::run(const std::vector<SimConfig> &grid)
         return true;
     };
 
-    for (std::size_t s = 0; s < manifest.shards.size(); ++s)
+    const auto settle_failed = [&](std::size_t s,
+                                   std::uint32_t attempts) {
+        SweepManifest::Shard &shard = shards[s];
+        settled[s] = true;
+        --unsettled;
+        ++out.failedShards;
+        out.retries += attempts - 1;
+        queueFailedTotal.fetch_add(1);
+        shard.state = ShardState::Failed;
+        shard.attempts = attempts;
+        if (shard.lastError.empty())
+            shard.lastError = "no valid result";
+        warn("shard " + std::to_string(shard.id) +
+             " failed permanently after " + std::to_string(attempts) +
+             " attempts: " + shard.lastError);
+    };
+
+    // Local workers (--dispatch=fork): processes serving this private
+    // queue, identified by the lease-holder id they claim under.
+    struct Worker
+    {
+        pid_t pid;
+        std::string id;
+        std::string killedFor; //!< set when we killed it on a deadline
+    };
+    std::vector<Worker> workers;
+
+    const auto spawn = [&] {
+        const pid_t pid = ::fork();
+        fatalIf(pid < 0, "fork() failed for a sweep worker");
+        if (pid == 0) {
+            ::execl(opts_.workerPath.c_str(), opts_.workerPath.c_str(),
+                    sweepWorkerFlag, opts_.queueDir.c_str(),
+                    static_cast<char *>(nullptr));
+            std::fprintf(stderr, "exec %s failed: %s\n",
+                         opts_.workerPath.c_str(),
+                         std::strerror(errno));
+            ::_exit(127);
+        }
+        workers.push_back({pid, sweepWorkerId(pid), ""});
+        if (opts_.verbose)
+            std::printf("[sweep] local worker pid %d started\n",
+                        static_cast<int>(pid));
+    };
+
+    // A reaped worker holds no lease any more: release its claims so
+    // the next attempt starts now rather than a lease later.
+    const auto reaped = [&](const Worker &w, int status) {
+        for (std::size_t s = 0; s < shards.size(); ++s) {
+            if (settled[s])
+                continue;
+            auto claim = ShardClaim::load(claim_path(s));
+            if (!claim.ok() || claim->owner != w.id || claim->released)
+                continue;
+            releaseShardClaim(dir, claim.value());
+            shards[s].lastError =
+                !w.killedFor.empty()
+                    ? w.killedFor
+                    : "worker " + w.id + " " + exitDescription(status);
+        }
+    };
+
+    // The claim of a worker past its attempt deadline is void already;
+    // kill the (wedged or too slow) worker so a fresh one can take the
+    // next attempt.
+    const auto enforce_deadlines = [&] {
+        const double now = wallSeconds();
+        for (std::size_t s = 0; s < shards.size(); ++s) {
+            if (settled[s])
+                continue;
+            auto claim = ShardClaim::load(claim_path(s));
+            if (!claim.ok() || claim->released ||
+                claim->deadline <= 0.0 || now <= claim->deadline)
+                continue;
+            for (Worker &w : workers)
+                if (w.id == claim->owner && w.killedFor.empty()) {
+                    w.killedFor = "attempt " +
+                                  std::to_string(claim->attempt) +
+                                  " passed its deadline; worker " +
+                                  w.id + " killed";
+                    shards[s].lastError = w.killedFor;
+                    ::kill(w.pid, SIGKILL);
+                }
+        }
+    };
+
+    // Reap exited workers; replace those that died while work remains.
+    const auto reap_and_replace = [&] {
+        for (std::size_t i = 0; i < workers.size();) {
+            int status = 0;
+            const pid_t r = ::waitpid(workers[i].pid, &status, WNOHANG);
+            if (r == 0) {
+                ++i;
+                continue;
+            }
+            fatalIf(r < 0, "waitpid failed for a sweep worker");
+            fatalIf(WIFEXITED(status) && WEXITSTATUS(status) == 127,
+                    "cannot exec sweep worker " + opts_.workerPath);
+            const Worker w = workers[i];
+            workers.erase(workers.begin() +
+                          static_cast<std::ptrdiff_t>(i));
+            reaped(w, status);
+            // A clean exit means the worker found nothing left to run.
+            const bool drained = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+            if (drained || unsettled == 0)
+                continue;
+            if (opts_.verbose)
+                std::printf("[sweep] local worker %s %s, replacing it\n",
+                            w.id.c_str(), exitDescription(status).c_str());
+            spawn();
+        }
+    };
+
+    for (std::size_t s = 0; s < shards.size(); ++s)
         try_merge(s, /*resume=*/true);
     if (!manifest.save(mpath).ok())
-        warn("cannot save queue sweep manifest " + mpath);
+        warn("cannot save sweep manifest " + mpath);
+
+    if (!opts_.workerPath.empty()) {
+        const unsigned want =
+            opts_.shards ? opts_.shards : defaultShardCount();
+        for (unsigned i = 0; i < std::min(want, unsettled); ++i)
+            spawn();
+    }
 
     const double deadline =
         opts_.timeoutSeconds > 0.0
             ? wallSeconds() + opts_.timeoutSeconds
             : 0.0;
     double next_progress = wallSeconds() + 5.0;
-    if (opts_.verbose && unmerged > 0)
+    if (opts_.verbose && unsettled > 0 && opts_.workerPath.empty())
         std::printf("[queue] waiting for %u/%zu shards in %s "
                     "(serve with: tmcc_simd --serve %s)\n",
-                    unmerged, manifest.shards.size(), dir.c_str(),
+                    unsettled, shards.size(), dir.c_str(),
                     opts_.queueDir.c_str());
 
-    while (unmerged > 0) {
+    while (unsettled > 0) {
         std::this_thread::sleep_for(
             std::chrono::duration<double>(opts_.pollSeconds));
+        enforce_deadlines();
         bool progressed = false;
-        for (std::size_t s = 0; s < manifest.shards.size(); ++s) {
-            if (merged[s])
+        for (std::size_t s = 0; s < shards.size(); ++s) {
+            if (settled[s])
                 continue;
-            progressed |= try_merge(s, /*resume=*/false);
+            // Read the cap before the result: a worker publishes before
+            // it releases, so a shard found exhausted here whose result
+            // still does not merge below really failed.
+            const std::uint32_t spent =
+                exhaustedShardAttempts(dir, shards[s].id,
+                                       opts_.maxAttempts);
+            if (try_merge(s, /*resume=*/false)) {
+                progressed = true;
+            } else if (spent != 0) {
+                settle_failed(s, spent);
+                progressed = true;
+            }
         }
         if (progressed && !manifest.save(mpath).ok())
-            warn("cannot save queue sweep manifest " + mpath);
+            warn("cannot save sweep manifest " + mpath);
+        reap_and_replace();
 
         const double now = wallSeconds();
         if (opts_.verbose && now >= next_progress) {
             next_progress = now + 5.0;
-            for (std::size_t s = 0; s < manifest.shards.size(); ++s) {
-                if (merged[s])
+            for (std::size_t s = 0; s < shards.size(); ++s) {
+                if (settled[s])
                     continue;
-                const std::uint32_t id = manifest.shards[s].id;
+                const std::uint32_t id = shards[s].id;
                 auto prog = ShardProgress::load(
                     sweepShardFile(dir, id, "progress"));
-                auto cl = ShardClaim::load(
-                    sweepShardFile(dir, id, "claim"));
+                auto cl = ShardClaim::load(claim_path(s));
                 if (prog.ok() && cl.ok())
                     std::printf("[queue] shard %u: %llu/%llu configs "
                                 "by %s (attempt %u)\n",
@@ -566,24 +820,35 @@ QueueClient::run(const std::vector<SimConfig> &grid)
             break;
     }
 
-    if (unmerged == 0) {
+    // Settled (or timed out): no local worker has anything left to do.
+    for (const Worker &w : workers) {
+        ::kill(w.pid, SIGKILL);
+        int status = 0;
+        ::waitpid(w.pid, &status, 0);
+        reaped(w, status);
+    }
+
+    if (unsettled == 0) {
         // Retire the request so daemons stop rescanning this sweep;
         // the results stay for resume.
         std::error_code ec;
         fs::remove(sweepRequestPath(dir), ec);
     } else {
-        for (std::size_t s = 0; s < manifest.shards.size(); ++s) {
-            if (merged[s])
+        for (std::size_t s = 0; s < shards.size(); ++s) {
+            if (settled[s])
                 continue;
-            manifest.shards[s].lastError =
-                "queue timeout after " +
-                std::to_string(opts_.timeoutSeconds) + "s";
+            shards[s].lastError = "queue timeout after " +
+                                  std::to_string(opts_.timeoutSeconds) +
+                                  "s";
             ++out.failedShards;
-            warn("shard " + std::to_string(manifest.shards[s].id) +
+            queueFailedTotal.fetch_add(1);
+            warn("shard " + std::to_string(shards[s].id) +
                  " not served before the queue timeout");
         }
     }
-    out.shards = manifest.shards;
+    if (!manifest.save(mpath).ok())
+        warn("cannot save sweep manifest " + mpath);
+    out.shards = shards;
     return out;
 }
 

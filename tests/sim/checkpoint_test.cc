@@ -215,7 +215,12 @@ class CheckpointFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "/reject.ckpt";
+        // One file per test: ctest runs these tests concurrently.
+        path_ = ::testing::TempDir() + "/reject_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".ckpt";
         ckpt_ = buildCheckpoint(tinyConfig(Arch::NoCompression));
         ASSERT_TRUE(ckpt_->saveFile(path_).ok());
         std::FILE *f = std::fopen(path_.c_str(), "rb");

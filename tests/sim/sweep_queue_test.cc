@@ -1,20 +1,24 @@
 /**
  * @file
- * Lease-based sweep work queue (sim/sweep_queue.hh, sim/sweep_daemon.hh):
- * the claim/renew/release protocol must hand every shard to exactly one
+ * Lease-based sweep work queue (sim/sweep_queue.hh, sim/sweep_daemon.hh),
+ * the one executor behind --dispatch=queue and --dispatch=fork: the
+ * claim/renew/release protocol must hand every shard to exactly one
  * live worker — across stale-lease reclaim after a worker SIGKILL,
- * N-way claim races, heartbeat renewal under a slow shard, and corrupt
- * claim files — and a queue-dispatched sweep must merge bit-identically
- * with a serial SimRunner run.
+ * attempt deadlines, the attempt cap, N-way claim races, heartbeat
+ * renewal under a slow shard, and corrupt claim files — and a sweep
+ * must merge bit-identically with a serial SimRunner run, including
+ * after a worker SIGKILL, a hang, a corrupt result file and a resume.
  *
- * This binary is its own worker daemon: main() dispatches
- * `--daemon-serve DIR LEASE` to a drain-once SweepDaemon before gtest
- * initialization, so tests can fork+exec /proc/self/exe as a victim
- * daemon and SIGKILL it (via TMCC_QUEUE_TEST_KILL) mid-shard.
+ * This binary is its own worker: main() dispatches `--sweep-worker DIR`
+ * (the local workers fork dispatch spawns) and `--daemon-serve DIR
+ * LEASE` (a drain-once victim daemon with a short lease) before gtest
+ * initialization, so tests can fork+exec /proc/self/exe as workers and
+ * SIGKILL them mid-shard through the TMCC_SHARD_TEST_* hooks.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -90,6 +94,29 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.readBusUtil, b.readBusUtil);
     EXPECT_EQ(a.writeBusUtil, b.writeBusUtil);
     EXPECT_EQ(a.stats.all(), b.stats.all());
+    EXPECT_EQ(a.l3MissLatency.buckets(), b.l3MissLatency.buckets());
+    EXPECT_EQ(a.l3MissLatency.sampleSum(), b.l3MissLatency.sampleSum());
+    EXPECT_EQ(a.pageWalkLatency.buckets(), b.pageWalkLatency.buckets());
+}
+
+void
+expectMergedMatchesSerial(const SweepOutcome &out)
+{
+    const auto &serial = serialBaseline();
+    ASSERT_EQ(out.results.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        SCOPED_TRACE("config " + std::to_string(i));
+        ASSERT_TRUE(out.resultValid[i]);
+        expectIdentical(serial[i], out.results[i]);
+    }
+}
+
+void
+unsetTestHooks()
+{
+    ::unsetenv("TMCC_SHARD_TEST_KILL");
+    ::unsetenv("TMCC_SHARD_TEST_HANG");
+    ::unsetenv("TMCC_SHARD_TEST_CORRUPT");
 }
 
 class SweepQueueTest : public ::testing::Test
@@ -98,7 +125,7 @@ class SweepQueueTest : public ::testing::Test
     void
     SetUp() override
     {
-        ::unsetenv("TMCC_QUEUE_TEST_KILL");
+        unsetTestHooks();
         QueueClient::resetTotals();
         dir_ = fs::temp_directory_path() /
                ("tmcc_sweep_queue_test_" + std::to_string(::getpid()) +
@@ -113,7 +140,7 @@ class SweepQueueTest : public ::testing::Test
     void
     TearDown() override
     {
-        ::unsetenv("TMCC_QUEUE_TEST_KILL");
+        unsetTestHooks();
         fs::remove_all(dir_);
     }
 
@@ -135,6 +162,29 @@ class SweepQueueTest : public ::testing::Test
         o.timeoutSeconds = 120.0; // never hit; bounds a deadlock
         o.verbose = false;
         return o;
+    }
+
+    /** --dispatch=fork: a private queue served by `shards` local
+     * workers, this binary re-exec'ed with --sweep-worker. */
+    QueueOptions
+    forkOptions(unsigned shards = 3) const
+    {
+        QueueOptions o;
+        o.queueDir = (dir_ / "sweep-dir").string();
+        o.sweepName = "sweep";
+        o.shards = shards;
+        o.workerJobs = 1;
+        o.workerPath = "/proc/self/exe";
+        o.pollSeconds = 0.05;
+        o.timeoutSeconds = 120.0; // never hit; bounds a deadlock
+        o.verbose = false;
+        return o;
+    }
+
+    std::string
+    forkSweepDir() const
+    {
+        return (dir_ / "sweep-dir" / "sweep").string();
     }
 
     DaemonOptions
@@ -181,12 +231,26 @@ TEST_F(SweepQueueTest, ClaimLifecycle)
     EXPECT_EQ(onDisk->heartbeatSeq, 1u);
     EXPECT_EQ(onDisk->owner, "w1");
 
-    // Release drops the file; the next claim starts fresh at attempt 1.
+    // Release keeps the file, marked released, so the attempt count
+    // survives it: the next claim is attempt 2 at once, no lease wait.
     releaseShardClaim(dir, first.claim);
-    EXPECT_FALSE(fs::exists(sweepShardFile(dir, 0, "claim")));
-    ClaimAttempt third = tryClaimShard(dir, "grid-a", 0, "w2", 5.0);
+    onDisk = ShardClaim::load(sweepShardFile(dir, 0, "claim"));
+    ASSERT_TRUE(onDisk.ok());
+    EXPECT_TRUE(onDisk->released);
+    EXPECT_EQ(exhaustedShardAttempts(dir, 0, 2), 0u);
+    ClaimAttempt third = tryClaimShard(dir, "grid-a", 0, "w2", 5.0, 2);
     ASSERT_TRUE(third.claimed);
-    EXPECT_EQ(third.claim.attempt, 1u);
+    EXPECT_EQ(third.claim.attempt, 2u);
+
+    // At the cap (2) a released claim settles the shard: nobody may
+    // claim it again, and the spent attempts are reported.
+    EXPECT_EQ(exhaustedShardAttempts(dir, 0, 2), 0u); // still live
+    releaseShardClaim(dir, third.claim);
+    ClaimAttempt fourth = tryClaimShard(dir, "grid-a", 0, "w1", 5.0, 2);
+    EXPECT_FALSE(fourth.claimed);
+    EXPECT_NE(fourth.reason.find("attempt cap"), std::string::npos);
+    EXPECT_EQ(exhaustedShardAttempts(dir, 0, 2), 2u);
+    EXPECT_EQ(exhaustedShardAttempts(dir, 0, 3), 0u);
 }
 
 TEST_F(SweepQueueTest, StaleLeaseIsReclaimedWithAttemptBump)
@@ -203,6 +267,27 @@ TEST_F(SweepQueueTest, StaleLeaseIsReclaimedWithAttemptBump)
     EXPECT_TRUE(taken.reclaimed);
     EXPECT_EQ(taken.claim.attempt, 2u);
     EXPECT_EQ(taken.claim.owner, "w2");
+}
+
+TEST_F(SweepQueueTest, DeadlineVoidsAHeartbeatingClaim)
+{
+    // A claim inside its lease but past its attempt deadline no longer
+    // protects the shard: its owner's renewal fails and a rival takes
+    // the next attempt at once.
+    const std::string dir = dir_.string();
+    ClaimAttempt slow =
+        tryClaimShard(dir, "grid-a", 0, "slow", 5.0, 0, 0.3);
+    ASSERT_TRUE(slow.claimed);
+    EXPECT_GT(slow.claim.deadline, 0.0);
+    ASSERT_TRUE(renewShardClaim(dir, slow.claim).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+
+    EXPECT_FALSE(renewShardClaim(dir, slow.claim).ok());
+    ClaimAttempt rival = tryClaimShard(dir, "grid-a", 0, "rival", 5.0);
+    ASSERT_TRUE(rival.claimed);
+    EXPECT_TRUE(rival.reclaimed);
+    EXPECT_EQ(rival.claim.attempt, 2u);
+    EXPECT_EQ(rival.claim.deadline, 0.0);
 }
 
 TEST_F(SweepQueueTest, CorruptClaimFileIsNeverTrusted)
@@ -315,14 +400,14 @@ TEST_F(SweepQueueTest, QueueRequestRejectsZeroShards)
 
 TEST_F(SweepQueueTest, TestHookMatchesShardAndAttempt)
 {
-    ::setenv("TMCC_QUEUE_TEST_KILL", "1@2", 1);
-    EXPECT_TRUE(sweepTestHookFires("TMCC_QUEUE_TEST_KILL", 1, 2));
-    EXPECT_FALSE(sweepTestHookFires("TMCC_QUEUE_TEST_KILL", 1, 1));
-    EXPECT_FALSE(sweepTestHookFires("TMCC_QUEUE_TEST_KILL", 0, 2));
-    ::setenv("TMCC_QUEUE_TEST_KILL", "1@*", 1);
-    EXPECT_TRUE(sweepTestHookFires("TMCC_QUEUE_TEST_KILL", 1, 7));
-    ::unsetenv("TMCC_QUEUE_TEST_KILL");
-    EXPECT_FALSE(sweepTestHookFires("TMCC_QUEUE_TEST_KILL", 1, 1));
+    ::setenv("TMCC_SHARD_TEST_KILL", "1@2", 1);
+    EXPECT_TRUE(sweepTestHookFires("TMCC_SHARD_TEST_KILL", 1, 2));
+    EXPECT_FALSE(sweepTestHookFires("TMCC_SHARD_TEST_KILL", 1, 1));
+    EXPECT_FALSE(sweepTestHookFires("TMCC_SHARD_TEST_KILL", 0, 2));
+    ::setenv("TMCC_SHARD_TEST_KILL", "1@*", 1);
+    EXPECT_TRUE(sweepTestHookFires("TMCC_SHARD_TEST_KILL", 1, 7));
+    ::unsetenv("TMCC_SHARD_TEST_KILL");
+    EXPECT_FALSE(sweepTestHookFires("TMCC_SHARD_TEST_KILL", 1, 1));
 }
 
 TEST_F(SweepQueueTest, DefaultShardCountIsClamped)
@@ -354,13 +439,7 @@ TEST_F(SweepQueueTest, QueueSweepBitIdenticalToSerial)
     EXPECT_TRUE(out.ok());
     EXPECT_EQ(out.completedShards, 2u);
     EXPECT_EQ(out.failedShards, 0u);
-    const auto &serial = serialBaseline();
-    ASSERT_EQ(out.results.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        SCOPED_TRACE("config " + std::to_string(i));
-        ASSERT_TRUE(out.resultValid[i]);
-        expectIdentical(serial[i], out.results[i]);
-    }
+    expectMergedMatchesSerial(out);
     EXPECT_GE(daemon.stats().shardsServed, 2u);
     EXPECT_EQ(daemon.stats().configsRun, 4u);
 
@@ -374,8 +453,7 @@ TEST_F(SweepQueueTest, QueueSweepBitIdenticalToSerial)
     SweepOutcome resumed = again.run(grid());
     EXPECT_TRUE(resumed.ok());
     EXPECT_EQ(resumed.resumedShards, 2u);
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectIdentical(serial[i], resumed.results[i]);
+    expectMergedMatchesSerial(resumed);
     EXPECT_EQ(QueueClient::totals().resumedShards, 2u);
 }
 
@@ -391,7 +469,7 @@ TEST_F(SweepQueueTest, SigkilledDaemonIsReclaimedBySurvivor)
     QueueClient client(qopts);
     const std::string sweepDir = client.enqueue(grid());
 
-    ::setenv("TMCC_QUEUE_TEST_KILL", "0@1", 1);
+    ::setenv("TMCC_SHARD_TEST_KILL", "0@1", 1);
     const pid_t victim = ::fork();
     ASSERT_GE(victim, 0);
     if (victim == 0) {
@@ -399,7 +477,7 @@ TEST_F(SweepQueueTest, SigkilledDaemonIsReclaimedBySurvivor)
                 queueDir().c_str(), "0.5", (char *)nullptr);
         ::_exit(127); // exec failed
     }
-    ::unsetenv("TMCC_QUEUE_TEST_KILL");
+    ::unsetenv("TMCC_SHARD_TEST_KILL");
 
     int status = 0;
     ASSERT_EQ(::waitpid(victim, &status, 0), victim);
@@ -420,12 +498,7 @@ TEST_F(SweepQueueTest, SigkilledDaemonIsReclaimedBySurvivor)
     EXPECT_EQ(out.retries, 1u); // merged result carries attempt 2
     ASSERT_EQ(out.shards.size(), 1u);
     EXPECT_EQ(out.shards[0].attempts, 2u);
-    const auto &serial = serialBaseline();
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        SCOPED_TRACE("config " + std::to_string(i));
-        ASSERT_TRUE(out.resultValid[i]);
-        expectIdentical(serial[i], out.results[i]);
-    }
+    expectMergedMatchesSerial(out);
     EXPECT_EQ(QueueClient::totals().reclaimedShards, 1u);
 }
 
@@ -465,6 +538,220 @@ TEST_F(SweepQueueTest, DaemonDefaultsCkptDirIntoSweepDir)
     EXPECT_GT(result->ckptMemoryHits + result->ckptDiskHits +
                   result->ckptMisses,
               0u);
+}
+
+TEST_F(SweepQueueTest, AlwaysCorruptShardStopsAtAttemptCap)
+{
+    // Every publication of shard 0 fails its CRC.  The attempt count
+    // survives each release, so the shard settles as failed at the cap
+    // (2) instead of waiting out the queue timeout, the other shard
+    // still merges,
+    // and each rejected publication warns once, not once per poll.
+    ::setenv("TMCC_SHARD_TEST_CORRUPT", "0@*", 1);
+    QueueOptions qopts = clientOptions();
+    qopts.maxAttempts = 2;
+    QueueClient client(qopts);
+    SweepDaemon daemon(daemonOptions());
+    std::thread server([&] {
+        while (daemon.serve() == 0 &&
+               !fs::exists(sweepRequestPath(queueDir() +
+                                            "/sweep-under-test")))
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    });
+    ::testing::internal::CaptureStderr();
+    SweepOutcome out = client.run(grid());
+    server.join();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+
+    EXPECT_FALSE(out.ok());
+    EXPECT_EQ(out.failedShards, 1u);
+    EXPECT_EQ(out.completedShards, 1u);
+    ASSERT_EQ(out.shards.size(), 2u);
+    EXPECT_EQ(out.shards[0].state, ShardState::Failed);
+    EXPECT_EQ(out.shards[0].attempts, 2u);
+    EXPECT_NE(out.shards[0].lastError.find("result rejected"),
+              std::string::npos);
+    EXPECT_EQ(out.shards[1].state, ShardState::Done);
+    EXPECT_EQ(QueueClient::totals().failedShards, 1u);
+
+    std::size_t warnings = 0;
+    for (std::size_t at = err.find("shard 0 result rejected");
+         at != std::string::npos;
+         at = err.find("shard 0 result rejected", at + 1))
+        ++warnings;
+    EXPECT_GE(warnings, 1u);
+    EXPECT_LE(warnings, 2u) << err;
+}
+
+// ---------------------------------------------------------------------
+// Fork dispatch: a private queue served by local worker processes.
+
+TEST_F(SweepQueueTest, ForkDispatchBitIdenticalToSerial)
+{
+    SweepOutcome out = QueueClient(forkOptions()).run(grid());
+    EXPECT_TRUE(out.ok());
+    EXPECT_EQ(out.completedShards, 3u);
+    EXPECT_EQ(out.failedShards, 0u);
+    EXPECT_EQ(out.retries, 0u);
+    expectMergedMatchesSerial(out);
+}
+
+TEST_F(SweepQueueTest, MoreShardsThanConfigsClampsPartition)
+{
+    const std::vector<SimConfig> two = {grid()[0], grid()[1]};
+    SweepOutcome out = QueueClient(forkOptions(8)).run(two);
+    EXPECT_TRUE(out.ok());
+    // Partition clamps to one shard per config.
+    EXPECT_EQ(out.shards.size(), 2u);
+    ASSERT_TRUE(out.resultValid[0]);
+    ASSERT_TRUE(out.resultValid[1]);
+    expectIdentical(serialBaseline()[0], out.results[0]);
+    expectIdentical(serialBaseline()[1], out.results[1]);
+}
+
+TEST_F(SweepQueueTest, WorkerSigkillMidShardIsRetriedBitIdentically)
+{
+    // Shard 1's first attempt dies by SIGKILL after finishing its
+    // first config (mid-shard, nothing published); the client reaps
+    // the worker, releases its claim and starts a replacement, and
+    // attempt 2 runs clean.
+    ::setenv("TMCC_SHARD_TEST_KILL", "1@1", 1);
+    SweepOutcome out = QueueClient(forkOptions()).run(grid());
+    EXPECT_TRUE(out.ok());
+    EXPECT_EQ(out.retries, 1u);
+    EXPECT_EQ(out.failedShards, 0u);
+    EXPECT_EQ(out.completedShards, 3u);
+    ASSERT_EQ(out.shards.size(), 3u);
+    EXPECT_EQ(out.shards[1].state, ShardState::Done);
+    EXPECT_EQ(out.shards[1].attempts, 2u);
+    expectMergedMatchesSerial(out);
+}
+
+TEST_F(SweepQueueTest, HungWorkerPastDeadlineIsReplaced)
+{
+    // One shard, one local worker, so no peer can reclaim.  Attempt 1
+    // wedges after its config while its heartbeat keeps renewing; the
+    // deadline voids the lease, the client kills the worker, and the
+    // replacement's attempt 2 completes before the queue timeout.  The
+    // deadline must comfortably exceed a clean one-config attempt,
+    // which sanitizer builds slow down many times over.
+    const auto start = std::chrono::steady_clock::now();
+    serialBaseline();
+    const double serialSeconds = std::chrono::duration<double>(
+                                     std::chrono::steady_clock::now() -
+                                     start)
+                                     .count();
+    ::setenv("TMCC_SHARD_TEST_HANG", "0@1", 1);
+    QueueOptions o = forkOptions(1);
+    o.attemptSeconds = std::max(2.0, 3.0 * serialSeconds);
+    const std::vector<SimConfig> one = {grid()[0]};
+    SweepOutcome out = QueueClient(o).run(one);
+    EXPECT_TRUE(out.ok());
+    EXPECT_EQ(out.retries, 1u);
+    ASSERT_EQ(out.shards.size(), 1u);
+    EXPECT_EQ(out.shards[0].state, ShardState::Done);
+    EXPECT_EQ(out.shards[0].attempts, 2u);
+    ASSERT_TRUE(out.resultValid[0]);
+    expectIdentical(serialBaseline()[0], out.results[0]);
+}
+
+TEST_F(SweepQueueTest, CorruptResultFileIsRejectedAndRetried)
+{
+    // Shard 0's first attempt publishes a result file whose payload
+    // fails its CRC; it must never merge, and attempt 2 replaces it.
+    ::setenv("TMCC_SHARD_TEST_CORRUPT", "0@1", 1);
+    SweepOutcome out = QueueClient(forkOptions()).run(grid());
+    EXPECT_TRUE(out.ok());
+    EXPECT_EQ(out.retries, 1u);
+    ASSERT_EQ(out.shards.size(), 3u);
+    EXPECT_EQ(out.shards[0].state, ShardState::Done);
+    EXPECT_EQ(out.shards[0].attempts, 2u);
+    expectMergedMatchesSerial(out);
+}
+
+TEST_F(SweepQueueTest, RetryExhaustionDegradesGracefully)
+{
+    // Shard 1 dies on every attempt: the sweep must finish everything
+    // else, mark shard 1 Failed in the manifest with its attempt count
+    // and last error, and report not-ok (the CLI exits nonzero).
+    ::setenv("TMCC_SHARD_TEST_KILL", "1@*", 1);
+    QueueOptions o = forkOptions();
+    o.maxAttempts = 2;
+    SweepOutcome out = QueueClient(o).run(grid());
+    EXPECT_FALSE(out.ok());
+    EXPECT_EQ(out.failedShards, 1u);
+    EXPECT_EQ(out.retries, 1u);
+    EXPECT_EQ(out.completedShards, 2u);
+    ASSERT_EQ(out.shards.size(), 3u);
+    EXPECT_EQ(out.shards[1].state, ShardState::Failed);
+    EXPECT_EQ(out.shards[1].attempts, 2u);
+    EXPECT_NE(out.shards[1].lastError.find("signal 9"),
+              std::string::npos)
+        << out.shards[1].lastError;
+
+    // Every config outside the failed shard merged bit-identically;
+    // the failed shard's configs are flagged invalid.
+    const auto &serial = serialBaseline();
+    const auto &lost = out.shards[1].configIndices;
+    for (std::size_t i = 0; i < out.results.size(); ++i) {
+        const bool onFailedShard =
+            std::find(lost.begin(), lost.end(), i) != lost.end();
+        EXPECT_EQ(out.resultValid[i], !onFailedShard);
+        if (out.resultValid[i])
+            expectIdentical(serial[i], out.results[i]);
+    }
+
+    // The durable manifest agrees with the in-memory outcome.
+    const auto manifest =
+        SweepManifest::load(forkSweepDir() + "/MANIFEST.tmccsweep");
+    ASSERT_TRUE(manifest.ok());
+    EXPECT_EQ(manifest->shards[1].state, ShardState::Failed);
+    EXPECT_EQ(manifest->shards[1].attempts, 2u);
+}
+
+TEST_F(SweepQueueTest, ResumeRerunsOnlyMissingShards)
+{
+    // First pass: shard 2 spends its only attempt and fails.
+    ::setenv("TMCC_SHARD_TEST_KILL", "2@*", 1);
+    QueueOptions o = forkOptions();
+    o.maxAttempts = 1;
+    SweepOutcome first = QueueClient(o).run(grid());
+    EXPECT_FALSE(first.ok());
+    EXPECT_EQ(first.completedShards, 2u);
+
+    // Second pass in the same sweep dir, hook removed: the two done
+    // shards resume from their result files (no re-run), only the
+    // failed shard gets a fresh attempt budget.
+    ::unsetenv("TMCC_SHARD_TEST_KILL");
+    SweepOutcome second = QueueClient(forkOptions()).run(grid());
+    EXPECT_TRUE(second.ok());
+    EXPECT_EQ(second.resumedShards, 2u);
+    EXPECT_EQ(second.completedShards, 3u);
+    EXPECT_EQ(second.shards[2].attempts, 1u);
+    expectMergedMatchesSerial(second);
+}
+
+TEST_F(SweepQueueTest, ResumeRejectsTamperedResultFile)
+{
+    // Complete a sweep, then damage one published result: resume must
+    // re-run that shard rather than merge the damaged file.
+    SweepOutcome first = QueueClient(forkOptions()).run(grid());
+    ASSERT_TRUE(first.ok());
+
+    const std::string victim = sweepShardFile(forkSweepDir(), 1, "result");
+    FILE *f = std::fopen(victim.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, -3, SEEK_END);
+    const int c = std::fgetc(f);
+    std::fseek(f, -1, SEEK_CUR);
+    std::fputc(c ^ 0xff, f);
+    std::fclose(f);
+
+    SweepOutcome second = QueueClient(forkOptions()).run(grid());
+    EXPECT_TRUE(second.ok());
+    EXPECT_EQ(second.resumedShards, 2u); // shard 1 re-ran
+    EXPECT_EQ(second.shards[1].attempts, 1u);
+    expectMergedMatchesSerial(second);
 }
 
 // ---------------------------------------------------------------------
@@ -508,8 +795,8 @@ TEST_F(SweepQueueDeathTest, DaemonOptionsValidation)
 
 TEST_F(SweepQueueDeathTest, MalformedTestHookIsFatal)
 {
-    ::setenv("TMCC_QUEUE_TEST_KILL", "nonsense", 1);
-    EXPECT_DEATH(sweepTestHookFires("TMCC_QUEUE_TEST_KILL", 0, 1),
+    ::setenv("TMCC_SHARD_TEST_KILL", "nonsense", 1);
+    EXPECT_DEATH(sweepTestHookFires("TMCC_SHARD_TEST_KILL", 0, 1),
                  "wants <shard>@<attempt");
 }
 
@@ -523,15 +810,29 @@ TEST_F(SweepQueueDeathTest, SweepNameOwnedByOtherGridIsFatal)
     EXPECT_DEATH(second.enqueue(other), "different sweep");
 }
 
+TEST_F(SweepQueueDeathTest, SweepDirOwnedByOtherGridIsFatal)
+{
+    // Fork dispatch refuses a --sweep-dir holding another grid before
+    // it spawns a single worker.
+    SweepOutcome first = QueueClient(forkOptions()).run(grid());
+    ASSERT_TRUE(first.ok());
+
+    std::vector<SimConfig> other = grid();
+    other[0].seed ^= 0x5a5a;
+    EXPECT_DEATH(QueueClient(forkOptions()).run(other), "different sweep");
+}
+
 } // namespace
 } // namespace tmcc
 
 int
 main(int argc, char **argv)
 {
-    // Daemon re-entry: tests fork+exec this binary as a victim worker,
-    // which must not fall into gtest.
-    for (int i = 1; i + 1 < argc; ++i)
+    // Worker re-entry: tests fork+exec this binary as local workers and
+    // victim daemons, which must not fall into gtest.
+    for (int i = 1; i + 1 < argc; ++i) {
+        if (std::strcmp(argv[i], tmcc::sweepWorkerFlag) == 0)
+            return tmcc::SweepDaemon::localWorkerMain(argv[i + 1]);
         if (std::strcmp(argv[i], "--daemon-serve") == 0) {
             tmcc::DaemonOptions o;
             o.queueDir = argv[i + 1];
@@ -545,6 +846,7 @@ main(int argc, char **argv)
             tmcc::SweepDaemon(o).serve();
             return 0;
         }
+    }
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();
 }
