@@ -34,7 +34,7 @@
 #include "cache/cache.hh"
 #include "cache/prefetcher.hh"
 #include "common/flat_set.hh"
-#include "common/log.hh"
+#include "common/small_vec.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -62,35 +62,6 @@ struct HierarchyConfig
     bool prefetchers = true;
     unsigned strideDegreeL1 = 2;
     unsigned strideDegreeL2 = 4;
-};
-
-/**
- * Fixed-capacity inline vector for the batched kernel's outcome sinks:
- * no heap traffic on the hot path, and overflowing the static bound is
- * a simulator bug (the bounds are derived from the maximum writeback /
- * prefetch fan-out of one access).
- */
-template <class T, std::size_t N>
-class SmallVec
-{
-  public:
-    void
-    push_back(const T &v)
-    {
-        panicIf(count_ == N, "SmallVec overflow");
-        items_[count_++] = v;
-    }
-
-    void clear() { count_ = 0; }
-    std::size_t size() const { return count_; }
-    bool empty() const { return count_ == 0; }
-    const T *begin() const { return items_; }
-    const T *end() const { return items_ + count_; }
-    const T &operator[](std::size_t i) const { return items_[i]; }
-
-  private:
-    T items_[N];
-    std::size_t count_ = 0;
 };
 
 /** Result of one access or fill. */

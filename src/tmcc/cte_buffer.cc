@@ -1,29 +1,33 @@
 #include "tmcc/cte_buffer.hh"
 
+#include <algorithm>
+
+#include "common/log.hh"
+
 namespace tmcc
 {
 
 CteBuffer::CteBuffer(unsigned entries)
-    : stride_(simd::padWays(entries)),
-      ppns_(stride_, padPpn),
-      hasCte_(stride_, 0),
-      cte_(stride_, 0),
-      ptbAddr_(stride_, invalidAddr),
-      lru_(stride_, ~std::uint64_t{0}),
-      entries_(entries)
 {
-    for (unsigned i = 0; i < entries; ++i) {
-        ppns_[i] = invalidPpn;
-        lru_[i] = 0;
-    }
+    fatalIf(entries == 0, "CTE buffer needs at least one entry "
+                          "(cteBufferEntries = 0)");
+    slots_.resize(entries);
+    // At most half full, so probe chains stay short and find() always
+    // reaches an empty bucket.
+    unsigned bits = 1;
+    while ((std::size_t{1} << bits) < 2 * std::size_t{entries})
+        ++bits;
+    index_.assign(std::size_t{1} << bits, nil);
+    mask_ = index_.size() - 1;
+    hashShift_ = 64 - bits;
 }
 
 void
 CteBuffer::flush()
 {
-    // Real slots only: padding slots must keep the pad sentinel.
-    for (unsigned i = 0; i < entries_; ++i)
-        ppns_[i] = invalidPpn;
+    std::fill(index_.begin(), index_.end(), nil);
+    used_ = 0;
+    head_ = tail_ = nil;
 }
 
 void

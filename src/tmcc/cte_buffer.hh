@@ -8,15 +8,21 @@
  * carry the correct CTE back; a mismatch triggers the lazy PTB update
  * at the recorded PTB physical address.
  *
- * The table is fully associative and searched on every LLC-bound
- * access, so the key scan is the measured loop's hottest loop: keys
- * live in one contiguous PPN array (invalid entries hold a sentinel no
- * real PPN can take) with payload arrays alongside, and the hot
- * methods are defined inline here.  The scan itself runs through the
- * common/simd.hh probe primitives in chunks of up to simd::maxWays
- * entries (one chunk for the default 64-entry buffer), so a full-table
- * search is a handful of whole-vector compares; the primitives'
- * scalar fallback is the oracle, keeping SIMD builds bit-identical.
+ * The table is fully associative with exact LRU replacement.  It is
+ * consulted on every LLC-bound access and written eight times per
+ * compressed-PTB fetch, so every operation is constant time:
+ *
+ *  - an open-addressing PPN -> slot index (linear probing, backward-
+ *    shift deletion, at most half full) finds an entry in one or two
+ *    probes;
+ *  - an intrusive doubly-linked list threaded through the slots keeps
+ *    recency: insert and lookup move the entry to the head, eviction
+ *    takes the tail, and a response update leaves recency alone.
+ *
+ * Entries leave only by eviction or flush(), and free slots fill
+ * before anything is evicted, so the tail is always the entry least
+ * recently inserted or looked up.  Which slot an entry occupies is
+ * never observable.
  */
 
 #ifndef TMCC_TMCC_CTE_BUFFER_HH
@@ -25,7 +31,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/simd.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -36,6 +41,7 @@ namespace tmcc
 class CteBuffer : public Stated
 {
   public:
+    /** `entries` must be at least 1 (fatal otherwise). */
     explicit CteBuffer(unsigned entries = 64);
 
     struct Entry
@@ -44,8 +50,6 @@ class CteBuffer : public Stated
         bool hasCte = false;        //!< some PTB slots carry no CTE
         std::uint64_t cte = 0;      //!< truncated embedded CTE
         Addr ptbAddr = invalidAddr; //!< PTB holding the (stale?) CTE
-        bool valid = false;
-        std::uint64_t lru = 0;
     };
 
     /** Insert one key-value pair from a fetched compressed PTB. */
@@ -53,69 +57,46 @@ class CteBuffer : public Stated
     insert(Ppn ppn, bool has_cte, std::uint64_t cte, Addr ptb_addr)
     {
         inserts_.inc();
-        // One fused pass per chunk: resident match (refresh in place)
-        // and first free slot.  A match anywhere supersedes free
-        // slots, so recording the first free slot while scanning for
-        // the match preserves the split-scan order exactly.
-        std::size_t slot = npos, free_slot = npos;
-        for (std::size_t c = 0; c < stride_; c += chunk) {
-            std::uint64_t ma, mb;
-            Probe::eqMask2(&ppns_[c], chunkLen(c), ppn, invalidPpn,
-                           ma, mb);
-            if (ma) {
-                slot = c + simd::firstWay(ma);
-                break;
+        std::uint32_t s = find(ppn);
+        if (s != nil) {
+            unlink(s); // resident: refresh in place
+        } else {
+            if (used_ < slots_.size()) {
+                s = used_++;
+            } else {
+                s = tail_; // full: evict the least recently used
+                unlink(s);
+                unindex(s);
             }
-            if (mb && free_slot == npos)
-                free_slot = c + simd::firstWay(mb);
+            slots_[s].entry.ppn = ppn;
+            index(s);
         }
-        if (slot == npos)
-            slot = free_slot;
-        if (slot == npos) {
-            // No free slot: evict the LRU entry (stamps unique, so the
-            // argmin is unique); chunk minima keep the earliest index
-            // on ties, matching the historical strict-< running min.
-            std::size_t best = 0;
-            std::uint64_t best_val = ~std::uint64_t{0};
-            for (std::size_t c = 0; c < stride_; c += chunk) {
-                const unsigned n = chunkLen(c);
-                const std::size_t i = c + Probe::minIndex(&lru_[c], n);
-                if (lru_[i] < best_val) {
-                    best_val = lru_[i];
-                    best = i;
-                }
-            }
-            slot = best;
-        }
-        ppns_[slot] = ppn;
-        hasCte_[slot] = has_cte;
-        cte_[slot] = cte;
-        ptbAddr_[slot] = ptb_addr;
-        lru_[slot] = ++lruClock_;
+        Entry &e = slots_[s].entry;
+        e.hasCte = has_cte;
+        e.cte = cte;
+        e.ptbAddr = ptb_addr;
+        pushFront(s);
     }
 
     /**
-     * Look up by PPN; nullptr on miss.  The returned pointer aliases a
-     * scratch entry refreshed by the next lookup — read it immediately
-     * (exactly how the pipeline and tests use it).
+     * Look up by PPN; nullptr on miss.  The returned pointer aliases
+     * the entry's slot, which the next insert or flush may reuse —
+     * read it immediately (exactly how the pipeline and tests use it).
      */
     const Entry *
     lookup(Ppn ppn)
     {
-        const std::size_t e = find(ppn);
-        if (e == npos) {
+        const std::uint32_t s = find(ppn);
+        if (s == nil) {
             misses_.inc();
             return nullptr;
         }
         hits_.inc();
-        lru_[e] = ++lruClock_;
-        scratch_.ppn = ppns_[e];
-        scratch_.hasCte = hasCte_[e] != 0;
-        scratch_.cte = cte_[e];
-        scratch_.ptbAddr = ptbAddr_[e];
-        scratch_.valid = true;
-        scratch_.lru = lru_[e];
-        return &scratch_;
+        if (s != head_) {
+            unlink(s);
+            pushFront(s);
+        }
+        return &slots_[s].entry;
     }
 
     /**
@@ -126,15 +107,16 @@ class CteBuffer : public Stated
     Addr
     updateOnResponse(Ppn ppn, std::uint64_t correct_cte)
     {
-        const std::size_t e = find(ppn);
-        if (e == npos)
+        const std::uint32_t s = find(ppn);
+        if (s == nil)
             return invalidAddr;
-        const bool stale = !hasCte_[e] || cte_[e] != correct_cte;
-        hasCte_[e] = 1;
-        cte_[e] = correct_cte;
+        Entry &e = slots_[s].entry;
+        const bool stale = !e.hasCte || e.cte != correct_cte;
+        e.hasCte = true;
+        e.cte = correct_cte;
         if (stale) {
             staleUpdates_.inc();
-            return ptbAddr_[e];
+            return e.ptbAddr;
         }
         return invalidAddr;
     }
@@ -145,58 +127,95 @@ class CteBuffer : public Stated
                    const std::string &prefix) const override;
 
   private:
-    static constexpr std::size_t npos = ~static_cast<std::size_t>(0);
+    /** Empty index bucket / end of the recency list. */
+    static constexpr std::uint32_t nil = ~std::uint32_t{0};
 
-    /** No real PPN is all-ones; marks an invalid slot in ppns_. */
-    static constexpr Ppn invalidPpn = ~static_cast<Ppn>(0);
-
-    /** Padding-slot key: matches neither a real PPN nor invalidPpn. */
-    static constexpr Ppn padPpn = invalidPpn ^ 1;
-
-    using Probe = simd::Active;
-
-    /** Probe chunk: one way mask's worth of entries per vector scan. */
-    static constexpr std::size_t chunk = simd::maxWays;
-
-    unsigned
-    chunkLen(std::size_t base) const
+    /** One entry plus its recency-list links. */
+    struct Slot
     {
-        return static_cast<unsigned>(
-            stride_ - base < chunk ? stride_ - base : chunk);
+        Entry entry;
+        std::uint32_t prev = nil; //!< towards the MRU head
+        std::uint32_t next = nil; //!< towards the LRU tail
+    };
+
+    /** Home bucket: Fibonacci hashing spreads runs of adjacent PPNs. */
+    std::size_t
+    home(Ppn ppn) const
+    {
+        return static_cast<std::size_t>(
+            (ppn * 0x9e3779b97f4a7c15ULL) >> hashShift_);
     }
 
-    /** First slot whose key equals `key`, or npos (vector scan). */
-    std::size_t
-    findSlot(Ppn key) const
+    /** Slot holding `ppn`, or nil.  The index is never full. */
+    std::uint32_t
+    find(Ppn ppn) const
     {
-        for (std::size_t c = 0; c < stride_; c += chunk)
-            if (const std::uint64_t m =
-                    Probe::eqMask(&ppns_[c], chunkLen(c), key))
-                return c + simd::firstWay(m);
-        return npos;
+        for (std::size_t i = home(ppn);; i = (i + 1) & mask_) {
+            const std::uint32_t s = index_[i];
+            if (s == nil || slots_[s].entry.ppn == ppn)
+                return s;
+        }
+    }
+
+    /** Add slot `s` (keyed by its entry's PPN) to the index. */
+    void
+    index(std::uint32_t s)
+    {
+        std::size_t i = home(slots_[s].entry.ppn);
+        while (index_[i] != nil)
+            i = (i + 1) & mask_;
+        index_[i] = s;
     }
 
     /**
-     * Index of the valid entry keyed by `ppn`, or npos.  Keys are
-     * unique (insert refreshes in place), so "first match" is "the
-     * match" — this scan runs on every LLC-bound access and eight
-     * times per page walk.
+     * Remove slot `s` from the index.  Backward-shift deletion pulls
+     * the displaced buckets of the probe chain back into the hole, so
+     * find() never needs tombstones.
      */
-    std::size_t find(Ppn ppn) const { return findSlot(ppn); }
+    void
+    unindex(std::uint32_t s)
+    {
+        std::size_t hole = home(slots_[s].entry.ppn);
+        while (index_[hole] != s)
+            hole = (hole + 1) & mask_;
+        for (std::size_t j = (hole + 1) & mask_; index_[j] != nil;
+             j = (j + 1) & mask_) {
+            const std::size_t h = home(slots_[index_[j]].entry.ppn);
+            // Does bucket j's probe chain (h..j, wrapping) pass the hole?
+            if (((j - h) & mask_) >= ((j - hole) & mask_)) {
+                index_[hole] = index_[j];
+                hole = j;
+            }
+        }
+        index_[hole] = nil;
+    }
 
-    // Structure-of-arrays entries, padded to the vector width (padding
-    // slots hold padPpn / all-ones LRU and are never chosen): the key
-    // scan touches only ppns_.
-    std::size_t stride_; //!< entry count padded to the vector width
-    std::vector<Ppn> ppns_;
-    std::vector<std::uint8_t> hasCte_;
-    std::vector<std::uint64_t> cte_;
-    std::vector<Addr> ptbAddr_;
-    std::vector<std::uint64_t> lru_;
-    unsigned entries_; //!< real (unpadded) capacity
-    Entry scratch_; //!< backing storage for lookup()'s return
+    void
+    unlink(std::uint32_t s)
+    {
+        const Slot &n = slots_[s];
+        (n.prev == nil ? head_ : slots_[n.prev].next) = n.next;
+        (n.next == nil ? tail_ : slots_[n.next].prev) = n.prev;
+    }
 
-    std::uint64_t lruClock_ = 0;
+    void
+    pushFront(std::uint32_t s)
+    {
+        Slot &n = slots_[s];
+        n.prev = nil;
+        n.next = head_;
+        (head_ == nil ? tail_ : slots_[head_].prev) = s;
+        head_ = s;
+    }
+
+    std::vector<Slot> slots_;          //!< capacity-many entries
+    std::uint32_t used_ = 0;           //!< slots [0, used_) are live
+    std::uint32_t head_ = nil;         //!< most recently used
+    std::uint32_t tail_ = nil;         //!< least recently used
+    std::vector<std::uint32_t> index_; //!< PPN-hashed slot numbers
+    std::size_t mask_ = 0;             //!< index_.size() - 1
+    unsigned hashShift_ = 0;           //!< 64 - log2(index_.size())
+
     Counter inserts_, hits_, misses_, staleUpdates_;
 };
 

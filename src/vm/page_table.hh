@@ -12,8 +12,8 @@
 #define TMCC_VM_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <vector>
 
+#include "common/small_vec.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "vm/phys_mem.hh"
@@ -31,13 +31,16 @@ struct WalkStep
     Ppn nextPpn = 0;     //!< PPN the PTE points at (table or data page)
 };
 
+/** The PTB fetches of one walk: at most one per level, held inline. */
+using WalkSteps = SmallVec<WalkStep, 4>;
+
 /** Result of a full page walk. */
 struct WalkResult
 {
     bool valid = false;
     bool huge = false;
     Ppn ppn = 0; //!< data page PPN (2MB-aligned base for huge pages)
-    std::vector<WalkStep> steps;
+    WalkSteps steps;
 };
 
 /** Checkpointable PageTable position (the PTEs live in PhysMem). */

@@ -66,7 +66,7 @@ struct WalkPlan
     bool valid = false;
     bool huge = false;
     Ppn ppn = 0;                  //!< final data page
-    std::vector<WalkStep> fetches; //!< PTBs to fetch, root-first
+    WalkSteps fetches;            //!< PTBs to fetch, root-first
     unsigned pwcHitLevel = 0;      //!< 0 = no PWC hit, else 2..4
 };
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <list>
+#include <string>
+
+#include "common/rng.hh"
 #include "tmcc/cte_buffer.hh"
 
 namespace tmcc
@@ -96,6 +101,135 @@ TEST(CteBuffer, FlushEmpties)
     buf.insert(1, true, 1, 0x100);
     buf.flush();
     EXPECT_EQ(buf.lookup(1), nullptr);
+}
+
+TEST(CteBufferDeathTest, ZeroEntriesIsFatal)
+{
+    EXPECT_DEATH(CteBuffer(0), "at least one entry");
+}
+
+/**
+ * Reference model: a plain MRU-first list, searched linearly.  Exact
+ * LRU by construction; the buffer under test must agree with it on
+ * every observable result.
+ */
+class LruModel
+{
+  public:
+    explicit LruModel(unsigned capacity) : capacity_(capacity) {}
+
+    void
+    insert(Ppn ppn, bool has_cte, std::uint64_t cte, Addr ptb_addr)
+    {
+        auto it = find(ppn);
+        if (it != list_.end())
+            list_.erase(it);
+        else if (list_.size() == capacity_)
+            list_.pop_back();
+        list_.push_front({ppn, has_cte, cte, ptb_addr});
+    }
+
+    const CteBuffer::Entry *
+    lookup(Ppn ppn)
+    {
+        auto it = find(ppn);
+        if (it == list_.end())
+            return nullptr;
+        list_.splice(list_.begin(), list_, it);
+        return &list_.front();
+    }
+
+    Addr
+    updateOnResponse(Ppn ppn, std::uint64_t correct_cte)
+    {
+        auto it = find(ppn);
+        if (it == list_.end())
+            return invalidAddr;
+        const bool stale = !it->hasCte || it->cte != correct_cte;
+        it->hasCte = true;
+        it->cte = correct_cte;
+        return stale ? it->ptbAddr : invalidAddr;
+    }
+
+    void flush() { list_.clear(); }
+
+  private:
+    std::list<CteBuffer::Entry>::iterator
+    find(Ppn ppn)
+    {
+        for (auto it = list_.begin(); it != list_.end(); ++it)
+            if (it->ppn == ppn)
+                return it;
+        return list_.end();
+    }
+
+    unsigned capacity_;
+    std::list<CteBuffer::Entry> list_;
+};
+
+TEST(CteBufferProperty, MatchesReferenceLruModel)
+{
+    constexpr unsigned capacities[] = {1, 2, 3, 4, 16, 63, 64, 65, 256};
+    constexpr int opsPerCapacity = 100'000;
+    for (unsigned cap : capacities) {
+        SCOPED_TRACE("capacity " + std::to_string(cap));
+        CteBuffer buf(cap);
+        LruModel model(cap);
+        Rng rng(0xc7eb0f + cap);
+        // A universe ~1.5x the capacity: hits, misses and evictions
+        // are all frequent.
+        const std::uint64_t universe = cap + cap / 2 + 2;
+        // Pairs of adjacent PPNs (as one PTB maps) spread widely
+        // apart, so keys are neither dense nor all distant.
+        auto pick = [&] {
+            const std::uint64_t k = rng.below(universe);
+            return static_cast<Ppn>((k / 2) * 0x10001 + (k & 1));
+        };
+        std::uint64_t hits = 0, misses = 0, stale = 0;
+        for (int op = 0; op < opsPerCapacity; ++op) {
+            const std::uint64_t r = rng.below(10'000);
+            const Ppn ppn = pick();
+            if (r < 4'000) {
+                const bool has_cte = rng.below(4) != 0;
+                const std::uint64_t cte = rng.below(8);
+                const Addr ptb = rng.below(1 << 20) << 6;
+                buf.insert(ppn, has_cte, cte, ptb);
+                model.insert(ppn, has_cte, cte, ptb);
+            } else if (r < 8'000) {
+                const CteBuffer::Entry *got = buf.lookup(ppn);
+                const CteBuffer::Entry *want = model.lookup(ppn);
+                ASSERT_EQ(got != nullptr, want != nullptr)
+                    << "op " << op << " lookup " << ppn;
+                if (want == nullptr) {
+                    ++misses;
+                    continue;
+                }
+                ++hits;
+                ASSERT_EQ(got->ppn, want->ppn) << "op " << op;
+                ASSERT_EQ(got->hasCte, want->hasCte) << "op " << op;
+                ASSERT_EQ(got->cte, want->cte) << "op " << op;
+                ASSERT_EQ(got->ptbAddr, want->ptbAddr) << "op " << op;
+            } else if (r < 9'999) {
+                const std::uint64_t cte = rng.below(8);
+                const Addr want = model.updateOnResponse(ppn, cte);
+                ASSERT_EQ(buf.updateOnResponse(ppn, cte), want)
+                    << "op " << op << " response " << ppn;
+                stale += want != invalidAddr;
+            } else {
+                buf.flush();
+                model.flush();
+            }
+        }
+        // Every path was exercised, and the counters agree.
+        EXPECT_GT(hits, 0u);
+        EXPECT_GT(misses, 0u);
+        EXPECT_GT(stale, 0u);
+        StatDump dump;
+        buf.dumpStats(dump, "b");
+        EXPECT_EQ(dump.get("b.hits"), static_cast<double>(hits));
+        EXPECT_EQ(dump.get("b.misses"), static_cast<double>(misses));
+        EXPECT_EQ(dump.get("b.stale_updates"), static_cast<double>(stale));
+    }
 }
 
 } // namespace
