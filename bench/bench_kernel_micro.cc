@@ -1,18 +1,12 @@
 /**
  * @file
- * Kernel microbenchmark: measured-phase throughput (million simulated
- * accesses per host second) of the scalar oracle vs. the batched SoA
- * kernel on the same configurations, plus a bit-identity spot check.
- *
- * Not a paper figure — this guards the engineering claim that
- * `--kernel=batch` is strictly faster and exactly equivalent.
- *
- * A second section microbenchmarks the SIMD set-probe engine structure
- * by structure: ns/probe through each cache level's geometry, the CTE
+ * Probe-engine microbenchmark: the SIMD set-probe engine structure by
+ * structure — ns/probe through each cache level's geometry, the CTE
  * cache and the TLB, on both the hit path (resident probe + LRU
  * refresh) and the miss path (whole-set compare that finds nothing).
- * Those metrics live under the reserved `host.` key namespace:
- * machine-dependent trends, not exact-match numbers —
+ *
+ * Not a paper figure.  The metrics live under the reserved `host.` key
+ * namespace: machine-dependent trends, not exact-match numbers —
  * scripts/bench_diff.py classifies them accordingly.
  */
 
@@ -134,92 +128,14 @@ probeStructures(BenchReport &report, std::uint64_t iters)
     }
 }
 
-double
-measuredMaccPerSec(const SimResult &r)
-{
-    return r.measureSeconds > 0.0
-               ? static_cast<double>(r.accesses) / r.measureSeconds / 1e6
-               : 0.0;
-}
-
-/** Headline counters that must agree bit-for-bit across kernels. */
-bool
-identical(const SimResult &a, const SimResult &b)
-{
-    return a.accesses == b.accesses && a.elapsed == b.elapsed &&
-           a.tlbMisses == b.tlbMisses && a.llcMisses == b.llcMisses &&
-           a.llcWritebacks == b.llcWritebacks &&
-           a.cteHits == b.cteHits && a.cteMisses == b.cteMisses &&
-           a.ml2Accesses == b.ml2Accesses &&
-           a.dramUsedBytes == b.dramUsedBytes;
-}
-
 } // namespace
 
 int
 main()
 {
     BenchReport report("kernel_micro");
-    header("Kernel micro: scalar oracle vs. batched SoA kernel",
-           "bit-identical results required; accesses/sec tracked "
-           "PR-over-PR");
-    std::printf("%-14s %-10s %12s %12s %9s %6s\n", "workload", "arch",
-                "scalar_Ma/s", "batch_Ma/s", "speedup", "same");
-
-    struct Case
-    {
-        const char *workload;
-        Arch arch;
-        const char *tag;
-    };
-    const Case cases[] = {
-        {"pageRank", Arch::NoCompression, "none"},
-        {"pageRank", Arch::Compresso, "compresso"},
-        {"pageRank", Arch::Tmcc, "tmcc"},
-        {"mcf", Arch::Tmcc, "tmcc"},
-    };
-
-    double worst = 1e300;
-    bool all_identical = true;
-    for (const Case &c : cases) {
-        SimConfig cfg = baseConfig(c.workload, c.arch);
-        // This harness *is* the kernel comparison: pin each mode
-        // explicitly and never sample (full measured phase).
-        cfg.sampleWindows = 0;
-        cfg.sampleWindowAccesses = 0;
-        cfg.sampleWarmAccesses = 0;
-
-        cfg.kernel = KernelMode::Scalar;
-        const SimResult scalar = run(cfg);
-        cfg.kernel = KernelMode::Batch;
-        const SimResult batch = run(cfg);
-
-        const double s = measuredMaccPerSec(scalar);
-        const double b = measuredMaccPerSec(batch);
-        const double speedup = s > 0.0 ? b / s : 0.0;
-        const bool same = identical(scalar, batch);
-        worst = std::min(worst, speedup);
-        all_identical = all_identical && same;
-
-        std::printf("%-14s %-10s %12.2f %12.2f %8.2fx %6s\n",
-                    c.workload, c.tag, s, b, speedup,
-                    same ? "yes" : "NO");
-        const std::string key =
-            std::string(c.workload) + "." + c.tag;
-        report.metric(key + ".scalar_macc_per_s", s);
-        report.metric(key + ".batch_macc_per_s", b);
-        report.metric(key + ".speedup", speedup);
-        report.metric(key + ".identical", same ? 1.0 : 0.0);
-    }
-    report.metric("worst.speedup", worst);
-    report.metric("all.identical", all_identical ? 1.0 : 0.0);
-
+    header("Probe-engine micro: ns per set probe, structure by structure",
+           "host-dependent trends only; ns/probe tracked PR-over-PR");
     probeStructures(report, quickEnabled() ? 300'000 : 3'000'000);
-
-    if (!all_identical) {
-        std::fprintf(stderr, "kernel results diverged — the batch "
-                             "kernel is broken\n");
-        return 1;
-    }
     return 0;
 }

@@ -5,8 +5,6 @@
  *
  *   TMCC_QUICK=1       shrink phase lengths ~4x (smoke-test the benches)
  *   TMCC_SCALE=<f>     override the workload footprint scale (> 0)
- *   TMCC_KERNEL=<m>    measured-loop implementation: scalar|batch
- *                      (default: batch — bit-identical to scalar)
  *   TMCC_SAMPLE=k:w[:warm]  interval sampling for every harness run:
  *                      k detailed windows of w accesses/core
  *   TMCC_JOBS=<n>      simulation worker threads (default: all cores)
@@ -90,13 +88,7 @@ baseConfig(const std::string &workload, Arch arch)
         cfg.measureAccesses /= 4;
     }
 
-    // Harnesses run the batched kernel by default (bit-identical to
-    // the scalar oracle, see tests/sim/kernel_identity_test.cc);
-    // TMCC_KERNEL=scalar reverts, TMCC_SAMPLE opts into interval
-    // sampling.
-    cfg.kernel = KernelMode::Batch;
-    if (const char *s = std::getenv("TMCC_KERNEL"); s && *s)
-        cfg.kernel = parseKernelMode("TMCC_KERNEL", s);
+    // TMCC_SAMPLE opts every harness run into interval sampling.
     if (const char *s = std::getenv("TMCC_SAMPLE"); s && *s)
         parseSampleSpec("TMCC_SAMPLE", s, cfg);
     return cfg;

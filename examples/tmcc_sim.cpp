@@ -26,9 +26,6 @@
  *                         trace of the run (env: TMCC_TRACE)
  *   --stats-interval N    snapshot epoch statistics every N measured
  *                         accesses (env: TMCC_STATS_INTERVAL)
- *   --kernel MODE         measured-loop implementation: scalar|batch
- *                         (default batch; scalar is the bit-identical
- *                         reference oracle; env: TMCC_KERNEL)
  *   --sample K:W[:WARM]   SMARTS-style interval sampling: fast-forward
  *                         functionally between K evenly spaced detailed
  *                         windows of W accesses/core (each preceded by
@@ -328,11 +325,6 @@ int
 main(int argc, char **argv)
 {
     SimConfig cfg = SimConfig::scaledDefault();
-    // The CLI defaults to the batched kernel: it is bit-identical to
-    // the scalar oracle (tests/sim/kernel_identity_test.cc) and much
-    // faster.  The library default stays Scalar so programmatic users
-    // opt in explicitly.
-    cfg.kernel = KernelMode::Batch;
     bool dump_all = false;
     bool scale_set = false;
     std::string sweep;
@@ -367,8 +359,6 @@ main(int argc, char **argv)
         env && *env)
         cfg.statsInterval =
             parsePositiveCount(env, "TMCC_STATS_INTERVAL");
-    if (const char *env = std::getenv("TMCC_KERNEL"); env && *env)
-        cfg.kernel = parseKernelMode("TMCC_KERNEL", env);
     if (const char *env = std::getenv("TMCC_SAMPLE"); env && *env)
         parseSampleSpec("TMCC_SAMPLE", env, cfg);
 
@@ -431,11 +421,6 @@ main(int argc, char **argv)
             cfg.statsInterval = parsePositiveCount(
                 arg.c_str() + std::strlen("--stats-interval="),
                 "--stats-interval");
-        } else if (arg == "--kernel") {
-            cfg.kernel = parseKernelMode("--kernel", value());
-        } else if (arg.rfind("--kernel=", 0) == 0) {
-            cfg.kernel = parseKernelMode(
-                "--kernel", arg.substr(std::strlen("--kernel=")));
         } else if (arg == "--sample") {
             parseSampleSpec("--sample", value(), cfg);
         } else if (arg.rfind("--sample=", 0) == 0) {

@@ -224,7 +224,7 @@ class Cache : public Stated
 
     /**
      * Hint the hardware prefetcher at this address's set metadata (tag
-     * + LRU rows).  The batched kernel calls this for upcoming ring
+     * + LRU rows).  The measured loop calls this for upcoming ring
      * slots so the probe's loads are in flight before the probe runs.
      */
     void

@@ -9,6 +9,20 @@ Hierarchy::Hierarchy(const HierarchyConfig &cfg, unsigned cores)
     : cfg_(cfg)
 {
     fatalIf(cores == 0, "hierarchy needs at least one core");
+    if (cfg.prefetchers) {
+        // One demand access raises at most a next-line proposal plus a
+        // stride burst at each of L1 and L2; the fixed-capacity sink
+        // must hold them all.
+        const std::size_t fanout = 2 + std::size_t{cfg.strideDegreeL1} +
+                                   cfg.strideDegreeL2;
+        constexpr std::size_t cap =
+            decltype(SmallOutcome::prefetches)::capacity;
+        fatalIf(fanout > cap,
+                "prefetch fan-out 2 + strideDegreeL1 + strideDegreeL2 = " +
+                    std::to_string(fanout) +
+                    " exceeds the per-access proposal capacity " +
+                    std::to_string(cap));
+    }
     for (unsigned c = 0; c < cores; ++c) {
         l1_.push_back(std::make_unique<Cache>(
             "l1." + std::to_string(c), cfg.l1Bytes, cfg.l1Assoc));
@@ -36,28 +50,6 @@ bool
 Hierarchy::consumePrefetched(Addr addr)
 {
     return prefetched_.erase(blockAlign(addr)) != 0;
-}
-
-AccessOutcome
-Hierarchy::access(unsigned core, Addr addr, bool is_write,
-                  bool from_walker)
-{
-    return accessT<AccessOutcome>(core, addr, is_write, from_walker);
-}
-
-AccessOutcome
-Hierarchy::fill(unsigned core, Addr addr, bool is_write, bool compressed,
-                bool from_walker)
-{
-    return fillT<AccessOutcome>(core, addr, is_write, compressed,
-                                from_walker);
-}
-
-bool
-Hierarchy::prefetchLookup(unsigned core, Addr addr,
-                          std::vector<CacheLine> &out)
-{
-    return prefetchLookupT(core, addr, out);
 }
 
 bool

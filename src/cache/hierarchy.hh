@@ -16,13 +16,11 @@
  * requester is the page walker, L2 compresses the block before caching
  * it").
  *
- * The access/fill/prefetch paths are member templates parameterized on
- * the outcome/sink type: the public vector-based API (used by the
- * scalar oracle kernel) instantiates them with AccessOutcome, while the
- * batched kernel instantiates them with fixed-capacity SmallVec sinks
- * so the whole path inlines without allocation.  Both instantiations
- * execute the same statements in the same order, which is what makes
- * the two kernels bit-identical.
+ * The access/fill/prefetch paths are inline member templates over the
+ * outcome/sink type.  The simulator instantiates them with the
+ * fixed-capacity SmallOutcome / SmallVec sinks, so the whole path
+ * inlines without allocation; the constructor rejects any geometry
+ * whose worst-case fan-out would overflow those sinks.
  */
 
 #ifndef TMCC_CACHE_HIERARCHY_HH
@@ -64,8 +62,15 @@ struct HierarchyConfig
     unsigned strideDegreeL2 = 4;
 };
 
-/** Result of one access or fill. */
-struct AccessOutcome
+/**
+ * Result of one access or fill, with inline storage.  One access spills
+ * at most one L3 victim per fill plus the prefetch-fill spills (bounded
+ * well under 4); prefetch proposals are bounded by next-line (1) +
+ * stride degree at L1 and next-line (1) + stride degree at L2, which
+ * the Hierarchy constructor checks against the capacity (8 for the
+ * Table III degrees 2 + 4).
+ */
+struct SmallOutcome
 {
     HitLevel level = HitLevel::Memory;
 
@@ -73,24 +78,9 @@ struct AccessOutcome
     bool compressedCopy = false;
 
     /** Dirty lines evicted from L3 that must be written to memory. */
-    std::vector<CacheLine> memWritebacks;
+    SmallVec<CacheLine, 4> memWritebacks;
 
     /** Prefetch proposals raised by this access (demand path only). */
-    std::vector<Addr> prefetches;
-};
-
-/**
- * AccessOutcome shape with inline storage for the batched kernel.  One
- * access spills at most one L3 victim per fill plus the prefetch-fill
- * spills (bounded well under 4); prefetch proposals are bounded by
- * next-line (1) + stride degree 2 at L1 and next-line (1) + stride
- * degree 4 at L2 = 8.
- */
-struct SmallOutcome
-{
-    HitLevel level = HitLevel::Memory;
-    bool compressedCopy = false;
-    SmallVec<CacheLine, 4> memWritebacks;
     SmallVec<Addr, 8> prefetches;
 };
 
@@ -108,30 +98,9 @@ class Hierarchy : public Stated
 
     /**
      * Demand access from `core`.  If the outcome level is Memory, the
-     * caller must obtain the block from the MC and then call fill().
+     * caller must obtain the block from the MC and then call fillT().
      * `from_walker` starts the access at L2.
      */
-    AccessOutcome access(unsigned core, Addr addr, bool is_write,
-                         bool from_walker = false);
-
-    /**
-     * Install a block fetched from memory.  `compressed` is the on-chip
-     * encoding flag (PTB-compressed lines under TMCC).  Exclusive L3 is
-     * bypassed on fills.
-     */
-    AccessOutcome fill(unsigned core, Addr addr, bool is_write,
-                       bool compressed, bool from_walker = false);
-
-    /**
-     * Handle one prefetch proposal: looks up L2/L3 and fills L1/L2.
-     * Returns true when the block must be fetched from memory (the
-     * caller then issues a background MC read and calls fill()).
-     * Writebacks caused by prefetch fills land in `out`.
-     */
-    bool prefetchLookup(unsigned core, Addr addr,
-                        std::vector<CacheLine> &out);
-
-    /** access() over any outcome shape (see file header). */
     template <class Out>
     Out
     accessT(unsigned core, Addr addr, bool is_write, bool from_walker)
@@ -196,7 +165,11 @@ class Hierarchy : public Stated
         return out;
     }
 
-    /** fill() over any outcome shape. */
+    /**
+     * Install a block fetched from memory.  `compressed` is the on-chip
+     * encoding flag (PTB-compressed lines under TMCC).  Exclusive L3 is
+     * bypassed on fills.
+     */
     template <class Out>
     Out
     fillT(unsigned core, Addr addr, bool is_write, bool compressed,
@@ -213,7 +186,12 @@ class Hierarchy : public Stated
         return out;
     }
 
-    /** prefetchLookup() over any writeback sink. */
+    /**
+     * Handle one prefetch proposal: looks up L2/L3 and fills L1/L2.
+     * Returns true when the block must be fetched from memory (the
+     * caller then issues a background MC read and calls fillT()).
+     * Writebacks caused by prefetch fills land in `out`.
+     */
     template <class Sink>
     bool
     prefetchLookupT(unsigned core, Addr addr, Sink &out)
@@ -266,7 +244,7 @@ class Hierarchy : public Stated
             nextLineL2_[core]->markUseful();
         }
 
-        SmallVec<Addr, 8> proposals;
+        decltype(SmallOutcome::prefetches) proposals;
         bool l1_hit = false;
         if (!from_walker) {
             // Probe and fill L1 in one pass (accessT probes first and

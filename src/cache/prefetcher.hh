@@ -9,11 +9,10 @@
  * prefetcher disables itself for a window.
  *
  * The observe paths are `observeT<Sink>` member templates defined
- * inline so the measured-loop kernels can append into fixed-capacity
- * sinks without virtual dispatch; the virtual observe() is a thin
- * wrapper kept for generic callers.  The stride streams live in flat
- * arrays (no hashing) — with unique lastUse stamps the LRU victim is
- * unique, so eviction is bit-identical to the old map-based scan.
+ * inline so the access path appends into fixed-capacity sinks without
+ * virtual dispatch.  The stride streams live in flat arrays (no
+ * hashing) — with unique lastUse stamps the LRU victim is unique, so
+ * eviction is bit-identical to the old map-based scan.
  */
 
 #ifndef TMCC_CACHE_PREFETCHER_HH
@@ -30,19 +29,14 @@
 namespace tmcc
 {
 
-/** Interface: observe accesses, propose prefetch addresses. */
+/**
+ * Shared usefulness/issue accounting.  Each prefetcher's
+ * `observeT(addr, was_miss, out)` observes a demand access (hit or
+ * miss) and appends proposed block addresses to `out`.
+ */
 class Prefetcher : public Stated
 {
   public:
-    ~Prefetcher() override = default;
-
-    /**
-     * Observe a demand access (hit or miss) and append proposed block
-     * addresses to `out`.
-     */
-    virtual void observe(Addr addr, bool was_miss,
-                         std::vector<Addr> &out) = 0;
-
     /** Credit: a previously prefetched block was actually used. */
     void
     markUseful()
@@ -113,12 +107,6 @@ class NextLinePrefetcher : public Prefetcher
             issuedAtCheck_ = issued_.value();
             usefulAtCheck_ = useful_.value();
         }
-    }
-
-    void
-    observe(Addr addr, bool was_miss, std::vector<Addr> &out) override
-    {
-        observeT(addr, was_miss, out);
     }
 
     bool enabled() const { return enabled_; }
@@ -197,12 +185,6 @@ class StridePrefetcher : public Prefetcher
                 issued_.inc();
             }
         }
-    }
-
-    void
-    observe(Addr addr, bool was_miss, std::vector<Addr> &out) override
-    {
-        observeT(addr, was_miss, out);
     }
 
   private:

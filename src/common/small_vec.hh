@@ -20,6 +20,8 @@ template <class T, std::size_t N>
 class SmallVec
 {
   public:
+    static constexpr std::size_t capacity = N;
+
     void
     push_back(const T &v)
     {

@@ -1,36 +1,26 @@
 /**
  * @file
- * The simulated access path, written once and instantiated for both
- * execution kernels.
+ * The simulated access path: the full per-access pipeline — TLB, page
+ * walk (native or 2D nested), cache hierarchy, MC architecture,
+ * prefetch issue, CTE-buffer maintenance — in one engine.
  *
- * AccessEngine<Traits> contains the full per-access pipeline — TLB,
- * page walk (native or 2D nested), cache hierarchy, MC architecture,
- * prefetch issue, CTE-buffer maintenance — transliterated from the
- * original scalar System methods.  The traits select mechanics only,
- * never semantics:
- *
- *   - ScalarTraits: the oracle.  Out-of-line hierarchy calls through
- *     the public vector-based API and runtime Tracer checks, exactly
- *     like the historical one-access-at-a-time loop.
- *   - BatchTraits<Tracing>: the fast kernel.  Hierarchy member
- *     templates inline with fixed-capacity SmallVec sinks, and the
- *     tracing hooks compile away entirely when Tracing is false.
- *
- * Both instantiations execute the same statements against the same
- * state in the same order, which is what makes `--kernel=batch`
- * bit-identical to `--kernel=scalar` by construction (enforced by
- * tests/sim/kernel_identity_test.cc across all six architectures).
+ * AccessEngine<Tracing> calls the hierarchy's inline member templates
+ * with fixed-capacity SmallVec sinks, so an access allocates nothing.
+ * Its one parameter is a compile-time switch: with Tracing false the
+ * trace hooks compile away entirely; System selects the Tracing=true
+ * instantiation only while a Tracer is active.  Both instantiations
+ * execute the same simulator statements in the same order, so tracing
+ * never perturbs a run (tests/sim/golden_fingerprint_test.cc pins the
+ * traced run to the untraced digest).
  *
  * System::ffStep — the functional fast-forward step used between
- * sampled windows — also lives here: it is traits-independent and
- * shared verbatim by both kernels.
+ * sampled windows — also lives here.
  */
 
 #ifndef TMCC_SIM_ACCESS_PATH_HH
 #define TMCC_SIM_ACCESS_PATH_HH
 
 #include <algorithm>
-#include <vector>
 
 #include "common/trace.hh"
 #include "sim/system.hh"
@@ -38,31 +28,9 @@
 namespace tmcc
 {
 
-/** The oracle kernel: historical scalar mechanics. */
-struct ScalarTraits
-{
-    static constexpr bool inlineHierarchy = false;
-    static constexpr bool tracing = true;
-    using Outcome = AccessOutcome;
-    using WbSink = std::vector<CacheLine>;
-};
-
-/** The batched kernel: inline hierarchy, fixed sinks. */
-template <bool TracingOn>
-struct BatchTraits
-{
-    static constexpr bool inlineHierarchy = true;
-    static constexpr bool tracing = TracingOn;
-    using Outcome = SmallOutcome;
-    using WbSink = SmallVec<CacheLine, 4>;
-};
-
-template <class Traits>
+template <bool Tracing>
 struct AccessEngine
 {
-    using Outcome = typename Traits::Outcome;
-    using WbSink = typename Traits::WbSink;
-
     static void
     handleMcResponse(System &sys, unsigned core, Addr paddr,
                      const McReadResponse &resp, bool from_walker,
@@ -82,7 +50,7 @@ struct AccessEngine
             }
         }
 
-        if constexpr (Traits::tracing) {
+        if constexpr (Tracing) {
             if (sys.cfg_.arch != Arch::NoCompression &&
                 !resp.cteCacheHit) {
                 if (Tracer *tr = Tracer::active())
@@ -122,13 +90,9 @@ struct AccessEngine
                  bool from_walker, Tick start, bool after_tlb_miss,
                  bool measuring)
     {
-        Outcome out;
-        if constexpr (Traits::inlineHierarchy)
-            out = sys.hierarchy_->template accessT<Outcome>(
-                core, paddr, is_write, from_walker);
-        else
-            out = sys.hierarchy_->access(core, paddr, is_write,
-                                         from_walker);
+        const SmallOutcome out =
+            sys.hierarchy_->accessT<SmallOutcome>(core, paddr, is_write,
+                                                  from_walker);
 
         const Tick l1 = sys.cfg_.l1Cycles * sys.cpuPeriod_;
         const Tick l2 = sys.cfg_.l2Cycles * sys.cpuPeriod_;
@@ -185,7 +149,7 @@ struct AccessEngine
                     }
                 }
             }
-            if constexpr (Traits::tracing) {
+            if constexpr (Tracing) {
                 if (Tracer *tr = Tracer::active())
                     tr->complete("llc_miss", "mem", core,
                                  ticksToNs(miss_start),
@@ -195,15 +159,10 @@ struct AccessEngine
             handleMcResponse(sys, core, paddr, resp, from_walker,
                              after_tlb_miss, measuring);
 
-            Outcome fill;
-            if constexpr (Traits::inlineHierarchy)
-                fill = sys.hierarchy_->template fillT<Outcome>(
+            const SmallOutcome fill =
+                sys.hierarchy_->fillT<SmallOutcome>(
                     core, paddr, is_write, resp.fillCompressedPtb,
                     from_walker);
-            else
-                fill = sys.hierarchy_->fill(core, paddr, is_write,
-                                            resp.fillCompressedPtb,
-                                            from_walker);
             for (const CacheLine &wb : fill.memWritebacks) {
                 sys.mc_->writeback(wb.addr, done, wb.compressed);
                 if (measuring)
@@ -229,13 +188,8 @@ struct AccessEngine
         for (Addr pf : out.prefetches) {
             if (pageNumber(pf) != pageNumber(paddr))
                 continue;
-            WbSink wbs;
-            bool fetch;
-            if constexpr (Traits::inlineHierarchy)
-                fetch = sys.hierarchy_->prefetchLookupT(core, pf, wbs);
-            else
-                fetch = sys.hierarchy_->prefetchLookup(core, pf, wbs);
-            if (fetch) {
+            SmallVec<CacheLine, 4> wbs;
+            if (sys.hierarchy_->prefetchLookupT(core, pf, wbs)) {
                 McReadRequest req;
                 req.core = core;
                 req.paddr = pf;
@@ -244,13 +198,9 @@ struct AccessEngine
                 const McReadResponse resp = sys.mc_->read(req);
                 handleMcResponse(sys, core, pf, resp, false, false,
                                  false);
-                Outcome fill;
-                if constexpr (Traits::inlineHierarchy)
-                    fill = sys.hierarchy_->template fillT<Outcome>(
-                        core, pf, false, false, false);
-                else
-                    fill = sys.hierarchy_->fill(core, pf, false, false,
-                                                false);
+                const SmallOutcome fill =
+                    sys.hierarchy_->fillT<SmallOutcome>(core, pf, false,
+                                                        false, false);
                 for (const CacheLine &wb : fill.memWritebacks)
                     sys.mc_->writeback(wb.addr, resp.complete,
                                        wb.compressed);
@@ -325,8 +275,7 @@ struct AccessEngine
     {
         System::CoreState &cs = sys.cores_[core];
         // memoryAccess only sees physical addresses, so the tenant of
-        // the access in flight travels via the System (both kernels
-        // funnel through here, keeping scalar/batch bit-identical).
+        // the access in flight travels via the System.
         sys.curTenant_ = a.tenant;
         Tick t = cs.now + a.thinkCycles * sys.cpuPeriod_;
 
@@ -341,7 +290,7 @@ struct AccessEngine
             if (measuring)
                 sys.result_.pageWalkLatency.sample(
                     ticksToNs(t - walk_start));
-            if constexpr (Traits::tracing) {
+            if constexpr (Tracing) {
                 if (Tracer *tr = Tracer::active())
                     tr->complete("page_walk", "vm", core,
                                  ticksToNs(walk_start),
@@ -394,8 +343,7 @@ struct AccessEngine
  * One functional fast-forward access: translation state (TLB, PWC,
  * accessed/dirty bits), cache residency and the MC's placement /
  * CTE-cache state advance; no timing, no latency histograms, no
- * demand counters, no prefetch issue.  Shared by both kernels so a
- * sampled run's between-window state is kernel-independent.
+ * demand counters, no prefetch issue.
  */
 inline void
 System::ffStep(unsigned core, const MemAccess &a)

@@ -32,17 +32,8 @@ enum class Arch
 
 const char *archName(Arch arch);
 
-/**
- * Which measured-loop implementation runs the accesses.  Both produce
- * bit-identical SimResults; `Scalar` is the one-access-at-a-time
- * oracle, `Batch` runs batch-of-accesses kernels over SoA state with
- * tracing/epoch hooks compiled out when off.
- */
-enum class KernelMode : std::uint8_t
-{
-    Scalar = 0,
-    Batch = 1,
-};
+/** Inert: nothing reads it; perfbench/perfbench.cc is its only writer. */
+enum class KernelMode : std::uint8_t { Batch };
 
 /** Full experiment description. */
 struct SimConfig
@@ -110,8 +101,8 @@ struct SimConfig
      */
     std::uint64_t statsInterval = 0;
 
-    /** Measured-loop implementation (`--kernel` / TMCC_KERNEL). */
-    KernelMode kernel = KernelMode::Scalar;
+    /** Inert: nothing reads it; perfbench/perfbench.cc is its only writer. */
+    KernelMode kernel = KernelMode::Batch;
 
     /**
      * SMARTS-style interval sampling (`--sample k:w[:warm]`): instead
@@ -152,20 +143,6 @@ struct SimConfig
      */
     static SimConfig scaledDefault();
 };
-
-/**
- * Strictly parse a `--kernel` / TMCC_KERNEL value.  `flag` names the
- * source ("--kernel" or "TMCC_KERNEL") for the error message.
- */
-inline KernelMode
-parseKernelMode(const std::string &flag, const std::string &s)
-{
-    if (s == "scalar")
-        return KernelMode::Scalar;
-    if (s == "batch")
-        return KernelMode::Batch;
-    fatal(flag + " must be \"scalar\" or \"batch\", got \"" + s + "\"");
-}
 
 /**
  * Strictly parse a `--sample` / TMCC_SAMPLE spec `k:w[:warm]` (all

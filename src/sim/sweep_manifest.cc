@@ -229,8 +229,7 @@ serializeSimConfig(ByteWriter &w, const SimConfig &cfg)
     w.u64(cfg.measureAccesses);
     w.u64(cfg.statsInterval);
 
-    // v2: execution kernel + interval-sampling geometry.
-    w.u8(static_cast<std::uint8_t>(cfg.kernel));
+    // v2: interval-sampling geometry.
     w.u64(cfg.sampleWindows);
     w.u64(cfg.sampleWindowAccesses);
     w.u64(cfg.sampleWarmAccesses);
@@ -337,10 +336,6 @@ deserializeSimConfig(ByteReader &r, SimConfig &cfg)
     cfg.measureAccesses = r.u64();
     cfg.statsInterval = r.u64();
 
-    const std::uint8_t kernel = r.u8();
-    if (kernel > static_cast<std::uint8_t>(KernelMode::Batch))
-        return Status::corruption("SimConfig kernel mode out of range");
-    cfg.kernel = static_cast<KernelMode>(kernel);
     cfg.sampleWindows = r.u64();
     cfg.sampleWindowAccesses = r.u64();
     cfg.sampleWarmAccesses = r.u64();

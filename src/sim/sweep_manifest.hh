@@ -56,7 +56,8 @@ struct ShardSpec
     // v3: SimConfig gained the multi-tenant knobs.
     // v4: dropped the attempt and result path (the claim holds the
     //     attempt; results go to shard-NNN.result).
-    static constexpr std::uint32_t formatVersion = 4;
+    // v5: SimConfig dropped the kernel mode.
+    static constexpr std::uint32_t formatVersion = 5;
 
     std::string gridKey;
     std::uint32_t shardId = 0;

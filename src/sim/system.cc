@@ -1,6 +1,7 @@
 #include "sim/system.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <string>
 #include <unordered_map>
@@ -502,28 +503,92 @@ System::collectPtbCtes(unsigned core, Addr ptb_addr)
     }
 }
 
-void
-System::runWarm(std::uint64_t per_core)
+// The access supply: per-core rings refilled in blocks through
+// Workload::nextBatch, so the loops touch the workload engine's virtual
+// dispatch once per 64 accesses instead of once per access.  Rings only
+// move the *fetch* earlier within each core's own stream, which is
+// invisible because workload engines are per-core; processing always
+// interleaves cores round-robin (warm, fast-forward) or by local time
+// (measured loop).  The stream position a phase leaves behind is what
+// the next phase starts from:
+//   - warm / fast-forward: the per-core access count is known up
+//     front, so rings refill with exactly min(64, remaining);
+//   - exact-mode measured loop: the run ends with the loop, so a ring
+//     may fetch ahead harmlessly;
+//   - sampled windows: accesses beyond the window belong to the next
+//     fast-forward stretch, so the ring refills one access at a time.
+
+namespace
 {
-    if (cfg_.kernel == KernelMode::Batch) {
-        SystemKernel::warm(*this, per_core);
-        return;
-    }
-    for (std::uint64_t i = 0; i < per_core; ++i) {
-        for (unsigned c = 0; c < cfg_.cores; ++c) {
-            const MemAccess a = workloads_[c]->next();
-            AccessEngine<ScalarTraits>::step(*this, c, a, false);
-        }
+constexpr std::size_t ringCap = 64;
+
+/**
+ * How many ring slots ahead of the consuming step the metadata
+ * prefetches run.  Far enough for the loads to land before the probe,
+ * near enough that the lines are still resident when it does.
+ */
+constexpr std::size_t lookahead = 8;
+
+/**
+ * Hint the host prefetcher at the set metadata an upcoming ring slot
+ * will probe.  Only structures whose set index is computable from the
+ * virtual address qualify: the TLB set directly, and the L1 set up to
+ * the one physical index bit (bit 12 for the 128-set default) that
+ * translation decides — so both page-parity candidates are hinted.
+ * Prefetches touch no simulator state.
+ */
+inline void
+prefetchAccess(Tlb &tlb, Cache &l1, const MemAccess &a)
+{
+    tlb.prefetchSet(a.vaddr);
+    const Addr off = a.vaddr & (pageSize - 1);
+    l1.prefetchSet(off);
+    l1.prefetchSet(off | pageSize);
+}
+} // namespace
+
+template <class Step>
+void
+System::roundRobin(std::uint64_t per_core, Step &&step)
+{
+    std::vector<std::array<MemAccess, ringCap>> ring(cfg_.cores);
+    std::uint64_t issued = 0;
+    while (issued < per_core) {
+        const auto n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(ringCap, per_core - issued));
+        for (unsigned c = 0; c < cfg_.cores; ++c)
+            workloads_[c]->nextBatch(ring[c].data(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            for (unsigned c = 0; c < cfg_.cores; ++c)
+                step(c, ring[c][i]);
+        issued += n;
     }
 }
 
 void
-System::runMeasuredLoop(std::uint64_t quota, bool use_ring)
+System::runWarm(std::uint64_t per_core)
 {
-    if (cfg_.kernel == KernelMode::Batch) {
-        SystemKernel::measured(*this, quota, use_ring);
-        return;
-    }
+    if (Tracer::active() != nullptr)
+        roundRobin(per_core, [this](unsigned c, const MemAccess &a) {
+            AccessEngine<true>::step(*this, c, a, false);
+        });
+    else
+        roundRobin(per_core, [this](unsigned c, const MemAccess &a) {
+            AccessEngine<false>::step(*this, c, a, false);
+        });
+}
+
+template <bool Tracing, bool Epochs>
+void
+System::runMeasuredLoopT(std::uint64_t quota, std::size_t refill)
+{
+    struct Ring
+    {
+        std::array<MemAccess, ringCap> buf;
+        std::size_t head = 0, count = 0;
+    };
+    std::vector<Ring> rings(cfg_.cores);
+
     // Interleave cores by local time.
     bool running = true;
     while (running) {
@@ -531,17 +596,49 @@ System::runMeasuredLoop(std::uint64_t quota, bool use_ring)
         for (unsigned c = 1; c < cfg_.cores; ++c)
             if (cores_[c].now < cores_[next].now)
                 next = c;
-        const MemAccess a = workloads_[next]->next();
-        AccessEngine<ScalarTraits>::step(*this, next, a, true);
-        if (cfg_.statsInterval > 0 &&
-            result_.accesses >= nextEpochAt_) {
-            snapshotEpoch(cores_[next].now);
-            nextEpochAt_ += cfg_.statsInterval;
+        Ring &r = rings[next];
+        Tlb &tlb = *tlbs_[next];
+        Cache &l1 = hierarchy_->l1(next);
+        if (r.head == r.count) {
+            workloads_[next]->nextBatch(r.buf.data(), refill);
+            r.head = 0;
+            r.count = refill;
+            const std::size_t pn = std::min(lookahead, r.count);
+            for (std::size_t i = 0; i < pn; ++i)
+                prefetchAccess(tlb, l1, r.buf[i]);
+        }
+        if (r.head + lookahead < r.count)
+            prefetchAccess(tlb, l1, r.buf[r.head + lookahead]);
+        AccessEngine<Tracing>::step(*this, next, r.buf[r.head++], true);
+        if constexpr (Epochs) {
+            if (result_.accesses >= nextEpochAt_) {
+                snapshotEpoch(cores_[next].now);
+                nextEpochAt_ += cfg_.statsInterval;
+            }
         }
         running = false;
         for (unsigned c = 0; c < cfg_.cores; ++c)
             if (cores_[c].accesses < quota)
                 running = true;
+    }
+}
+
+void
+System::runMeasuredLoop(std::uint64_t quota, bool use_ring)
+{
+    const std::size_t refill = use_ring ? ringCap : 1;
+    const bool tracing = Tracer::active() != nullptr;
+    const bool epochs = cfg_.statsInterval > 0;
+    if (tracing) {
+        if (epochs)
+            runMeasuredLoopT<true, true>(quota, refill);
+        else
+            runMeasuredLoopT<true, false>(quota, refill);
+    } else {
+        if (epochs)
+            runMeasuredLoopT<false, true>(quota, refill);
+        else
+            runMeasuredLoopT<false, false>(quota, refill);
     }
 }
 
@@ -553,16 +650,9 @@ System::fastForward(std::uint64_t per_core)
     // Detailed windows between fast-forward legs may have evicted the
     // blocks the MRU filters cache; start every leg cold.
     ffFilter_.assign(cfg_.cores, FfFilter{});
-    if (cfg_.kernel == KernelMode::Batch) {
-        SystemKernel::fastForward(*this, per_core);
-        return;
-    }
-    for (std::uint64_t i = 0; i < per_core; ++i) {
-        for (unsigned c = 0; c < cfg_.cores; ++c) {
-            const MemAccess a = workloads_[c]->next();
-            ffStep(c, a);
-        }
-    }
+    roundRobin(per_core, [this](unsigned c, const MemAccess &a) {
+        ffStep(c, a);
+    });
 }
 
 void

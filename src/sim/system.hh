@@ -6,7 +6,9 @@
  *
  * The run proceeds in the paper's phases: map the address space, warm
  * placement (touch-count ordering stands in for the KVM fast-forward),
- * ML1/ML2 + cache/TLB warm-up, then a measured window.
+ * ML1/ML2 + cache/TLB warm-up, then a measured window.  Every detailed
+ * access runs through the one access engine (sim/access_path.hh), fed
+ * from per-core 64-slot rings of workload accesses.
  */
 
 #ifndef TMCC_SIM_SYSTEM_HH
@@ -35,8 +37,7 @@
 namespace tmcc
 {
 
-template <class Traits> struct AccessEngine;
-struct SystemKernel;
+template <bool Tracing> struct AccessEngine;
 
 /** One simulated machine + workload. */
 class System
@@ -127,16 +128,20 @@ class System
     /** Host frame backing a (possibly guest) page number. */
     Ppn dataFrame(Ppn ppn) const;
 
-    // The per-access pipeline lives in AccessEngine<Traits>
-    // (sim/access_path.hh), instantiated once with scalar mechanics
-    // (the oracle) and once with batched mechanics; SystemKernel
-    // (sim/kernel_batch.cc) holds the batched drivers.  Both need the
-    // private state.
-    template <class Traits> friend struct AccessEngine;
-    friend struct SystemKernel;
+    // The per-access pipeline lives in AccessEngine
+    // (sim/access_path.hh) and needs the private state.
+    template <bool Tracing> friend struct AccessEngine;
 
     /** Reject invalid --sample / --stats-interval combinations. */
     void validateRunConfig() const;
+
+    /**
+     * Feed `per_core` accesses of every core to `step(core, access)`,
+     * round-robin, fetching them from the workloads in blocks of up to
+     * 64 per core and never beyond `per_core`.
+     */
+    template <class Step>
+    void roundRobin(std::uint64_t per_core, Step &&step);
 
     /** Run `per_core` detailed warm-up accesses on every core. */
     void runWarm(std::uint64_t per_core);
@@ -144,11 +149,13 @@ class System
     /**
      * The measured loop: interleave cores by local time until every
      * core has retired `quota` measured accesses, snapshotting epochs
-     * when configured.  `use_ring` lets the batched kernel refill its
-     * access ring in blocks; sampled windows pass false so no access
-     * beyond the window is prefetched from the workload stream.
+     * when configured.  `use_ring` refills each core's 64-slot access
+     * ring in blocks; sampled windows pass false so no access beyond
+     * the window is fetched from the workload stream.
      */
     void runMeasuredLoop(std::uint64_t quota, bool use_ring);
+    template <bool Tracing, bool Epochs>
+    void runMeasuredLoopT(std::uint64_t quota, std::size_t refill);
 
     /** Functionally fast-forward `per_core` accesses per core. */
     void fastForward(std::uint64_t per_core);
@@ -239,26 +246,6 @@ class System
     StatDump prevEpoch_;
     std::uint64_t prevEpochAccesses_ = 0;
     std::uint64_t nextEpochAt_ = 0;
-};
-
-/**
- * Drivers of the batched kernel (`--kernel=batch`): ring-buffered
- * workload fetch feeding AccessEngine<BatchTraits>.  Defined in
- * sim/kernel_batch.cc; System dispatches here when configured.
- */
-struct SystemKernel
-{
-    static void warm(System &sys, std::uint64_t per_core);
-    static void measured(System &sys, std::uint64_t quota,
-                         bool use_ring);
-    static void fastForward(System &sys, std::uint64_t per_core);
-
-  private:
-    template <bool Tracing>
-    static void warmImpl(System &sys, std::uint64_t per_core);
-    template <bool Tracing, bool Epochs>
-    static void measuredImpl(System &sys, std::uint64_t quota,
-                             std::size_t refill);
 };
 
 } // namespace tmcc

@@ -71,7 +71,7 @@ class Tlb : public Stated
 
     /**
      * Hint the hardware prefetcher at the set(s) `vaddr` will probe.
-     * The batched kernel calls this for upcoming ring slots so the
+     * The measured loop calls this for upcoming ring slots so the
      * key/LRU rows are in flight before the lookup runs.
      */
     void

@@ -60,8 +60,8 @@ class Workload
     virtual MemAccess next() = 0;
 
     /**
-     * Produce the next `n` accesses into `out` (the batched kernel's
-     * ring refill).  The default simply drains next(), so every engine
+     * Produce the next `n` accesses into `out` (the access rings'
+     * refill).  The default simply drains next(), so every engine
      * keeps one canonical stream; engines may override with a fused
      * generator as long as the stream stays identical.
      */

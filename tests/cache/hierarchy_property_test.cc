@@ -1,4 +1,9 @@
-/** Property tests: hierarchy invariants under random traffic. */
+/**
+ * Property tests: hierarchy invariants under random traffic, issued
+ * the way the simulator issues it — demand access, fill on a miss,
+ * then the same-page prefetch proposals — through the fixed-capacity
+ * SmallOutcome sinks.
+ */
 
 #include <unordered_map>
 
@@ -22,8 +27,40 @@ tinyConfig()
     cfg.l2Assoc = 4;
     cfg.l3Bytes = 8192;
     cfg.l3Assoc = 4;
-    cfg.prefetchers = false;
     return cfg;
+}
+
+/**
+ * One access as the simulator performs it; every line written back to
+ * memory goes to `note_wb`.
+ */
+template <class Fn>
+void
+issue(Hierarchy &h, unsigned core, Addr addr, bool write, bool walker,
+      bool compressed, Fn &&note_wb)
+{
+    const auto out = h.accessT<SmallOutcome>(core, addr, write, walker);
+    for (const CacheLine &wb : out.memWritebacks)
+        note_wb(wb);
+    if (out.level == HitLevel::Memory) {
+        const auto fill = h.fillT<SmallOutcome>(core, addr, write,
+                                                compressed, walker);
+        for (const CacheLine &wb : fill.memWritebacks)
+            note_wb(wb);
+    }
+    for (Addr pf : out.prefetches) {
+        if (pageNumber(pf) != pageNumber(addr))
+            continue;
+        SmallVec<CacheLine, 4> wbs;
+        if (h.prefetchLookupT(core, pf, wbs)) {
+            const auto fill =
+                h.fillT<SmallOutcome>(core, pf, false, false, false);
+            for (const CacheLine &wb : fill.memWritebacks)
+                note_wb(wb);
+        }
+        for (const CacheLine &wb : wbs)
+            note_wb(wb);
+    }
 }
 
 class HierarchyPropertyTest : public ::testing::TestWithParam<int>
@@ -39,10 +76,9 @@ TEST_P(HierarchyPropertyTest, InclusionAndExclusionInvariants)
         const Addr addr = rng.below(256) * blockSize;
         const bool write = rng.chance(0.3);
         const bool walker = rng.chance(0.1);
-
-        const auto out = h.access(core, addr, write, walker);
-        if (out.level == HitLevel::Memory)
-            h.fill(core, addr, write, rng.chance(0.2), walker);
+        const bool compressed = rng.chance(0.2);
+        issue(h, core, addr, write, walker, compressed,
+              [](const CacheLine &) {});
 
         // Invariant 1: L2 is inclusive of L1.
         for (unsigned c = 0; c < 2; ++c) {
@@ -69,21 +105,15 @@ TEST_P(HierarchyPropertyTest, DirtyDataIsNeverSilentlyDropped)
     Rng rng(GetParam() + 100);
 
     std::unordered_map<Addr, bool> written; // addr -> wb seen
-    auto note_wbs = [&](const std::vector<CacheLine> &wbs) {
-        for (const auto &wb : wbs)
-            if (wb.dirty && written.count(wb.addr))
-                written[wb.addr] = true;
+    auto note_wb = [&](const CacheLine &wb) {
+        if (wb.dirty && written.count(wb.addr))
+            written[wb.addr] = true;
     };
 
     for (int i = 0; i < 2000; ++i) {
         const Addr addr = rng.below(128) * blockSize;
         const bool write = rng.chance(0.4);
-        auto out = h.access(0, addr, write);
-        note_wbs(out.memWritebacks);
-        if (out.level == HitLevel::Memory) {
-            auto fill = h.fill(0, addr, write, false);
-            note_wbs(fill.memWritebacks);
-        }
+        issue(h, 0, addr, write, false, false, note_wb);
         if (write)
             written.emplace(blockAlign(addr), false);
     }

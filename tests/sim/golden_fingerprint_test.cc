@@ -1,31 +1,32 @@
 /**
  * @file
- * Identity against history: checked-in digests of the full stat dump
- * for a small fixed configuration of three architectures on two
- * workloads.
+ * Identity against history: checked-in digests of the full SimResult
+ * for a fixed matrix of small runs — every architecture, exact and
+ * sampled, plus memcloud, epoch statistics, nested paging, huge pages
+ * and a traced run.
  *
- * KernelIdentity compares the scalar and batch kernels against each
- * other; both share the structures under them (TLB, walker, caches,
- * CTE buffer, MC), so a behaviour change in shared code moves both
- * sides and passes unnoticed.  These digests were recorded from an
- * earlier build and pin the simulated behaviour itself: a host-side
- * optimisation must leave every one of them unchanged.  A change that
- * is meant to alter simulated behaviour updates the digests below with
- * the digests this test prints, and says why in its description.
+ * These digests were recorded from an earlier build and pin the
+ * simulated behaviour itself: a host-side optimisation must leave
+ * every one of them unchanged, in every build type and SIMD probe
+ * configuration.  A change that is meant to alter simulated behaviour
+ * updates the digests below with the digests this test prints, and
+ * says why in its description.
  *
- * The digest is CRC-32 over StatDump::print()'s text (every counter,
- * sorted by name, 9 significant digits), so it is independent of the
- * SIMD probe engine and the kernel mode.
+ * The digest is CRC-32 over serializeSimResult() with the wall-clock
+ * fields zeroed: every counter, histogram, epoch, per-tenant stat and
+ * the sample summary, bit for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <sstream>
 #include <string>
 
 #include "common/crc32.hh"
+#include "common/serial.hh"
+#include "common/trace.hh"
+#include "sim/sweep_manifest.hh"
 #include "sim/system.hh"
 
 namespace tmcc
@@ -33,27 +34,122 @@ namespace tmcc
 namespace
 {
 
+/** What a case changes relative to the tiny exact run. */
+enum class Variant
+{
+    Exact,
+    Memcloud,  //!< 4 tenants
+    Epochs,    //!< statsInterval = 5000
+    Nested,    //!< nested paging
+    Huge,      //!< 2MB pages
+    Sampled,   //!< --sample 4:2000:500
+    Traced,    //!< under an active Tracer
+};
+
+struct GoldenCase
+{
+    const char *name;
+    Arch arch;
+    const char *workload;
+    Variant variant;
+    std::uint32_t digest;
+};
+
+// Tracing must not perturb the simulation: the traced case shares the
+// untraced digest.
+constexpr std::uint32_t tmccPageRank = 0x6cb59e76u;
+
+// mcf's footprint at this scale never reaches ML2, where TMCC and
+// barebone+ml1opt differ, so their digests coincide.
+constexpr GoldenCase goldenCases[] = {
+    {"NoCompressionPageRank", Arch::NoCompression, "pageRank",
+     Variant::Exact, 0xfae94ab3u},
+    {"CompressoPageRank", Arch::Compresso, "pageRank", Variant::Exact,
+     0x146b7fd2u},
+    {"BarebonePageRank", Arch::Barebone, "pageRank", Variant::Exact,
+     0x0c41461eu},
+    {"BarebonePlusMl1PageRank", Arch::BarebonePlusMl1, "pageRank",
+     Variant::Exact, 0x22a1f28fu},
+    {"BarebonePlusMl2PageRank", Arch::BarebonePlusMl2, "pageRank",
+     Variant::Exact, 0x7fc41340u},
+    {"TmccPageRank", Arch::Tmcc, "pageRank", Variant::Exact,
+     tmccPageRank},
+    {"TmccMcf", Arch::Tmcc, "mcf", Variant::Exact, 0xf9490e97u},
+    {"BarebonePlusMl1Mcf", Arch::BarebonePlusMl1, "mcf", Variant::Exact,
+     0xf9490e97u},
+    {"CompressoMcf", Arch::Compresso, "mcf", Variant::Exact,
+     0x5b208726u},
+    {"TmccMemcloud", Arch::Tmcc, "memcloud", Variant::Memcloud,
+     0x7208606du},
+    {"NoCompressionEpochs", Arch::NoCompression, "pageRank",
+     Variant::Epochs, 0xe2ac9bbbu},
+    {"TmccEpochs", Arch::Tmcc, "pageRank", Variant::Epochs,
+     0x657c9b89u},
+    {"TmccNestedPaging", Arch::Tmcc, "pageRank", Variant::Nested,
+     0x91c0e53eu},
+    {"TmccHugePages", Arch::Tmcc, "pageRank", Variant::Huge,
+     0xf3d96473u},
+    {"SampledNoCompression", Arch::NoCompression, "pageRank",
+     Variant::Sampled, 0xe75cfe05u},
+    {"SampledCompresso", Arch::Compresso, "pageRank", Variant::Sampled,
+     0x208aedf5u},
+    {"SampledBarebone", Arch::Barebone, "pageRank", Variant::Sampled,
+     0x28e50810u},
+    {"SampledBarebonePlusMl1", Arch::BarebonePlusMl1, "pageRank",
+     Variant::Sampled, 0x3555c6bdu},
+    {"SampledBarebonePlusMl2", Arch::BarebonePlusMl2, "pageRank",
+     Variant::Sampled, 0xb6cbfc84u},
+    {"SampledTmcc", Arch::Tmcc, "pageRank", Variant::Sampled,
+     0x10f3559du},
+    {"TmccPageRankTraced", Arch::Tmcc, "pageRank", Variant::Traced,
+     tmccPageRank},
+};
+
 SimConfig
-goldenConfig(Arch arch, const std::string &workload)
+goldenConfig(const GoldenCase &c)
 {
     SimConfig cfg = SimConfig::scaledDefault();
-    cfg.workload = workload;
+    cfg.workload = c.workload;
     cfg.scale = 0.02;
-    cfg.arch = arch;
+    cfg.arch = c.arch;
     cfg.placementAccesses = 20'000;
     cfg.warmAccesses = 10'000;
     cfg.measureAccesses = 20'000;
+    switch (c.variant) {
+      case Variant::Memcloud:
+        cfg.tenants = 4;
+        break;
+      case Variant::Epochs:
+        cfg.statsInterval = 5'000;
+        break;
+      case Variant::Nested:
+        cfg.nestedPaging = true;
+        break;
+      case Variant::Huge:
+        cfg.hugePages = true;
+        break;
+      case Variant::Sampled:
+        cfg.sampleWindows = 4;
+        cfg.sampleWindowAccesses = 2'000;
+        cfg.sampleWarmAccesses = 500;
+        break;
+      case Variant::Exact:
+      case Variant::Traced:
+        break;
+    }
     return cfg;
 }
 
+/** CRC-32 of the result with the wall-clock-only fields zeroed. */
 std::uint32_t
-statDigest(const SimResult &res)
+digest(SimResult res)
 {
-    std::ostringstream os;
-    res.stats.print(os);
-    const std::string text = os.str();
-    return crc32(reinterpret_cast<const std::uint8_t *>(text.data()),
-                 text.size());
+    res.setupSeconds = 0.0;
+    res.measureSeconds = 0.0;
+    res.restoredFromCheckpoint = false;
+    ByteWriter w;
+    serializeSimResult(w, res);
+    return crc32(w.buffer().data(), w.buffer().size());
 }
 
 std::string
@@ -64,49 +160,54 @@ hex(std::uint32_t v)
     return buf;
 }
 
-void
-expectHistory(Arch arch, const std::string &workload,
-              std::uint32_t digest)
+SimResult
+runCase(const GoldenCase &c)
 {
-    System sys(goldenConfig(arch, workload));
-    const SimResult res = sys.measure();
-    ASSERT_GT(res.accesses, 0u);
-    EXPECT_EQ(hex(statDigest(res)), hex(digest))
-        << "simulated behaviour of " << archName(arch) << " x "
-        << workload << " differs from the recorded history";
+    const SimConfig cfg = goldenConfig(c);
+    if (c.variant != Variant::Traced)
+        return System(cfg).measure();
+    const std::string path =
+        ::testing::TempDir() + "/golden_" + c.name + ".json";
+    SimResult res;
+    {
+        Tracer tr(path);
+        Tracer::setActive(&tr);
+        res = System(cfg).measure();
+        Tracer::setActive(nullptr);
+    }
+    std::remove(path.c_str());
+    return res;
 }
 
-TEST(GoldenFingerprint, TmccPageRank)
+class GoldenFingerprint : public ::testing::Test
 {
-    expectHistory(Arch::Tmcc, "pageRank", 0x3fc84247u);
-}
+  public:
+    explicit GoldenFingerprint(const GoldenCase &c) : case_(c) {}
 
-// mcf's footprint at this scale never reaches ML2, where TMCC and
-// barebone+ml1opt differ, so their dumps (and digests) coincide.
-TEST(GoldenFingerprint, TmccMcf)
-{
-    expectHistory(Arch::Tmcc, "mcf", 0xa9def231u);
-}
+    void
+    TestBody() override
+    {
+        const SimResult res = runCase(case_);
+        ASSERT_GT(res.accesses, 0u);
+        EXPECT_EQ(hex(digest(res)), hex(case_.digest))
+            << "simulated behaviour of " << case_.name
+            << " differs from the recorded history";
+    }
 
-TEST(GoldenFingerprint, BarebonePlusMl1PageRank)
-{
-    expectHistory(Arch::BarebonePlusMl1, "pageRank", 0x81a1ac82u);
-}
+  private:
+    const GoldenCase &case_;
+};
 
-TEST(GoldenFingerprint, BarebonePlusMl1Mcf)
-{
-    expectHistory(Arch::BarebonePlusMl1, "mcf", 0xa9def231u);
-}
-
-TEST(GoldenFingerprint, CompressoPageRank)
-{
-    expectHistory(Arch::Compresso, "pageRank", 0x9c81e677u);
-}
-
-TEST(GoldenFingerprint, CompressoMcf)
-{
-    expectHistory(Arch::Compresso, "mcf", 0xd76e44ccu);
-}
+const bool registered = [] {
+    for (const GoldenCase &c : goldenCases)
+        ::testing::RegisterTest(
+            "GoldenFingerprint", c.name, nullptr, nullptr, __FILE__,
+            __LINE__,
+            [&c]() -> ::testing::Test * {
+                return new GoldenFingerprint(c);
+            });
+    return true;
+}();
 
 } // namespace
 } // namespace tmcc

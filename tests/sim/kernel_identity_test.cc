@@ -1,29 +1,21 @@
 /**
  * @file
- * The batched kernel's contract: `--kernel=batch` produces a SimResult
- * byte-identical to the scalar oracle on every architecture, with and
- * without tracing and epoch stats, under native / nested / huge-page
- * translation, and in interval-sampling mode.  Plus the strict
- * validation of the new --kernel / --sample knobs (death tests).
- *
- * Cross-build identity: with TMCC_IDENTITY_DIR set, the suite also
- * writes one fingerprint file per (arch x kernel x mode) combination
- * — or compares against files already present.  CI builds the tree
- * with the SIMD probe engine (generic and -march=native) and with
- * -DTMCC_SIMD=OFF, runs this suite in each pointing at one shared
- * directory, and any probe-engine divergence fails the comparison.
+ * The measured loop's contract: TMCC on an irregular workload is
+ * repeatable and unperturbed by tracing, a sampled run reports its CI
+ * summary, an exact run reports none, and the strict validation of
+ * the --sample / --stats-interval knobs (death tests).
+ * Bit-identity of the runs themselves is pinned against history by
+ * tests/sim/golden_fingerprint_test.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/serial.hh"
-#include "common/simd.hh"
 #include "common/trace.hh"
 #include "sim/sweep_manifest.hh"
 #include "sim/system.hh"
@@ -46,17 +38,17 @@ tinyConfig(Arch arch, const std::string &workload = "pageRank")
     return cfg;
 }
 
-constexpr Arch allArchs[] = {
-    Arch::NoCompression,    Arch::Compresso,
-    Arch::Barebone,         Arch::BarebonePlusMl1,
-    Arch::BarebonePlusMl2,  Arch::Tmcc,
-};
+SimConfig
+sampledConfig(Arch arch)
+{
+    SimConfig cfg = tinyConfig(arch);
+    cfg.sampleWindows = 4;
+    cfg.sampleWindowAccesses = 2'000;
+    cfg.sampleWarmAccesses = 500;
+    return cfg;
+}
 
-/**
- * Canonical byte string of a SimResult with the wall-clock-only fields
- * zeroed (they legitimately differ run to run and are documented as
- * excluded from bit-identity comparisons).
- */
+/** Serialized result with the wall-clock-only fields zeroed. */
 std::vector<std::uint8_t>
 fingerprint(SimResult res)
 {
@@ -68,153 +60,33 @@ fingerprint(SimResult res)
     return w.take();
 }
 
-SimResult
-runWith(SimConfig cfg, KernelMode kernel)
-{
-    cfg.kernel = kernel;
-    System sys(cfg);
-    return sys.measure();
-}
-
-/**
- * Cross-build fingerprint exchange (TMCC_IDENTITY_DIR): the first
- * build to run writes `<tag>.fp`; later builds (different SIMD flags,
- * same sources) compare byte for byte.  Files also record which build
- * wrote them so a mismatch message names both sides.
- */
-void
-checkCrossBuild(const std::string &tag,
-                const std::vector<std::uint8_t> &fp)
-{
-    const char *dir = std::getenv("TMCC_IDENTITY_DIR");
-    if (dir == nullptr || *dir == '\0')
-        return;
-    const std::string path = std::string(dir) + "/" + tag + ".fp";
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-        std::vector<std::uint8_t> prev(
-            (std::istreambuf_iterator<char>(in)),
-            std::istreambuf_iterator<char>());
-        EXPECT_EQ(prev, fp)
-            << "cross-build fingerprint mismatch for " << tag
-            << " (this build: " << simd::Active::name << "): " << path;
-        return;
-    }
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out.write(reinterpret_cast<const char *>(fp.data()),
-              static_cast<std::streamsize>(fp.size()));
-}
-
-void
-expectKernelIdentity(const SimConfig &cfg, const std::string &tag = "")
-{
-    const SimResult scalar = runWith(cfg, KernelMode::Scalar);
-    const SimResult batch = runWith(cfg, KernelMode::Batch);
-    ASSERT_GT(scalar.accesses, 0u);
-    const std::vector<std::uint8_t> fp = fingerprint(scalar);
-    EXPECT_EQ(fp, fingerprint(batch));
-    if (!tag.empty())
-        checkCrossBuild(tag, fp);
-}
-
-TEST(KernelIdentity, AllSixArchitectures)
-{
-    for (Arch arch : allArchs) {
-        SCOPED_TRACE(archName(arch));
-        expectKernelIdentity(tinyConfig(arch),
-                             std::string("exact_") + archName(arch));
-    }
-}
-
 TEST(KernelIdentity, TmccOnIrregularWorkload)
 {
-    // mcf exercises the embedded-CTE parallel/mismatch paths harder
-    // than the graph workload.
-    expectKernelIdentity(tinyConfig(Arch::Tmcc, "mcf"));
-}
+    // mcf exercises the embedded-CTE parallel path harder than the
+    // graph workload.  Two fresh Systems and the kernel's Tracing=true
+    // instantiation must all produce the same bytes.
+    const SimConfig cfg = tinyConfig(Arch::Tmcc, "mcf");
+    const SimResult first = System(cfg).measure();
+    ASSERT_GT(first.accesses, 0u);
+    EXPECT_GT(first.ml1Parallel, 0u);
+    EXPECT_EQ(fingerprint(first), fingerprint(System(cfg).measure()));
 
-TEST(KernelIdentity, TmccOnMemcloud)
-{
-    // Multi-tenant streams route the tenant id through System state the
-    // scalar and batch kernels share; the fingerprint includes the
-    // per-tenant stats, so misattribution in either kernel shows up.
-    SimConfig cfg = tinyConfig(Arch::Tmcc, "memcloud");
-    cfg.tenants = 4;
-    expectKernelIdentity(cfg, "exact_memcloud");
-}
-
-TEST(KernelIdentity, WithEpochStats)
-{
-    for (Arch arch : {Arch::NoCompression, Arch::Tmcc}) {
-        SCOPED_TRACE(archName(arch));
-        SimConfig cfg = tinyConfig(arch);
-        cfg.statsInterval = 5'000;
-        expectKernelIdentity(cfg);
+    const std::string path =
+        ::testing::TempDir() + "/kernel_identity_mcf.json";
+    SimResult traced;
+    {
+        Tracer tr(path);
+        Tracer::setActive(&tr);
+        traced = System(cfg).measure();
+        Tracer::setActive(nullptr);
     }
-}
-
-TEST(KernelIdentity, UnderTracing)
-{
-    // With a Tracer active the batch kernel selects its Tracing=true
-    // instantiation; results must still match the scalar oracle.
-    const std::string dir = ::testing::TempDir();
-    SimConfig cfg = tinyConfig(Arch::Tmcc);
-
-    Tracer scalar_tr(dir + "/kernel_identity_scalar.json");
-    Tracer::setActive(&scalar_tr);
-    const SimResult scalar = runWith(cfg, KernelMode::Scalar);
-    Tracer::setActive(nullptr);
-
-    Tracer batch_tr(dir + "/kernel_identity_batch.json");
-    Tracer::setActive(&batch_tr);
-    const SimResult batch = runWith(cfg, KernelMode::Batch);
-    Tracer::setActive(nullptr);
-
-    EXPECT_EQ(fingerprint(scalar), fingerprint(batch));
-    std::remove((dir + "/kernel_identity_scalar.json").c_str());
-    std::remove((dir + "/kernel_identity_batch.json").c_str());
-}
-
-TEST(KernelIdentity, NestedPaging)
-{
-    SimConfig cfg = tinyConfig(Arch::Tmcc);
-    cfg.nestedPaging = true;
-    expectKernelIdentity(cfg);
-}
-
-TEST(KernelIdentity, HugePages)
-{
-    SimConfig cfg = tinyConfig(Arch::Tmcc);
-    cfg.hugePages = true;
-    expectKernelIdentity(cfg);
-}
-
-SimConfig
-sampledConfig(Arch arch)
-{
-    SimConfig cfg = tinyConfig(arch);
-    cfg.sampleWindows = 4;
-    cfg.sampleWindowAccesses = 2'000;
-    cfg.sampleWarmAccesses = 500;
-    return cfg;
-}
-
-TEST(KernelIdentity, SampledModeMatchesAcrossKernels)
-{
-    // Interval sampling fast-forwards between windows; the functional
-    // path is shared, so batch must still match scalar byte for byte.
-    for (Arch arch : allArchs) {
-        SCOPED_TRACE(archName(arch));
-        expectKernelIdentity(sampledConfig(arch),
-                             std::string("sampled_") + archName(arch));
-    }
+    std::remove(path.c_str());
+    EXPECT_EQ(fingerprint(first), fingerprint(traced));
 }
 
 TEST(KernelIdentity, SampledRunProducesCiSummary)
 {
-    const SimResult r = runWith(sampledConfig(Arch::Tmcc),
-                                KernelMode::Batch);
+    const SimResult r = System(sampledConfig(Arch::Tmcc)).measure();
     EXPECT_EQ(r.sample.windows, 4u);
     EXPECT_EQ(r.sample.windowAccesses, 2'000u);
     EXPECT_EQ(r.sample.warmupAccesses, 500u);
@@ -234,15 +106,13 @@ TEST(KernelIdentity, SampledRunProducesCiSummary)
     EXPECT_GT(r.elapsed, 0u);
     // Totals accumulate only inside windows, so a sampled run counts
     // fewer measured accesses than the exact run it approximates.
-    const SimResult exact = runWith(tinyConfig(Arch::Tmcc),
-                                    KernelMode::Batch);
+    const SimResult exact = System(tinyConfig(Arch::Tmcc)).measure();
     EXPECT_LT(r.accesses, exact.accesses);
 }
 
 TEST(KernelIdentity, ExactRunHasEmptySampleSummary)
 {
-    const SimResult r = runWith(tinyConfig(Arch::NoCompression),
-                                KernelMode::Batch);
+    const SimResult r = System(tinyConfig(Arch::NoCompression)).measure();
     EXPECT_EQ(r.sample.windows, 0u);
     EXPECT_TRUE(r.sample.metrics.empty());
     EXPECT_FALSE(r.stats.has("sys.sample.windows"));
@@ -280,16 +150,6 @@ TEST(KernelValidationDeath, RejectsSampleSizesWithoutWindowCount)
                 "window count is zero");
 }
 
-TEST(KernelValidationDeath, ParseKernelModeRejectsGarbage)
-{
-    EXPECT_EXIT(parseKernelMode("--kernel", "vectorized"),
-                ::testing::ExitedWithCode(1),
-                "--kernel must be \"scalar\" or \"batch\"");
-    EXPECT_EXIT(parseKernelMode("TMCC_KERNEL", ""),
-                ::testing::ExitedWithCode(1),
-                "TMCC_KERNEL must be \"scalar\" or \"batch\"");
-}
-
 TEST(KernelValidationDeath, ParseSampleSpecRejectsGarbage)
 {
     SimConfig cfg;
@@ -317,9 +177,6 @@ TEST(KernelValidation, ParseAcceptsGoodSpecs)
     EXPECT_EQ(cfg.sampleWindows, 8u);
     EXPECT_EQ(cfg.sampleWindowAccesses, 500u);
     EXPECT_EQ(cfg.sampleWarmAccesses, 125u);
-    EXPECT_EQ(parseKernelMode("--kernel", "scalar"),
-              KernelMode::Scalar);
-    EXPECT_EQ(parseKernelMode("--kernel", "batch"), KernelMode::Batch);
 }
 
 } // namespace

@@ -92,7 +92,6 @@ fancyConfig()
     cfg.warmAccesses = 222;
     cfg.measureAccesses = 333;
     cfg.statsInterval = 44;
-    cfg.kernel = KernelMode::Batch;
     cfg.sampleWindows = 5;
     cfg.sampleWindowAccesses = 50;
     cfg.sampleWarmAccesses = 10;
@@ -180,7 +179,6 @@ expectConfigEqual(const SimConfig &a, const SimConfig &b)
     EXPECT_EQ(a.arch, b.arch);
     EXPECT_EQ(a.osMc.faults.ml2BitFlipRate, b.osMc.faults.ml2BitFlipRate);
     EXPECT_EQ(a.statsInterval, b.statsInterval);
-    EXPECT_EQ(a.kernel, b.kernel);
     EXPECT_EQ(a.sampleWindows, b.sampleWindows);
     EXPECT_EQ(a.sampleWindowAccesses, b.sampleWindowAccesses);
     EXPECT_EQ(a.sampleWarmAccesses, b.sampleWarmAccesses);
@@ -460,44 +458,46 @@ TEST_F(SweepManifestTest, FutureFormatVersionIsCorruption)
               std::string::npos);
 }
 
-TEST_F(SweepManifestTest, ConfigRejectsBadKernelByte)
+/** Patch the u32 format version that follows the 8-byte magic. */
+void
+patchVersion(const std::string &path, std::uint8_t version)
 {
-    SimConfig cfg = fancyConfig();
-    ByteWriter w;
-    serializeSimConfig(w, cfg);
-    // The kernel byte is the first v2 field: 25 bytes (u8 + 3 x u64)
-    // of v2 tail plus 20 bytes (u32 + 2 x f64) of v3 tenant knobs from
-    // the end of the config payload.
-    std::vector<std::uint8_t> bytes = w.buffer();
-    bytes[bytes.size() - 45] = 0x7f;
-    ByteReader r(bytes);
-    SimConfig back;
-    const Status s = deserializeSimConfig(r, back);
-    ASSERT_FALSE(s.ok());
-    EXPECT_EQ(s.code(), StatusCode::Corruption);
-    EXPECT_NE(s.message().find("kernel mode"), std::string::npos);
+    FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, 8, SEEK_SET);
+    const std::uint8_t v[4] = {version, 0x00, 0x00, 0x00};
+    std::fwrite(v, 1, 4, f);
+    std::fclose(f);
 }
 
 TEST_F(SweepManifestTest, OldFormatVersionIsRejectedClearly)
 {
-    // A v1-era file (before the kernel/sampling fields) must be
-    // rejected by the version gate with a clear message — not parsed
-    // as garbage.
+    // Files from before a format change must be rejected by the
+    // version gate with a clear message — not parsed as garbage.  A
+    // v1-era result predates the sampling summary; a v4 spec still
+    // carries the SimConfig kernel byte that v5 dropped.
     ShardResultFile file;
     file.gridKey = "k";
     ASSERT_TRUE(file.save(path("f")).ok());
-    FILE *f = std::fopen(path("f").c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 8, SEEK_SET);
-    const std::uint8_t v1[4] = {0x01, 0x00, 0x00, 0x00};
-    std::fwrite(v1, 1, 4, f);
-    std::fclose(f);
-
+    patchVersion(path("f"), 1);
     const auto loaded = ShardResultFile::load(path("f"));
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::Corruption);
     EXPECT_NE(loaded.status().message().find(
                   "format version mismatch (file v1, expected v4)"),
+              std::string::npos);
+
+    ShardSpec spec;
+    spec.gridKey = "k";
+    spec.configIndices = {0};
+    spec.configs = {fancyConfig()};
+    ASSERT_TRUE(spec.save(path("s")).ok());
+    patchVersion(path("s"), 4);
+    const auto old_spec = ShardSpec::load(path("s"));
+    ASSERT_FALSE(old_spec.ok());
+    EXPECT_EQ(old_spec.status().code(), StatusCode::Corruption);
+    EXPECT_NE(old_spec.status().message().find(
+                  "format version mismatch (file v4, expected v5)"),
               std::string::npos);
 }
 
