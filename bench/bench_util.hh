@@ -73,12 +73,7 @@ baseConfig(const std::string &workload, Arch arch)
     SimConfig cfg = SimConfig::scaledDefault();
     cfg.workload = workload;
     cfg.arch = arch;
-
-    // Non-graph analogues use larger per-region scales (their paper
-    // footprints are smaller but must stay >> the scaled TLB reach).
-    if (workload == "mcf" || workload == "omnetpp" ||
-        workload == "canneal")
-        cfg.scale = 0.8;
+    applyScalePreset(cfg);
 
     if (const char *s = std::getenv("TMCC_SCALE"))
         cfg.scale = parsePositiveDouble("TMCC_SCALE", s);

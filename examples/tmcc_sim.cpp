@@ -224,31 +224,18 @@ parseRate(const char *s, const char *what)
     return v;
 }
 
-/** Strict positive real for --tenant-zipf: a silently-zero alpha would
- * trip the workload's fatal check with a worse message. */
+/** Strict finite real, > 0 (or >= 0 when zero_ok): std::atof would
+ * turn garbage into a silent 0.0 -- a zero scale, the iso-Compresso
+ * budget, or a zipf alpha the workload rejects with a worse message. */
 double
-parsePositiveReal(const char *s, const char *what)
+parseReal(const char *s, const char *what, bool zero_ok = false)
 {
     char *end = nullptr;
     const double v = std::strtod(s, &end);
-    if (s[0] == '\0' || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
-        std::fprintf(stderr, "%s must be a positive number, got "
-                             "\"%s\"\n",
-                     what, s);
-        std::exit(1);
-    }
-    return v;
-}
-
-double
-parsePositiveSeconds(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (s[0] == '\0' || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
-        std::fprintf(stderr, "%s must be a positive number of seconds, "
-                             "got \"%s\"\n",
-                     what, s);
+    if (s[0] == '\0' || *end != '\0' || !std::isfinite(v) || v < 0.0 ||
+        (v == 0.0 && !zero_ok)) {
+        std::fprintf(stderr, "%s must be a %s number, got \"%s\"\n",
+                     what, zero_ok ? "non-negative" : "positive", s);
         std::exit(1);
     }
     return v;
@@ -376,26 +363,29 @@ main(int argc, char **argv)
         } else if (arg == "--arch") {
             cfg.arch = archByName(value());
         } else if (arg == "--scale") {
-            cfg.scale = std::atof(value());
+            cfg.scale = parseReal(value(), "--scale");
             scale_set = true;
         } else if (arg == "--cores") {
-            cfg.cores = static_cast<unsigned>(std::atoi(value()));
+            cfg.cores = static_cast<unsigned>(
+                parsePositiveCount(value(), "--cores"));
         } else if (arg == "--budget") {
-            cfg.dramBudgetFraction = std::atof(value());
+            cfg.dramBudgetFraction =
+                parseReal(value(), "--budget", /*zero_ok=*/true);
         } else if (arg == "--huge") {
             cfg.hugePages = true;
         } else if (arg == "--no-prefetch") {
             cfg.hierarchy.prefetchers = false;
         } else if (arg == "--tlb") {
-            cfg.tlbEntries = static_cast<unsigned>(std::atoi(value()));
+            cfg.tlbEntries = static_cast<unsigned>(
+                parsePositiveCount(value(), "--tlb"));
         } else if (arg == "--cte-cache") {
             cfg.osMc.cteCacheBytes =
-                static_cast<std::size_t>(std::atoll(value()));
+                parsePositiveCount(value(), "--cte-cache");
         } else if (arg == "--measure") {
             cfg.measureAccesses =
-                static_cast<std::uint64_t>(std::atoll(value()));
+                parsePositiveCount(value(), "--measure");
         } else if (arg == "--seed") {
-            cfg.seed = static_cast<std::uint64_t>(std::atoll(value()));
+            cfg.seed = parseNonNegativeCount(value(), "--seed");
         } else if (arg == "--fault-ml2") {
             cfg.osMc.faults.ml2BitFlipRate =
                 parseRate(value(), "--fault-ml2");
@@ -432,8 +422,8 @@ main(int argc, char **argv)
             stats_out = arg.substr(std::strlen("--stats-out="));
         } else if (arg == "--record") {
             const std::string path = value();
-            const auto n =
-                static_cast<std::uint64_t>(std::atoll(value()));
+            const std::uint64_t n =
+                parsePositiveCount(value(), "--record");
             auto wl = makeWorkload(cfg.workload, 0, cfg.cores,
                                    cfg.scale, cfg.seed);
             TraceRecorder::record(*wl, path, n);
@@ -456,8 +446,7 @@ main(int argc, char **argv)
             cfg.tenantChurn = parseRate(value(), "--tenant-churn");
             tenant_flag = "--tenant-churn";
         } else if (arg == "--tenant-zipf") {
-            cfg.tenantZipf =
-                parsePositiveReal(value(), "--tenant-zipf");
+            cfg.tenantZipf = parseReal(value(), "--tenant-zipf");
             tenant_flag = "--tenant-zipf";
         } else if (arg == "--sweep") {
             sweep = value();
@@ -474,15 +463,13 @@ main(int argc, char **argv)
         } else if (arg.rfind("--queue-dir=", 0) == 0) {
             queue_dir = arg.substr(std::strlen("--queue-dir="));
         } else if (arg == "--queue-poll") {
-            queue_poll = parsePositiveSeconds(value(), "--queue-poll");
+            queue_poll = parseReal(value(), "--queue-poll");
         } else if (arg == "--queue-timeout") {
-            queue_timeout =
-                parsePositiveSeconds(value(), "--queue-timeout");
+            queue_timeout = parseReal(value(), "--queue-timeout");
         } else if (arg == "--sweep-dir") {
             sweep_dir = value();
         } else if (arg == "--shard-timeout") {
-            shard_timeout =
-                parsePositiveSeconds(value(), "--shard-timeout");
+            shard_timeout = parseReal(value(), "--shard-timeout");
         } else if (arg == "--shard-attempts") {
             shard_attempts = static_cast<unsigned>(
                 parsePositiveCount(value(), "--shard-attempts"));
@@ -496,13 +483,8 @@ main(int argc, char **argv)
             CheckpointStore::global().setDiskDir(
                 arg.substr(std::strlen("--ckpt-dir=")));
         } else if (arg == "--jobs") {
-            const int v = std::atoi(value());
-            if (v <= 0) {
-                std::fprintf(stderr,
-                             "--jobs wants a positive integer\n");
-                return 1;
-            }
-            jobs = static_cast<unsigned>(v);
+            jobs = static_cast<unsigned>(
+                parsePositiveCount(value(), "--jobs"));
         } else if (arg == "--list") {
             listWorkloads();
             return 0;
@@ -526,13 +508,6 @@ main(int argc, char **argv)
                      tenant_flag.c_str());
         return 1;
     }
-
-    auto preset_scale = [&](SimConfig &c) {
-        if (!scale_set &&
-            (c.workload == "mcf" || c.workload == "omnetpp" ||
-             c.workload == "canneal"))
-            c.scale = 0.8;
-    };
 
     std::unique_ptr<Tracer> tracer;
     if (!trace_path.empty()) {
@@ -600,7 +575,8 @@ main(int argc, char **argv)
             c.workload = e.workload;
             if (e.hasArch)
                 c.arch = e.arch;
-            preset_scale(c);
+            if (!scale_set)
+                applyScalePreset(c);
             names.push_back(e.label);
             configs.push_back(c);
         }
@@ -728,7 +704,8 @@ main(int argc, char **argv)
         return sweep_ok ? 0 : 1;
     }
 
-    preset_scale(cfg);
+    if (!scale_set)
+        applyScalePreset(cfg);
 
     // Through the runner so the setup phase goes via the checkpoint
     // store (a populated --ckpt-dir turns placement into a restore).

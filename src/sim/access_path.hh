@@ -116,9 +116,7 @@ struct AccessEngine
             req.paddr = paddr;
             req.when = start + l1 + l2 + l3 + noc;
             req.fromWalker = from_walker;
-            if (sys.osMc_ != nullptr &&
-                (sys.cfg_.arch == Arch::Tmcc ||
-                 sys.cfg_.arch == Arch::BarebonePlusMl1)) {
+            if (sys.embedCtes_) {
                 const CteBuffer::Entry *e =
                     sys.cteBuffers_[core]->lookup(pageNumber(paddr));
                 if (e != nullptr && e->hasCte) {

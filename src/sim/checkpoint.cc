@@ -1,6 +1,5 @@
 #include "sim/checkpoint.hh"
 
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -191,33 +190,14 @@ deserializeFrames(ByteReader &r, std::vector<Ppn> &frames,
 std::string
 SetupCheckpoint::keyFor(const SimConfig &cfg)
 {
-    // Exactly the config fields the setup phase reads; scale keeps its
-    // full bit pattern so no two distinct values collide via printf
-    // rounding.  Arch / MC knobs / warm+measure lengths are absent by
-    // design: those runs share the checkpoint.
-    std::string key = "wl=" + cfg.workload;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), ";scale=%016llx",
-                  static_cast<unsigned long long>(
-                      std::bit_cast<std::uint64_t>(cfg.scale)));
-    key += buf;
-    key += ";cores=" + std::to_string(cfg.cores);
-    key += ";seed=" + std::to_string(cfg.seed);
-    key += std::string(";huge=") + (cfg.hugePages ? "1" : "0");
-    key += std::string(";nested=") + (cfg.nestedPaging ? "1" : "0");
-    key += ";place=" + std::to_string(cfg.placementAccesses);
-    // Tenant knobs shape the memcloud access stream (and are harmless
-    // noise in the key for every other workload, which ignores them).
-    key += ";tenants=" + std::to_string(cfg.tenants);
-    std::snprintf(buf, sizeof(buf), ";tchurn=%016llx",
-                  static_cast<unsigned long long>(
-                      std::bit_cast<std::uint64_t>(cfg.tenantChurn)));
-    key += buf;
-    std::snprintf(buf, sizeof(buf), ";tzipf=%016llx",
-                  static_cast<unsigned long long>(
-                      std::bit_cast<std::uint64_t>(cfg.tenantZipf)));
-    key += buf;
-    return key;
+    // The exact wire bytes of the fields the setup phase reads; runs
+    // differing only in `Run` fields share the checkpoint.
+    ByteWriter w;
+    forEachField(cfg, [&](const char *, const auto &v, FieldUse use) {
+        if (use == FieldUse::Setup)
+            writeConfigField(w, v);
+    });
+    return std::string(w.buffer().begin(), w.buffer().end());
 }
 
 std::string

@@ -11,12 +11,11 @@
  * fast-forward checkpoint per workload, restored by every architecture
  * configuration (see docs/EXPERIMENTS.md).
  *
- * Checkpoints are keyed by the architecture-invariant config subset
- * (workload, scale, cores, seed, hugePages, nestedPaging,
- * placementAccesses).  The arch-DEPENDENT part of setup — seeding the
- * OS-inspired/Compresso metadata layers from the touch ordering — is
- * replayed per restore from the recorded frame sequences, so restored
- * MC state matches a cold build exactly.
+ * Checkpoints are keyed by the `Setup` fields of SimConfig's field
+ * table (forEachField in sim_config.hh).  The arch-DEPENDENT part of
+ * setup — seeding the OS-inspired/Compresso metadata layers from the
+ * touch ordering — is replayed per restore from the recorded frame
+ * sequences, so restored MC state matches a cold build exactly.
  *
  * CheckpointStore memoizes checkpoints process-wide (the ProfileLibrary
  * measurement-cache pattern) and optionally persists them to
@@ -90,8 +89,9 @@ struct SetupCheckpoint
     std::vector<std::vector<std::uint8_t>> workloadStates;
 
     /**
-     * The invariant-subset key of `cfg`.  Configs differing only in
-     * Arch / MC knobs / phase lengths beyond placement share a key.
+     * The exact wire bytes of `cfg`'s `Setup` fields.  Configs
+     * differing only in `Run` fields (arch, MC knobs, phase lengths
+     * beyond placement) share a key.
      */
     static std::string keyFor(const SimConfig &cfg);
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Experiment configuration: Table III defaults plus the architecture
- * selector and workload/scale knobs.
+ * selector and workload/scale knobs, and the field table
+ * (forEachField) that encodes and keys it.
  */
 
 #ifndef TMCC_SIM_SIM_CONFIG_HH
@@ -9,9 +10,11 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "cache/hierarchy.hh"
 #include "common/log.hh"
+#include "common/serial.hh"
 #include "compresso/compresso_mc.hh"
 #include "dram/dram_config.hh"
 #include "tmcc/os_mc.hh"
@@ -143,6 +146,177 @@ struct SimConfig
      */
     static SimConfig scaledDefault();
 };
+
+/**
+ * The per-workload scale preset on top of scaledDefault(): the
+ * non-graph analogues (mcf, omnetpp, canneal) run at scale 0.8 -- their
+ * paper footprints are smaller but must stay >> the scaled TLB reach.
+ */
+inline void
+applyScalePreset(SimConfig &cfg)
+{
+    if (cfg.workload == "mcf" || cfg.workload == "omnetpp" ||
+        cfg.workload == "canneal")
+        cfg.scale = 0.8;
+}
+
+/** Whether System's setup phase reads a field (and so keys the setup
+ * checkpoint) or only the warm-up / measured run does. */
+enum class FieldUse : std::uint8_t { Setup, Run };
+
+/**
+ * The one list of SimConfig's fields, in wire order: calls
+ * `visit(name, member, use)` for each.  It drives the sweep format
+ * (serializeSimConfig / deserializeSimConfig, hence sweepGridKey) and
+ * the setup-checkpoint key (SetupCheckpoint::keyFor, the `Setup`
+ * fields), so a field added here travels to workers, enters the grid
+ * key and, if `Setup`, the checkpoint key.  `kernel` is inert and
+ * stays out.
+ */
+template <typename Config, typename Visitor>
+    requires std::is_same_v<std::remove_const_t<Config>, SimConfig>
+void
+forEachField(Config &c, Visitor &&visit)
+{
+    constexpr FieldUse S = FieldUse::Setup;
+    constexpr FieldUse R = FieldUse::Run;
+    visit("workload", c.workload, S);
+    visit("scale", c.scale, S);
+    visit("cores", c.cores, S);
+    visit("seed", c.seed, S);
+    visit("arch", c.arch, R);
+
+    visit("cpuGhz", c.cpuGhz, R);
+    visit("l1Cycles", c.l1Cycles, R);
+    visit("l2Cycles", c.l2Cycles, R);
+    visit("l3Cycles", c.l3Cycles, R);
+    visit("nocToMcNs", c.nocToMcNs, R);
+    visit("tlbEntries", c.tlbEntries, R);
+    visit("cteBufferEntries", c.cteBufferEntries, R);
+    visit("hugePages", c.hugePages, S);
+    visit("nestedPaging", c.nestedPaging, S);
+    visit("memOverlapFactor", c.memOverlapFactor, R);
+
+    visit("hierarchy.l1Bytes", c.hierarchy.l1Bytes, R);
+    visit("hierarchy.l1Assoc", c.hierarchy.l1Assoc, R);
+    visit("hierarchy.l2Bytes", c.hierarchy.l2Bytes, R);
+    visit("hierarchy.l2Assoc", c.hierarchy.l2Assoc, R);
+    visit("hierarchy.l3Bytes", c.hierarchy.l3Bytes, R);
+    visit("hierarchy.l3Assoc", c.hierarchy.l3Assoc, R);
+    visit("hierarchy.prefetchers", c.hierarchy.prefetchers, R);
+    visit("hierarchy.strideDegreeL1", c.hierarchy.strideDegreeL1, R);
+    visit("hierarchy.strideDegreeL2", c.hierarchy.strideDegreeL2, R);
+
+    visit("dram.ranks", c.dram.ranks, R);
+    visit("dram.bankGroups", c.dram.bankGroups, R);
+    visit("dram.banksPerGroup", c.dram.banksPerGroup, R);
+    visit("dram.rowBytes", c.dram.rowBytes, R);
+    visit("dram.channelBytes", c.dram.channelBytes, R);
+    visit("dram.tCkNs", c.dram.tCkNs, R);
+    visit("dram.tClNs", c.dram.tClNs, R);
+    visit("dram.tRcdNs", c.dram.tRcdNs, R);
+    visit("dram.tRpNs", c.dram.tRpNs, R);
+    visit("dram.tBurstNs", c.dram.tBurstNs, R);
+    visit("dram.tWrNs", c.dram.tWrNs, R);
+    visit("dram.tRtwNs", c.dram.tRtwNs, R);
+    visit("dram.tWtrNs", c.dram.tWtrNs, R);
+    visit("dram.rowAccessCap", c.dram.rowAccessCap, R);
+    visit("dram.writeQueueDepth", c.dram.writeQueueDepth, R);
+    visit("dram.writeDrainHigh", c.dram.writeDrainHigh, R);
+    visit("dram.writeDrainLow", c.dram.writeDrainLow, R);
+
+    visit("interleave.numMcs", c.interleave.numMcs, R);
+    visit("interleave.channelsPerMc", c.interleave.channelsPerMc, R);
+    visit("interleave.mcGranularity", c.interleave.mcGranularity, R);
+    visit("interleave.channelGranularity",
+          c.interleave.channelGranularity, R);
+
+    visit("compresso.cteCacheBytes", c.compresso.cteCacheBytes, R);
+    visit("compresso.chunkBytes", c.compresso.chunkBytes, R);
+    visit("compresso.mcProcNs", c.compresso.mcProcNs, R);
+    visit("compresso.blockDecompressNs", c.compresso.blockDecompressNs,
+          R);
+    visit("compresso.llcVictimLatNs", c.compresso.llcVictimLatNs, R);
+    visit("compresso.cteVictimInLlc", c.compresso.cteVictimInLlc, R);
+    visit("compresso.llcVictimBytes", c.compresso.llcVictimBytes, R);
+    visit("compresso.repackBlockFraction",
+          c.compresso.repackBlockFraction, R);
+
+    visit("osMc.cteCacheBytes", c.osMc.cteCacheBytes, R);
+    visit("osMc.mcProcNs", c.osMc.mcProcNs, R);
+    // osMc.{embedCtes,fastDeflate,dramBudgetBytes,ml1TargetPages} are
+    // absent: System derives them from `arch` and the DRAM budget.
+    visit("osMc.freeListLow", c.osMc.freeListLow, R);
+    visit("osMc.freeListCritical", c.osMc.freeListCritical, R);
+    visit("osMc.evictBatch", c.osMc.evictBatch, R);
+    visit("osMc.migrationBufferEntries", c.osMc.migrationBufferEntries,
+          R);
+    visit("osMc.migrationGBs", c.osMc.migrationGBs, R);
+    visit("osMc.recencySampleP", c.osMc.recencySampleP, R);
+    visit("osMc.ptb.managedDramBytes", c.osMc.ptb.managedDramBytes, R);
+    visit("osMc.ptb.physPages", c.osMc.ptb.physPages, R);
+    visit("osMc.faults.ml2BitFlipRate", c.osMc.faults.ml2BitFlipRate, R);
+    visit("osMc.faults.cteBitFlipRate", c.osMc.faults.cteBitFlipRate, R);
+    visit("osMc.faults.ptbBitFlipRate", c.osMc.faults.ptbBitFlipRate, R);
+    visit("osMc.faults.transientFraction",
+          c.osMc.faults.transientFraction, R);
+    visit("osMc.faults.seed", c.osMc.faults.seed, R);
+
+    visit("dramBudgetFraction", c.dramBudgetFraction, R);
+    visit("placementAccesses", c.placementAccesses, S);
+    visit("warmAccesses", c.warmAccesses, R);
+    visit("measureAccesses", c.measureAccesses, R);
+    visit("statsInterval", c.statsInterval, R);
+    visit("sampleWindows", c.sampleWindows, R);
+    visit("sampleWindowAccesses", c.sampleWindowAccesses, R);
+    visit("sampleWarmAccesses", c.sampleWarmAccesses, R);
+    visit("tenants", c.tenants, S);
+    visit("tenantChurn", c.tenantChurn, S);
+    visit("tenantZipf", c.tenantZipf, S);
+}
+
+/** Wire encoding of one table field: each member type has exactly one. */
+template <typename T>
+void
+writeConfigField(ByteWriter &w, const T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        w.str(v);
+    else if constexpr (std::is_same_v<T, double>)
+        w.f64(v);
+    else if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, Arch>)
+        w.u8(static_cast<std::uint8_t>(v));
+    else if constexpr (std::is_same_v<T, unsigned>)
+        w.u32(v);
+    else {
+        static_assert(std::is_unsigned_v<T> && sizeof(T) == 8);
+        w.u64(v);
+    }
+}
+
+/** Inverse of writeConfigField; false when an Arch byte is out of range. */
+template <typename T>
+bool
+readConfigField(ByteReader &r, T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        v = r.str();
+    else if constexpr (std::is_same_v<T, double>)
+        v = r.f64();
+    else if constexpr (std::is_same_v<T, bool>)
+        v = r.u8() != 0;
+    else if constexpr (std::is_same_v<T, Arch>) {
+        const std::uint8_t a = r.u8();
+        v = static_cast<Arch>(a);
+        return a <= static_cast<std::uint8_t>(Arch::Tmcc);
+    } else if constexpr (std::is_same_v<T, unsigned>)
+        v = r.u32();
+    else {
+        static_assert(std::is_unsigned_v<T> && sizeof(T) == 8);
+        v = r.u64();
+    }
+    return true;
+}
 
 /**
  * Strictly parse a `--sample` / TMCC_SAMPLE spec `k:w[:warm]` (all

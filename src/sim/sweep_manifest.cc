@@ -139,211 +139,20 @@ deserializeEpoch(ByteReader &r, EpochStat &e)
 void
 serializeSimConfig(ByteWriter &w, const SimConfig &cfg)
 {
-    w.str(cfg.workload);
-    w.f64(cfg.scale);
-    w.u32(cfg.cores);
-    w.u64(cfg.seed);
-    w.u8(static_cast<std::uint8_t>(cfg.arch));
-
-    w.f64(cfg.cpuGhz);
-    w.u32(cfg.l1Cycles);
-    w.u32(cfg.l2Cycles);
-    w.u32(cfg.l3Cycles);
-    w.f64(cfg.nocToMcNs);
-    w.u32(cfg.tlbEntries);
-    w.u32(cfg.cteBufferEntries);
-    w.u8(cfg.hugePages ? 1 : 0);
-    w.u8(cfg.nestedPaging ? 1 : 0);
-    w.f64(cfg.memOverlapFactor);
-
-    const HierarchyConfig &h = cfg.hierarchy;
-    w.u64(h.l1Bytes);
-    w.u32(h.l1Assoc);
-    w.u64(h.l2Bytes);
-    w.u32(h.l2Assoc);
-    w.u64(h.l3Bytes);
-    w.u32(h.l3Assoc);
-    w.u8(h.prefetchers ? 1 : 0);
-    w.u32(h.strideDegreeL1);
-    w.u32(h.strideDegreeL2);
-
-    const DramConfig &d = cfg.dram;
-    w.u32(d.ranks);
-    w.u32(d.bankGroups);
-    w.u32(d.banksPerGroup);
-    w.u64(d.rowBytes);
-    w.u64(d.channelBytes);
-    w.f64(d.tCkNs);
-    w.f64(d.tClNs);
-    w.f64(d.tRcdNs);
-    w.f64(d.tRpNs);
-    w.f64(d.tBurstNs);
-    w.f64(d.tWrNs);
-    w.f64(d.tRtwNs);
-    w.f64(d.tWtrNs);
-    w.u32(d.rowAccessCap);
-    w.u32(d.writeQueueDepth);
-    w.u32(d.writeDrainHigh);
-    w.u32(d.writeDrainLow);
-
-    const InterleaveConfig &il = cfg.interleave;
-    w.u32(il.numMcs);
-    w.u32(il.channelsPerMc);
-    w.u64(il.mcGranularity);
-    w.u64(il.channelGranularity);
-
-    const CompressoConfig &c = cfg.compresso;
-    w.u64(c.cteCacheBytes);
-    w.u64(c.chunkBytes);
-    w.f64(c.mcProcNs);
-    w.f64(c.blockDecompressNs);
-    w.f64(c.llcVictimLatNs);
-    w.u8(c.cteVictimInLlc ? 1 : 0);
-    w.u64(c.llcVictimBytes);
-    w.f64(c.repackBlockFraction);
-
-    const OsMcConfig &o = cfg.osMc;
-    w.u64(o.cteCacheBytes);
-    w.f64(o.mcProcNs);
-    w.u8(o.embedCtes ? 1 : 0);
-    w.u8(o.fastDeflate ? 1 : 0);
-    w.u64(o.dramBudgetBytes);
-    w.u64(o.ml1TargetPages);
-    w.u64(o.freeListLow);
-    w.u64(o.freeListCritical);
-    w.u64(o.evictBatch);
-    w.u32(o.migrationBufferEntries);
-    w.f64(o.migrationGBs);
-    w.f64(o.recencySampleP);
-    w.u64(o.ptb.managedDramBytes);
-    w.u64(o.ptb.physPages);
-    w.f64(o.faults.ml2BitFlipRate);
-    w.f64(o.faults.cteBitFlipRate);
-    w.f64(o.faults.ptbBitFlipRate);
-    w.f64(o.faults.transientFraction);
-    w.u64(o.faults.seed);
-
-    w.f64(cfg.dramBudgetFraction);
-    w.u64(cfg.placementAccesses);
-    w.u64(cfg.warmAccesses);
-    w.u64(cfg.measureAccesses);
-    w.u64(cfg.statsInterval);
-
-    // v2: interval-sampling geometry.
-    w.u64(cfg.sampleWindows);
-    w.u64(cfg.sampleWindowAccesses);
-    w.u64(cfg.sampleWarmAccesses);
-
-    // v3: multi-tenant knobs.
-    w.u32(cfg.tenants);
-    w.f64(cfg.tenantChurn);
-    w.f64(cfg.tenantZipf);
+    forEachField(cfg, [&](const char *, const auto &v, FieldUse) {
+        writeConfigField(w, v);
+    });
 }
 
 Status
 deserializeSimConfig(ByteReader &r, SimConfig &cfg)
 {
-    cfg.workload = r.str();
-    cfg.scale = r.f64();
-    cfg.cores = r.u32();
-    cfg.seed = r.u64();
-    const std::uint8_t arch = r.u8();
-    if (arch > static_cast<std::uint8_t>(Arch::Tmcc))
+    bool in_range = true;
+    forEachField(cfg, [&](const char *, auto &v, FieldUse) {
+        in_range &= readConfigField(r, v);
+    });
+    if (!in_range)
         return Status::corruption("SimConfig arch out of range");
-    cfg.arch = static_cast<Arch>(arch);
-
-    cfg.cpuGhz = r.f64();
-    cfg.l1Cycles = r.u32();
-    cfg.l2Cycles = r.u32();
-    cfg.l3Cycles = r.u32();
-    cfg.nocToMcNs = r.f64();
-    cfg.tlbEntries = r.u32();
-    cfg.cteBufferEntries = r.u32();
-    cfg.hugePages = r.u8() != 0;
-    cfg.nestedPaging = r.u8() != 0;
-    cfg.memOverlapFactor = r.f64();
-
-    HierarchyConfig &h = cfg.hierarchy;
-    h.l1Bytes = r.u64();
-    h.l1Assoc = r.u32();
-    h.l2Bytes = r.u64();
-    h.l2Assoc = r.u32();
-    h.l3Bytes = r.u64();
-    h.l3Assoc = r.u32();
-    h.prefetchers = r.u8() != 0;
-    h.strideDegreeL1 = r.u32();
-    h.strideDegreeL2 = r.u32();
-
-    DramConfig &d = cfg.dram;
-    d.ranks = r.u32();
-    d.bankGroups = r.u32();
-    d.banksPerGroup = r.u32();
-    d.rowBytes = r.u64();
-    d.channelBytes = r.u64();
-    d.tCkNs = r.f64();
-    d.tClNs = r.f64();
-    d.tRcdNs = r.f64();
-    d.tRpNs = r.f64();
-    d.tBurstNs = r.f64();
-    d.tWrNs = r.f64();
-    d.tRtwNs = r.f64();
-    d.tWtrNs = r.f64();
-    d.rowAccessCap = r.u32();
-    d.writeQueueDepth = r.u32();
-    d.writeDrainHigh = r.u32();
-    d.writeDrainLow = r.u32();
-
-    InterleaveConfig &il = cfg.interleave;
-    il.numMcs = r.u32();
-    il.channelsPerMc = r.u32();
-    il.mcGranularity = r.u64();
-    il.channelGranularity = r.u64();
-
-    CompressoConfig &c = cfg.compresso;
-    c.cteCacheBytes = r.u64();
-    c.chunkBytes = r.u64();
-    c.mcProcNs = r.f64();
-    c.blockDecompressNs = r.f64();
-    c.llcVictimLatNs = r.f64();
-    c.cteVictimInLlc = r.u8() != 0;
-    c.llcVictimBytes = r.u64();
-    c.repackBlockFraction = r.f64();
-
-    OsMcConfig &o = cfg.osMc;
-    o.cteCacheBytes = r.u64();
-    o.mcProcNs = r.f64();
-    o.embedCtes = r.u8() != 0;
-    o.fastDeflate = r.u8() != 0;
-    o.dramBudgetBytes = r.u64();
-    o.ml1TargetPages = r.u64();
-    o.freeListLow = r.u64();
-    o.freeListCritical = r.u64();
-    o.evictBatch = r.u64();
-    o.migrationBufferEntries = r.u32();
-    o.migrationGBs = r.f64();
-    o.recencySampleP = r.f64();
-    o.ptb.managedDramBytes = r.u64();
-    o.ptb.physPages = r.u64();
-    o.faults.ml2BitFlipRate = r.f64();
-    o.faults.cteBitFlipRate = r.f64();
-    o.faults.ptbBitFlipRate = r.f64();
-    o.faults.transientFraction = r.f64();
-    o.faults.seed = r.u64();
-
-    cfg.dramBudgetFraction = r.f64();
-    cfg.placementAccesses = r.u64();
-    cfg.warmAccesses = r.u64();
-    cfg.measureAccesses = r.u64();
-    cfg.statsInterval = r.u64();
-
-    cfg.sampleWindows = r.u64();
-    cfg.sampleWindowAccesses = r.u64();
-    cfg.sampleWarmAccesses = r.u64();
-
-    cfg.tenants = r.u32();
-    cfg.tenantChurn = r.f64();
-    cfg.tenantZipf = r.f64();
-
     if (!r.ok())
         return Status::truncated("SimConfig payload too short");
     return Status::okStatus();

@@ -35,8 +35,9 @@ namespace tmcc
 {
 
 // Full-fidelity SimConfig/SimResult serialization.  Every field
-// travels; doubles are encoded as their exact bit patterns so a
-// round trip reproduces the value bit-identically.
+// travels (for SimConfig: every entry of forEachField); doubles are
+// encoded as their exact bit patterns so a round trip reproduces the
+// value bit-identically.
 void serializeSimConfig(ByteWriter &w, const SimConfig &cfg);
 Status deserializeSimConfig(ByteReader &r, SimConfig &cfg);
 void serializeSimResult(ByteWriter &w, const SimResult &res);
@@ -57,7 +58,9 @@ struct ShardSpec
     // v4: dropped the attempt and result path (the claim holds the
     //     attempt; results go to shard-NNN.result).
     // v5: SimConfig dropped the kernel mode.
-    static constexpr std::uint32_t formatVersion = 5;
+    // v6: SimConfig is encoded by its field table, which leaves out the
+    //     four OsMcConfig fields System derives from arch and budget.
+    static constexpr std::uint32_t formatVersion = 6;
 
     std::string gridKey;
     std::uint32_t shardId = 0;

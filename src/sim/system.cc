@@ -263,6 +263,7 @@ System::buildMcAndCores()
         auto mc = std::make_unique<OsInspiredMc>(*dram_, profiles_,
                                                  *physMem_, oc);
         osMc_ = mc.get();
+        embedCtes_ = oc.embedCtes;
         mc_ = std::move(mc);
         break;
       }
@@ -487,9 +488,7 @@ System::replayPlacement()
 void
 System::collectPtbCtes(unsigned core, Addr ptb_addr)
 {
-    if (osMc_ == nullptr || !cfg_.osMc.embedCtes)
-        return;
-    if (cfg_.arch != Arch::Tmcc && cfg_.arch != Arch::BarebonePlusMl1)
+    if (!embedCtes_)
         return;
     const OsInspiredMc::PtbView view = osMc_->ptbView(ptb_addr);
     if (!view.compressed)

@@ -222,6 +222,9 @@ class System
     std::unique_ptr<MemController> mc_;
     OsInspiredMc *osMc_ = nullptr;       //!< set when arch is OS-based
     CompressoMc *compressoMc_ = nullptr; //!< set when arch is Compresso
+    /** The OS MC embeds CTEs in PTBs (TMCC, +ML1); copied from the
+     * OsMcConfig it was built with. */
+    bool embedCtes_ = false;
 
     std::vector<std::unique_ptr<Workload>> workloads_;
     std::vector<std::unique_ptr<Tlb>> tlbs_;

@@ -12,13 +12,16 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
 
+#include "common/crc32.hh"
 #include "common/serial.hh"
 #include "common/status.hh"
 #include "common/versioned_file.hh"
+#include "sim/checkpoint.hh"
 #include "sim/sweep_manifest.hh"
 
 namespace tmcc
@@ -54,51 +57,45 @@ class SweepManifestTest : public ::testing::Test
     fs::path dir_;
 };
 
-/** A config with every field nudged off its default. */
+/** Nudge a table field off its value (the rule the pinned CRCs use). */
+template <typename T>
+void
+perturb(T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        v += " päth~";
+    else if constexpr (std::is_same_v<T, double>)
+        v = v * 1.5 + 0.25;
+    else if constexpr (std::is_same_v<T, bool>)
+        v = !v;
+    else if constexpr (std::is_same_v<T, Arch>)
+        v = static_cast<Arch>((static_cast<int>(v) + 1) % 6);
+    else
+        v += 1;
+}
+
+constexpr std::size_t allFields = ~std::size_t{0};
+
+/** scaledDefault() with table field `which` perturbed (default: all). */
 SimConfig
-fancyConfig()
+perturbedConfig(std::size_t which = allFields)
 {
     SimConfig cfg = SimConfig::scaledDefault();
-    cfg.workload = "trace:/tmp/some weird päth.trace";
-    cfg.scale = 0.137;
-    cfg.cores = 7;
-    cfg.seed = 0xdeadbeefcafe;
-    cfg.arch = Arch::BarebonePlusMl2;
-    cfg.cpuGhz = 3.14159;
-    cfg.l1Cycles = 4;
-    cfg.l2Cycles = 13;
-    cfg.l3Cycles = 49;
-    cfg.nocToMcNs = 17.25;
-    cfg.tlbEntries = 1023;
-    cfg.cteBufferEntries = 63;
-    cfg.hugePages = true;
-    cfg.nestedPaging = true;
-    cfg.memOverlapFactor = 1.75;
-    cfg.hierarchy.prefetchers = false;
-    cfg.hierarchy.l3Bytes = 3 << 20;
-    cfg.dram.tClNs = 13.75;
-    cfg.dram.writeQueueDepth = 48;
-    cfg.interleave.numMcs = 2;
-    cfg.compresso.cteCacheBytes = 12345;
-    cfg.compresso.repackBlockFraction = 0.11;
-    cfg.osMc.cteCacheBytes = 54321;
-    cfg.osMc.embedCtes = false;
-    cfg.osMc.faults.ml2BitFlipRate = 1e-7;
-    cfg.osMc.faults.cteBitFlipRate = 2e-8;
-    cfg.osMc.faults.ptbBitFlipRate = 3e-9;
-    cfg.osMc.faults.seed = 99;
-    cfg.dramBudgetFraction = 0.625;
-    cfg.placementAccesses = 111;
-    cfg.warmAccesses = 222;
-    cfg.measureAccesses = 333;
-    cfg.statsInterval = 44;
-    cfg.sampleWindows = 5;
-    cfg.sampleWindowAccesses = 50;
-    cfg.sampleWarmAccesses = 10;
-    cfg.tenants = 13;
-    cfg.tenantChurn = 0.0675;
-    cfg.tenantZipf = 1.375;
+    std::size_t i = 0;
+    forEachField(cfg, [&](const char *, auto &v, FieldUse) {
+        if (which == allFields || which == i)
+            perturb(v);
+        ++i;
+    });
     return cfg;
+}
+
+std::vector<std::uint8_t>
+configBytes(const SimConfig &cfg)
+{
+    ByteWriter w;
+    serializeSimConfig(w, cfg);
+    return w.buffer();
 }
 
 /** A result with every field (incl. histograms/epochs/stats) nonzero. */
@@ -163,28 +160,6 @@ fancyResult()
     res.tenants.push_back(std::move(t0));
     res.tenants.push_back(TenantStat{});
     return res;
-}
-
-void
-expectConfigEqual(const SimConfig &a, const SimConfig &b)
-{
-    ByteWriter wa, wb;
-    serializeSimConfig(wa, a);
-    serializeSimConfig(wb, b);
-    EXPECT_EQ(wa.buffer(), wb.buffer());
-    // Spot-check a few fields directly so a serializer that drops a
-    // field on both sides can't fake the comparison above.
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.scale, b.scale);
-    EXPECT_EQ(a.arch, b.arch);
-    EXPECT_EQ(a.osMc.faults.ml2BitFlipRate, b.osMc.faults.ml2BitFlipRate);
-    EXPECT_EQ(a.statsInterval, b.statsInterval);
-    EXPECT_EQ(a.sampleWindows, b.sampleWindows);
-    EXPECT_EQ(a.sampleWindowAccesses, b.sampleWindowAccesses);
-    EXPECT_EQ(a.sampleWarmAccesses, b.sampleWarmAccesses);
-    EXPECT_EQ(a.tenants, b.tenants);
-    EXPECT_EQ(a.tenantChurn, b.tenantChurn);
-    EXPECT_EQ(a.tenantZipf, b.tenantZipf);
 }
 
 void
@@ -263,20 +238,48 @@ expectResultEqual(const SimResult &a, const SimResult &b)
 
 TEST_F(SweepManifestTest, SimConfigRoundTripsEveryField)
 {
-    const SimConfig cfg = fancyConfig();
-    ByteWriter w;
-    serializeSimConfig(w, cfg);
+    // Perturb each table field in turn: it must survive the wire,
+    // reach the grid key, and reach the checkpoint key iff `Setup`.
+    const SimConfig base = SimConfig::scaledDefault();
+    const std::vector<std::uint8_t> base_bytes = configBytes(base);
+    const std::string base_grid = sweepGridKey({base});
+    const std::string base_key = SetupCheckpoint::keyFor(base);
+    std::size_t n = 0;
+    forEachField(base, [&](const char *name, const auto &, FieldUse use) {
+        SCOPED_TRACE(name);
+        const SimConfig cfg = perturbedConfig(n++);
+        const std::vector<std::uint8_t> bytes = configBytes(cfg);
+        EXPECT_NE(bytes, base_bytes);
 
-    ByteReader r(w.buffer());
-    SimConfig back;
-    ASSERT_TRUE(deserializeSimConfig(r, back).ok());
-    ASSERT_TRUE(r.finish("config").ok());
-    expectConfigEqual(cfg, back);
+        ByteReader r(bytes);
+        SimConfig back;
+        ASSERT_TRUE(deserializeSimConfig(r, back).ok());
+        ASSERT_TRUE(r.finish("config").ok());
+        EXPECT_EQ(configBytes(back), bytes);
+
+        EXPECT_NE(sweepGridKey({cfg}), base_grid);
+        EXPECT_EQ(SetupCheckpoint::keyFor(cfg) != base_key,
+                  use == FieldUse::Setup);
+    });
+    EXPECT_EQ(n, 79u);
+}
+
+TEST_F(SweepManifestTest, SimConfigWireBytesArePinned)
+{
+    // CRC-32 of the ShardSpec v6 SimConfig encoding.  A layout change
+    // must bump ShardSpec::formatVersion before re-pinning; a changed
+    // default moves only the first digest.
+    auto crc = [](const SimConfig &cfg) {
+        const std::vector<std::uint8_t> bytes = configBytes(cfg);
+        return crc32(bytes.data(), bytes.size());
+    };
+    EXPECT_EQ(crc(SimConfig::scaledDefault()), 0x09712a92u);
+    EXPECT_EQ(crc(perturbedConfig()), 0xde4e21c2u);
 }
 
 TEST_F(SweepManifestTest, SimConfigRejectsBadArch)
 {
-    SimConfig cfg = fancyConfig();
+    const SimConfig cfg = perturbedConfig();
     ByteWriter w;
     serializeSimConfig(w, cfg);
     // The arch byte follows workload (8 + len), scale (8), cores (4),
@@ -316,7 +319,7 @@ TEST_F(SweepManifestTest, SimResultTruncatedPayloadRejected)
 
 TEST_F(SweepManifestTest, GridKeyDeterministicAndSensitive)
 {
-    const std::vector<SimConfig> grid = {fancyConfig(),
+    const std::vector<SimConfig> grid = {perturbedConfig(),
                                          SimConfig::scaledDefault()};
     const std::string key = sweepGridKey(grid);
     EXPECT_EQ(key.size(), 16u);
@@ -340,8 +343,8 @@ TEST_F(SweepManifestTest, ShardSpecRoundTrip)
     spec.shardId = 3;
     spec.workerJobs = 4;
     spec.configIndices = {1, 4, 7};
-    spec.configs = {fancyConfig(), SimConfig::scaledDefault(),
-                    fancyConfig()};
+    spec.configs = {perturbedConfig(), SimConfig::scaledDefault(),
+                    perturbedConfig()};
 
     ASSERT_TRUE(spec.save(path("shard.spec")).ok());
     const auto loaded = ShardSpec::load(path("shard.spec"));
@@ -352,7 +355,8 @@ TEST_F(SweepManifestTest, ShardSpecRoundTrip)
     EXPECT_EQ(loaded->configIndices, spec.configIndices);
     ASSERT_EQ(loaded->configs.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i)
-        expectConfigEqual(loaded->configs[i], spec.configs[i]);
+        EXPECT_EQ(configBytes(loaded->configs[i]),
+                  configBytes(spec.configs[i]));
 }
 
 TEST_F(SweepManifestTest, ShardResultFileRoundTrip)
@@ -474,8 +478,8 @@ TEST_F(SweepManifestTest, OldFormatVersionIsRejectedClearly)
 {
     // Files from before a format change must be rejected by the
     // version gate with a clear message — not parsed as garbage.  A
-    // v1-era result predates the sampling summary; a v4 spec still
-    // carries the SimConfig kernel byte that v5 dropped.
+    // v1-era result predates the sampling summary; a v5 spec still
+    // carries the four derived OsMcConfig fields that v6 dropped.
     ShardResultFile file;
     file.gridKey = "k";
     ASSERT_TRUE(file.save(path("f")).ok());
@@ -490,14 +494,14 @@ TEST_F(SweepManifestTest, OldFormatVersionIsRejectedClearly)
     ShardSpec spec;
     spec.gridKey = "k";
     spec.configIndices = {0};
-    spec.configs = {fancyConfig()};
+    spec.configs = {perturbedConfig()};
     ASSERT_TRUE(spec.save(path("s")).ok());
-    patchVersion(path("s"), 4);
+    patchVersion(path("s"), 5);
     const auto old_spec = ShardSpec::load(path("s"));
     ASSERT_FALSE(old_spec.ok());
     EXPECT_EQ(old_spec.status().code(), StatusCode::Corruption);
     EXPECT_NE(old_spec.status().message().find(
-                  "format version mismatch (file v4, expected v5)"),
+                  "format version mismatch (file v5, expected v6)"),
               std::string::npos);
 }
 
