@@ -9,10 +9,6 @@
  *                      k detailed windows of w accesses/core
  *   TMCC_JOBS=<n>      simulation worker threads (default: all cores)
  *   TMCC_BENCH_DIR=<d> directory for BENCH_<name>.json reports (default .)
- *   TMCC_CKPT=0|1      disable/enable setup-phase checkpointing
- *                      (default: 1; anything else is fatal)
- *   TMCC_CKPT_DIR=<d>  persist setup checkpoints to <d> and reuse them
- *                      across processes (must be a non-empty path)
  *
  * Every harness submits its simulation grid through runAll(), which
  * dispatches over a SimRunner thread pool, and records wall clock plus
@@ -32,7 +28,6 @@
 
 #include "common/json.hh"
 #include "common/log.hh"
-#include "sim/checkpoint.hh"
 #include "sim/runner.hh"
 #include "sim/sweep_queue.hh"
 #include "sim/system.hh"
@@ -90,7 +85,7 @@ baseConfig(const std::string &workload, Arch arch)
 }
 
 /** Run one configuration (through the runner, so it shares the
- * checkpoint store and phase-split accounting with batch runs). */
+ * phase-split accounting with batch runs). */
 inline SimResult
 run(const SimConfig &cfg)
 {
@@ -153,29 +148,15 @@ class BenchReport
         std::fprintf(f, "  \"jobs\": %u,\n", SimRunner::defaultJobs());
         std::fprintf(f, "  \"quick\": %s,\n",
                      quickEnabled() ? "true" : "false");
-        // Setup/measured wall-clock split and checkpoint traffic
-        // across every run this process dispatched.
+        // Setup/measured wall-clock split across every run this
+        // process dispatched.
         const SimRunner::PhaseTotals phases = SimRunner::phaseTotals();
-        const CheckpointStore::Stats ckpt =
-            CheckpointStore::global().stats();
         std::fprintf(f, "  \"setup_seconds\": %.3f,\n",
                      phases.setupSeconds);
         std::fprintf(f, "  \"measure_seconds\": %.3f,\n",
                      phases.measureSeconds);
         std::fprintf(f, "  \"runs\": %llu,\n",
                      static_cast<unsigned long long>(phases.runs));
-        std::fprintf(f, "  \"restored_runs\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         phases.restoredRuns));
-        std::fprintf(f, "  \"ckpt_memory_hits\": %llu,\n",
-                     static_cast<unsigned long long>(ckpt.memoryHits));
-        std::fprintf(f, "  \"ckpt_disk_hits\": %llu,\n",
-                     static_cast<unsigned long long>(ckpt.diskHits));
-        std::fprintf(f, "  \"ckpt_misses\": %llu,\n",
-                     static_cast<unsigned long long>(ckpt.misses));
-        std::fprintf(f, "  \"ckpt_rejected\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         ckpt.rejectedFiles));
         // Sweep dispatch counters (all zero unless this process ran
         // a --dispatch=fork|queue sweep through QueueClient).
         const QueueClient::Totals queueTotals = QueueClient::totals();

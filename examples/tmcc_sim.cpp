@@ -78,9 +78,6 @@
  *                         none)
  *   --shard-attempts N    attempts per shard before it settles as
  *                         failed (default: 3)
- *   --ckpt-dir DIR        persist setup checkpoints to DIR and restore
- *                         from them on later runs (env: TMCC_CKPT_DIR;
- *                         TMCC_CKPT=0 disables checkpointing entirely)
  *   --list                list known workloads and exit
  *
  * A recorded trace replays as a workload: --workload trace:FILE
@@ -97,7 +94,6 @@
 #include "bench/bench_util.hh"
 #include "common/json.hh"
 #include "common/trace.hh"
-#include "sim/checkpoint.hh"
 #include "sim/runner.hh"
 #include "sim/sweep_daemon.hh"
 #include "sim/sweep_manifest.hh"
@@ -477,11 +473,6 @@ main(int argc, char **argv)
             // Local worker of a --dispatch=fork sweep: drain the
             // private queue the parent spawned us on.
             return SweepDaemon::localWorkerMain(value());
-        } else if (arg == "--ckpt-dir") {
-            CheckpointStore::global().setDiskDir(value());
-        } else if (arg.rfind("--ckpt-dir=", 0) == 0) {
-            CheckpointStore::global().setDiskDir(
-                arg.substr(std::strlen("--ckpt-dir=")));
         } else if (arg == "--jobs") {
             jobs = static_cast<unsigned>(
                 parsePositiveCount(value(), "--jobs"));
@@ -707,8 +698,6 @@ main(int argc, char **argv)
     if (!scale_set)
         applyScalePreset(cfg);
 
-    // Through the runner so the setup phase goes via the checkpoint
-    // store (a populated --ckpt-dir turns placement into a restore).
     const SimResult r = runConfigs({cfg}, 1).front();
 
     std::printf("workload            %s\n", cfg.workload.c_str());
@@ -756,10 +745,8 @@ main(int argc, char **argv)
     }
     std::printf("bus utilization     read %.3f write %.3f\n",
                 r.readBusUtil, r.writeBusUtil);
-    std::printf("wall clock          setup %.2fs%s + measured %.2fs\n",
-                r.setupSeconds,
-                r.restoredFromCheckpoint ? " (checkpoint restore)" : "",
-                r.measureSeconds);
+    std::printf("wall clock          setup %.2fs + measured %.2fs\n",
+                r.setupSeconds, r.measureSeconds);
 
     if (cfg.osMc.faults.enabled()) {
         const auto stat = [&](const char *name) {

@@ -12,8 +12,8 @@
  * `tmcc_sim --sweep ... --dispatch=queue --queue-dir /shared/tmcc-queue`.
  * Each daemon claims pending shards through the crash-safe lease
  * protocol (sim/sweep_queue.hh) and runs them in-process, so binary
- * startup, the memoized profile library, and warm setup checkpoints
- * are paid once per daemon rather than once per shard.
+ * startup and the memoized profile library are paid once per daemon
+ * rather than once per shard.
  *
  * Usage: tmcc_simd [options]
  *   --serve DIR       queue directory to serve (env: TMCC_QUEUE_DIR)
@@ -27,10 +27,6 @@
  *   --once            exit once every visible sweep is fully served
  *                     (drain mode, for CI and scripts)
  *   --max-shards N    exit after serving N shards (tests)
- *   --ckpt-dir DIR    persist setup checkpoints to DIR (overrides the
- *                     per-sweep default; env: TMCC_CKPT_DIR)
- *   --no-sweep-ckpt   do not default the checkpoint dir to
- *                     <sweep-dir>/ckpt while serving a shard
  *   --quiet           suppress per-shard progress logging
  *
  * SIGINT/SIGTERM finish the current shard (its claim is released or
@@ -45,7 +41,6 @@
 #include <cstring>
 #include <string>
 
-#include "sim/checkpoint.hh"
 #include "sim/sweep_daemon.hh"
 
 using namespace tmcc;
@@ -126,13 +121,6 @@ main(int argc, char **argv)
             opts.once = true;
         } else if (arg == "--max-shards") {
             opts.maxShards = parsePositiveCount(value(), "--max-shards");
-        } else if (arg == "--ckpt-dir") {
-            CheckpointStore::global().setDiskDir(value());
-        } else if (arg.rfind("--ckpt-dir=", 0) == 0) {
-            CheckpointStore::global().setDiskDir(
-                arg.substr(std::strlen("--ckpt-dir=")));
-        } else if (arg == "--no-sweep-ckpt") {
-            opts.defaultCkptDir = false;
         } else if (arg == "--quiet") {
             opts.verbose = false;
         } else if (arg == "--help" || arg == "-h") {

@@ -10,7 +10,6 @@
 #ifndef TMCC_COMMON_RNG_HH
 #define TMCC_COMMON_RNG_HH
 
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -117,23 +116,6 @@ class Rng
         } while (real() * x * (t - 1.0) * b > t * (b - 1.0) ||
                  x >= static_cast<double>(n) + 1.0);
         return static_cast<std::uint64_t>(x) - 1;
-    }
-
-    /**
-     * The full generator state, for checkpoint capture.  Restoring the
-     * state with setState() resumes the stream exactly where it was.
-     */
-    std::array<std::uint64_t, 4>
-    state() const
-    {
-        return {s_[0], s_[1], s_[2], s_[3]};
-    }
-
-    void
-    setState(const std::array<std::uint64_t, 4> &state)
-    {
-        for (int i = 0; i < 4; ++i)
-            s_[i] = state[i];
     }
 
     /** Geometric think-time style value with mean `mean` (>= 0). */

@@ -1,12 +1,12 @@
 /**
  * @file
- * Minimal little-endian byte serialization for checkpoint payloads.
+ * Minimal little-endian byte serialization for sweep file payloads.
  *
  * ByteWriter appends fixed-width integers / doubles / length-prefixed
  * blobs to a growable buffer; ByteReader consumes the same encoding with
  * bounds checking.  A reader never throws or aborts on malformed input:
  * overruns latch a failure flag, subsequent reads return zeros, and the
- * caller converts the flag into a Status (checkpoint files are
+ * caller converts the flag into a Status (sweep files are
  * CRC-protected, but the decoder must stay safe on the 2^-32 escapes and
  * on hand-corrupted test inputs).
  */

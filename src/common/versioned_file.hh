@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared container format for every on-disk artifact the simulator
- * persists (setup checkpoints, sweep shard specs/results, the sweep
- * manifest): an 8-byte magic, a little-endian format version, a CRC-32
+ * persists (sweep shard specs/results, the sweep manifest, queue
+ * claims and progress): an 8-byte magic, a little-endian format version, a CRC-32
  * of the payload, the payload length, then the payload.
  *
  * Writes are atomic against concurrent readers *and* concurrent
@@ -16,8 +16,8 @@
  *
  * Reads reject malformed input via Status, never fatal(): bad magic and
  * version mismatches are Corruption, short files are Truncated, payload
- * damage is ChecksumMismatch.  Callers decide whether a rejected file
- * means "rebuild" (checkpoints) or "re-run the shard" (sweep results).
+ * damage is ChecksumMismatch.  Callers decide what a rejected file
+ * means, e.g. "re-run the shard" for a sweep result.
  */
 
 #ifndef TMCC_COMMON_VERSIONED_FILE_HH
@@ -60,10 +60,7 @@ Status writeVersionedFileExclusive(
     const std::string &path, const char magic[8], std::uint32_t version,
     const std::vector<std::uint8_t> &payload);
 
-/**
- * Read and validate a versioned file; returns the payload bytes.
- * `what` names the artifact in error messages (e.g. "checkpoint").
- */
+/** Read and validate a versioned file; returns the payload bytes. */
 StatusOr<std::vector<std::uint8_t>>
 readVersionedFile(const std::string &path, const char magic[8],
                   std::uint32_t version);

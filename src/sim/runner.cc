@@ -8,7 +8,6 @@
 
 #include "common/log.hh"
 #include "common/trace.hh"
-#include "sim/checkpoint.hh"
 #include "sim/system.hh"
 
 namespace tmcc
@@ -22,7 +21,6 @@ namespace
 std::atomic<std::uint64_t> setupNsTotal{0};
 std::atomic<std::uint64_t> measureNsTotal{0};
 std::atomic<std::uint64_t> runsTotal{0};
-std::atomic<std::uint64_t> restoredRunsTotal{0};
 
 } // namespace
 
@@ -34,7 +32,6 @@ SimRunner::phaseTotals()
     t.measureSeconds =
         static_cast<double>(measureNsTotal.load()) * 1e-9;
     t.runs = runsTotal.load();
-    t.restoredRuns = restoredRunsTotal.load();
     return t;
 }
 
@@ -44,7 +41,6 @@ SimRunner::resetPhaseTotals()
     setupNsTotal = 0;
     measureNsTotal = 0;
     runsTotal = 0;
-    restoredRunsTotal = 0;
 }
 
 void
@@ -55,8 +51,6 @@ SimRunner::recordExternalRun(const SimResult &result)
     measureNsTotal.fetch_add(
         static_cast<std::uint64_t>(result.measureSeconds * 1e9));
     runsTotal.fetch_add(1);
-    if (result.restoredFromCheckpoint)
-        restoredRunsTotal.fetch_add(1);
 }
 
 SimRunner::SimRunner(unsigned jobs)
@@ -89,25 +83,13 @@ SimRunner::run(const std::vector<SimConfig> &configs) const
     auto run_one = [&](std::size_t i) {
         Tracer *tr = Tracer::active();
         const double t0 = tr ? tr->wallNs() : 0.0;
-        // Setup-phase checkpointing: the first config with a given
-        // invariant key builds (and publishes) the checkpoint; every
-        // other config restores from it.  Results are bit-identical
-        // either way.
-        CheckpointStore::Lease lease =
-            CheckpointStore::global().acquire(configs[i]);
-        System sys(configs[i], lease.checkpoint());
-        sys.setup(lease.shouldCapture());
-        if (lease.shouldCapture())
-            CheckpointStore::global().publish(lease,
-                                              sys.captureCheckpoint());
-        results[i] = sys.measure();
+        System sys(configs[i]);
+        results[i] = sys.run();
         setupNsTotal.fetch_add(static_cast<std::uint64_t>(
             results[i].setupSeconds * 1e9));
         measureNsTotal.fetch_add(static_cast<std::uint64_t>(
             results[i].measureSeconds * 1e9));
         runsTotal.fetch_add(1);
-        if (results[i].restoredFromCheckpoint)
-            restoredRunsTotal.fetch_add(1);
         if (tr != nullptr) {
             // Host track (pid 0), wall-clock timebase: one slice per
             // worker job, labelled with the config it ran.

@@ -40,7 +40,6 @@ class SimRunner
         double setupSeconds = 0.0;
         double measureSeconds = 0.0;
         std::uint64_t runs = 0;
-        std::uint64_t restoredRuns = 0;
     };
     static PhaseTotals phaseTotals();
     static void resetPhaseTotals(); //!< tests

@@ -160,119 +160,106 @@ applyScalePreset(SimConfig &cfg)
         cfg.scale = 0.8;
 }
 
-/** Whether System's setup phase reads a field (and so keys the setup
- * checkpoint) or only the warm-up / measured run does. */
-enum class FieldUse : std::uint8_t { Setup, Run };
-
 /**
  * The one list of SimConfig's fields, in wire order: calls
- * `visit(name, member, use)` for each.  It drives the sweep format
- * (serializeSimConfig / deserializeSimConfig, hence sweepGridKey) and
- * the setup-checkpoint key (SetupCheckpoint::keyFor, the `Setup`
- * fields), so a field added here travels to workers, enters the grid
- * key and, if `Setup`, the checkpoint key.  `kernel` is inert and
- * stays out.
+ * `visit(name, member)` for each.  It drives the sweep format
+ * (serializeSimConfig / deserializeSimConfig, hence sweepGridKey), so a
+ * field added here travels to workers and enters the grid key.
+ * `kernel` is inert and stays out.
  */
 template <typename Config, typename Visitor>
     requires std::is_same_v<std::remove_const_t<Config>, SimConfig>
 void
 forEachField(Config &c, Visitor &&visit)
 {
-    constexpr FieldUse S = FieldUse::Setup;
-    constexpr FieldUse R = FieldUse::Run;
-    visit("workload", c.workload, S);
-    visit("scale", c.scale, S);
-    visit("cores", c.cores, S);
-    visit("seed", c.seed, S);
-    visit("arch", c.arch, R);
+    visit("workload", c.workload);
+    visit("scale", c.scale);
+    visit("cores", c.cores);
+    visit("seed", c.seed);
+    visit("arch", c.arch);
 
-    visit("cpuGhz", c.cpuGhz, R);
-    visit("l1Cycles", c.l1Cycles, R);
-    visit("l2Cycles", c.l2Cycles, R);
-    visit("l3Cycles", c.l3Cycles, R);
-    visit("nocToMcNs", c.nocToMcNs, R);
-    visit("tlbEntries", c.tlbEntries, R);
-    visit("cteBufferEntries", c.cteBufferEntries, R);
-    visit("hugePages", c.hugePages, S);
-    visit("nestedPaging", c.nestedPaging, S);
-    visit("memOverlapFactor", c.memOverlapFactor, R);
+    visit("cpuGhz", c.cpuGhz);
+    visit("l1Cycles", c.l1Cycles);
+    visit("l2Cycles", c.l2Cycles);
+    visit("l3Cycles", c.l3Cycles);
+    visit("nocToMcNs", c.nocToMcNs);
+    visit("tlbEntries", c.tlbEntries);
+    visit("cteBufferEntries", c.cteBufferEntries);
+    visit("hugePages", c.hugePages);
+    visit("nestedPaging", c.nestedPaging);
+    visit("memOverlapFactor", c.memOverlapFactor);
 
-    visit("hierarchy.l1Bytes", c.hierarchy.l1Bytes, R);
-    visit("hierarchy.l1Assoc", c.hierarchy.l1Assoc, R);
-    visit("hierarchy.l2Bytes", c.hierarchy.l2Bytes, R);
-    visit("hierarchy.l2Assoc", c.hierarchy.l2Assoc, R);
-    visit("hierarchy.l3Bytes", c.hierarchy.l3Bytes, R);
-    visit("hierarchy.l3Assoc", c.hierarchy.l3Assoc, R);
-    visit("hierarchy.prefetchers", c.hierarchy.prefetchers, R);
-    visit("hierarchy.strideDegreeL1", c.hierarchy.strideDegreeL1, R);
-    visit("hierarchy.strideDegreeL2", c.hierarchy.strideDegreeL2, R);
+    visit("hierarchy.l1Bytes", c.hierarchy.l1Bytes);
+    visit("hierarchy.l1Assoc", c.hierarchy.l1Assoc);
+    visit("hierarchy.l2Bytes", c.hierarchy.l2Bytes);
+    visit("hierarchy.l2Assoc", c.hierarchy.l2Assoc);
+    visit("hierarchy.l3Bytes", c.hierarchy.l3Bytes);
+    visit("hierarchy.l3Assoc", c.hierarchy.l3Assoc);
+    visit("hierarchy.prefetchers", c.hierarchy.prefetchers);
+    visit("hierarchy.strideDegreeL1", c.hierarchy.strideDegreeL1);
+    visit("hierarchy.strideDegreeL2", c.hierarchy.strideDegreeL2);
 
-    visit("dram.ranks", c.dram.ranks, R);
-    visit("dram.bankGroups", c.dram.bankGroups, R);
-    visit("dram.banksPerGroup", c.dram.banksPerGroup, R);
-    visit("dram.rowBytes", c.dram.rowBytes, R);
-    visit("dram.channelBytes", c.dram.channelBytes, R);
-    visit("dram.tCkNs", c.dram.tCkNs, R);
-    visit("dram.tClNs", c.dram.tClNs, R);
-    visit("dram.tRcdNs", c.dram.tRcdNs, R);
-    visit("dram.tRpNs", c.dram.tRpNs, R);
-    visit("dram.tBurstNs", c.dram.tBurstNs, R);
-    visit("dram.tWrNs", c.dram.tWrNs, R);
-    visit("dram.tRtwNs", c.dram.tRtwNs, R);
-    visit("dram.tWtrNs", c.dram.tWtrNs, R);
-    visit("dram.rowAccessCap", c.dram.rowAccessCap, R);
-    visit("dram.writeQueueDepth", c.dram.writeQueueDepth, R);
-    visit("dram.writeDrainHigh", c.dram.writeDrainHigh, R);
-    visit("dram.writeDrainLow", c.dram.writeDrainLow, R);
+    visit("dram.ranks", c.dram.ranks);
+    visit("dram.bankGroups", c.dram.bankGroups);
+    visit("dram.banksPerGroup", c.dram.banksPerGroup);
+    visit("dram.rowBytes", c.dram.rowBytes);
+    visit("dram.channelBytes", c.dram.channelBytes);
+    visit("dram.tCkNs", c.dram.tCkNs);
+    visit("dram.tClNs", c.dram.tClNs);
+    visit("dram.tRcdNs", c.dram.tRcdNs);
+    visit("dram.tRpNs", c.dram.tRpNs);
+    visit("dram.tBurstNs", c.dram.tBurstNs);
+    visit("dram.tWrNs", c.dram.tWrNs);
+    visit("dram.tRtwNs", c.dram.tRtwNs);
+    visit("dram.tWtrNs", c.dram.tWtrNs);
+    visit("dram.rowAccessCap", c.dram.rowAccessCap);
+    visit("dram.writeQueueDepth", c.dram.writeQueueDepth);
+    visit("dram.writeDrainHigh", c.dram.writeDrainHigh);
+    visit("dram.writeDrainLow", c.dram.writeDrainLow);
 
-    visit("interleave.numMcs", c.interleave.numMcs, R);
-    visit("interleave.channelsPerMc", c.interleave.channelsPerMc, R);
-    visit("interleave.mcGranularity", c.interleave.mcGranularity, R);
-    visit("interleave.channelGranularity",
-          c.interleave.channelGranularity, R);
+    visit("interleave.numMcs", c.interleave.numMcs);
+    visit("interleave.channelsPerMc", c.interleave.channelsPerMc);
+    visit("interleave.mcGranularity", c.interleave.mcGranularity);
+    visit("interleave.channelGranularity", c.interleave.channelGranularity);
 
-    visit("compresso.cteCacheBytes", c.compresso.cteCacheBytes, R);
-    visit("compresso.chunkBytes", c.compresso.chunkBytes, R);
-    visit("compresso.mcProcNs", c.compresso.mcProcNs, R);
-    visit("compresso.blockDecompressNs", c.compresso.blockDecompressNs,
-          R);
-    visit("compresso.llcVictimLatNs", c.compresso.llcVictimLatNs, R);
-    visit("compresso.cteVictimInLlc", c.compresso.cteVictimInLlc, R);
-    visit("compresso.llcVictimBytes", c.compresso.llcVictimBytes, R);
-    visit("compresso.repackBlockFraction",
-          c.compresso.repackBlockFraction, R);
+    visit("compresso.cteCacheBytes", c.compresso.cteCacheBytes);
+    visit("compresso.chunkBytes", c.compresso.chunkBytes);
+    visit("compresso.mcProcNs", c.compresso.mcProcNs);
+    visit("compresso.blockDecompressNs", c.compresso.blockDecompressNs);
+    visit("compresso.llcVictimLatNs", c.compresso.llcVictimLatNs);
+    visit("compresso.cteVictimInLlc", c.compresso.cteVictimInLlc);
+    visit("compresso.llcVictimBytes", c.compresso.llcVictimBytes);
+    visit("compresso.repackBlockFraction", c.compresso.repackBlockFraction);
 
-    visit("osMc.cteCacheBytes", c.osMc.cteCacheBytes, R);
-    visit("osMc.mcProcNs", c.osMc.mcProcNs, R);
+    visit("osMc.cteCacheBytes", c.osMc.cteCacheBytes);
+    visit("osMc.mcProcNs", c.osMc.mcProcNs);
     // osMc.{embedCtes,fastDeflate,dramBudgetBytes,ml1TargetPages} are
     // absent: System derives them from `arch` and the DRAM budget.
-    visit("osMc.freeListLow", c.osMc.freeListLow, R);
-    visit("osMc.freeListCritical", c.osMc.freeListCritical, R);
-    visit("osMc.evictBatch", c.osMc.evictBatch, R);
-    visit("osMc.migrationBufferEntries", c.osMc.migrationBufferEntries,
-          R);
-    visit("osMc.migrationGBs", c.osMc.migrationGBs, R);
-    visit("osMc.recencySampleP", c.osMc.recencySampleP, R);
-    visit("osMc.ptb.managedDramBytes", c.osMc.ptb.managedDramBytes, R);
-    visit("osMc.ptb.physPages", c.osMc.ptb.physPages, R);
-    visit("osMc.faults.ml2BitFlipRate", c.osMc.faults.ml2BitFlipRate, R);
-    visit("osMc.faults.cteBitFlipRate", c.osMc.faults.cteBitFlipRate, R);
-    visit("osMc.faults.ptbBitFlipRate", c.osMc.faults.ptbBitFlipRate, R);
-    visit("osMc.faults.transientFraction",
-          c.osMc.faults.transientFraction, R);
-    visit("osMc.faults.seed", c.osMc.faults.seed, R);
+    visit("osMc.freeListLow", c.osMc.freeListLow);
+    visit("osMc.freeListCritical", c.osMc.freeListCritical);
+    visit("osMc.evictBatch", c.osMc.evictBatch);
+    visit("osMc.migrationBufferEntries", c.osMc.migrationBufferEntries);
+    visit("osMc.migrationGBs", c.osMc.migrationGBs);
+    visit("osMc.recencySampleP", c.osMc.recencySampleP);
+    visit("osMc.ptb.managedDramBytes", c.osMc.ptb.managedDramBytes);
+    visit("osMc.ptb.physPages", c.osMc.ptb.physPages);
+    visit("osMc.faults.ml2BitFlipRate", c.osMc.faults.ml2BitFlipRate);
+    visit("osMc.faults.cteBitFlipRate", c.osMc.faults.cteBitFlipRate);
+    visit("osMc.faults.ptbBitFlipRate", c.osMc.faults.ptbBitFlipRate);
+    visit("osMc.faults.transientFraction", c.osMc.faults.transientFraction);
+    visit("osMc.faults.seed", c.osMc.faults.seed);
 
-    visit("dramBudgetFraction", c.dramBudgetFraction, R);
-    visit("placementAccesses", c.placementAccesses, S);
-    visit("warmAccesses", c.warmAccesses, R);
-    visit("measureAccesses", c.measureAccesses, R);
-    visit("statsInterval", c.statsInterval, R);
-    visit("sampleWindows", c.sampleWindows, R);
-    visit("sampleWindowAccesses", c.sampleWindowAccesses, R);
-    visit("sampleWarmAccesses", c.sampleWarmAccesses, R);
-    visit("tenants", c.tenants, S);
-    visit("tenantChurn", c.tenantChurn, S);
-    visit("tenantZipf", c.tenantZipf, S);
+    visit("dramBudgetFraction", c.dramBudgetFraction);
+    visit("placementAccesses", c.placementAccesses);
+    visit("warmAccesses", c.warmAccesses);
+    visit("measureAccesses", c.measureAccesses);
+    visit("statsInterval", c.statsInterval);
+    visit("sampleWindows", c.sampleWindows);
+    visit("sampleWindowAccesses", c.sampleWindowAccesses);
+    visit("sampleWarmAccesses", c.sampleWarmAccesses);
+    visit("tenants", c.tenants);
+    visit("tenantChurn", c.tenantChurn);
+    visit("tenantZipf", c.tenantZipf);
 }
 
 /** Wire encoding of one table field: each member type has exactly one. */

@@ -144,12 +144,11 @@ struct SimResult
     }
 
     // Phase bookkeeping: wall-clock split between the setup phase
-    // (construction + fast-forward placement or checkpoint restore)
-    // and the measured phase.  Host-side metadata only — never part of
-    // `stats`, so bit-identity comparisons ignore it.
+    // (construction + fast-forward placement) and the measured phase.
+    // Host-side metadata only — never part of `stats`, so bit-identity
+    // comparisons ignore it.
     double setupSeconds = 0.0;
     double measureSeconds = 0.0;
-    bool restoredFromCheckpoint = false;
 
     /** Every component's raw counters. */
     StatDump stats;

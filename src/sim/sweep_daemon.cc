@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include "common/log.hh"
-#include "sim/checkpoint.hh"
 #include "sim/runner.hh"
 #include "sim/sweep_manifest.hh"
 
@@ -202,14 +201,6 @@ SweepDaemon::serveShard(const std::string &sweepDir,
                     opts_.workerId.c_str(), shardId, sweepDir.c_str(),
                     spec.configs.size(), claim.attempt);
 
-    // Share warm setup checkpoints across every worker of this sweep
-    // unless the operator configured a checkpoint dir explicitly.
-    CheckpointStore &store = CheckpointStore::global();
-    if (opts_.defaultCkptDir && store.enabled() &&
-        store.diskDir().empty())
-        store.setDiskDir(sweepDir + "/ckpt");
-    const CheckpointStore::Stats ck_before = store.stats();
-
     // Heartbeat: renew the lease every lease/3 while the shard runs.
     // Renewal failure means the lease was reclaimed out from under us
     // (we stalled past it); the shard must then be abandoned without
@@ -301,13 +292,6 @@ SweepDaemon::serveShard(const std::string &sweepDir,
             releaseShardClaim(sweepDir, claim);
         return false;
     }
-
-    const CheckpointStore::Stats ck_after = store.stats();
-    file.ckptMemoryHits = ck_after.memoryHits - ck_before.memoryHits;
-    file.ckptDiskHits = ck_after.diskHits - ck_before.diskHits;
-    file.ckptMisses = ck_after.misses - ck_before.misses;
-    file.ckptRejected =
-        ck_after.rejectedFiles - ck_before.rejectedFiles;
 
     const std::string rpath = sweepShardFile(sweepDir, shardId, "result");
     Status st;

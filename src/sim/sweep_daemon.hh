@@ -7,8 +7,8 @@
  * One daemon process scans a queue directory for enqueued sweeps
  * (REQUEST.tmccq markers), claims pending shards through the lease
  * protocol, and runs them *in-process* through SimRunner, so binary
- * startup, the memoized profile library, and warm setup checkpoints
- * are paid once per daemon instead of once per shard.
+ * startup and the memoized profile library are paid once per daemon
+ * instead of once per shard.
  *
  * While a shard runs, a heartbeat thread renews its claim every
  * leaseSeconds/3; if renewal discovers the lease was lost (reclaimed
@@ -63,10 +63,6 @@ struct DaemonOptions
 
     /** Stop after serving this many shards (0 = unlimited; tests). */
     std::uint64_t maxShards = 0;
-
-    /** Default the disk checkpoint dir to <sweep-dir>/ckpt while
-     * serving a shard, unless one was configured explicitly. */
-    bool defaultCkptDir = true;
 
     bool verbose = true;
 

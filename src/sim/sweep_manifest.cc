@@ -139,7 +139,7 @@ deserializeEpoch(ByteReader &r, EpochStat &e)
 void
 serializeSimConfig(ByteWriter &w, const SimConfig &cfg)
 {
-    forEachField(cfg, [&](const char *, const auto &v, FieldUse) {
+    forEachField(cfg, [&](const char *, const auto &v) {
         writeConfigField(w, v);
     });
 }
@@ -148,7 +148,7 @@ Status
 deserializeSimConfig(ByteReader &r, SimConfig &cfg)
 {
     bool in_range = true;
-    forEachField(cfg, [&](const char *, auto &v, FieldUse) {
+    forEachField(cfg, [&](const char *, auto &v) {
         in_range &= readConfigField(r, v);
     });
     if (!in_range)
@@ -186,7 +186,6 @@ serializeSimResult(ByteWriter &w, const SimResult &res)
     w.u64(res.dramUsedBytes);
     w.f64(res.setupSeconds);
     w.f64(res.measureSeconds);
-    w.u8(res.restoredFromCheckpoint ? 1 : 0);
     serializeStatDump(w, res.stats);
     w.u64(res.epochs.size());
     for (const EpochStat &e : res.epochs)
@@ -243,7 +242,6 @@ deserializeSimResult(ByteReader &r, SimResult &res)
     res.dramUsedBytes = r.u64();
     res.setupSeconds = r.f64();
     res.measureSeconds = r.f64();
-    res.restoredFromCheckpoint = r.u8() != 0;
     TMCC_RETURN_IF_ERROR(deserializeStatDump(r, res.stats));
     const std::uint64_t n_epochs = r.count(8 * 6 + 8);
     res.epochs.clear();
@@ -350,10 +348,6 @@ ShardResultFile::save(const std::string &path) const
     w.str(gridKey);
     w.u32(shardId);
     w.u32(attempt);
-    w.u64(ckptMemoryHits);
-    w.u64(ckptDiskHits);
-    w.u64(ckptMisses);
-    w.u64(ckptRejected);
     serializeIndices(w, configIndices);
     w.u64(results.size());
     for (const SimResult &res : results)
@@ -373,10 +367,6 @@ ShardResultFile::load(const std::string &path)
     file.gridKey = r.str();
     file.shardId = r.u32();
     file.attempt = r.u32();
-    file.ckptMemoryHits = r.u64();
-    file.ckptDiskHits = r.u64();
-    file.ckptMisses = r.u64();
-    file.ckptRejected = r.u64();
     if (file.attempt == 0)
         return Status::corruption("ShardResultFile attempt must be "
                                   "positive");

@@ -80,19 +80,15 @@ struct ShardResultFile
     //     running the shard, so merged BENCH reports carry sweep-wide
     //     checkpoint hit counts and lease reclaims are observable.
     // v4: SimResult gained the per-tenant isolation stats.
-    static constexpr std::uint32_t formatVersion = 4;
+    // v5: the checkpoint-store counters (and SimResult's
+    //     restored-from-checkpoint byte) are gone with the store.
+    static constexpr std::uint32_t formatVersion = 5;
 
     std::string gridKey;
     std::uint32_t shardId = 0;
     std::uint32_t attempt = 1; //!< the attempt/claim that published
     std::vector<std::uint64_t> configIndices;
     std::vector<SimResult> results; //!< parallel to configIndices
-
-    // CheckpointStore delta while this shard ran in the worker.
-    std::uint64_t ckptMemoryHits = 0;
-    std::uint64_t ckptDiskHits = 0;
-    std::uint64_t ckptMisses = 0;
-    std::uint64_t ckptRejected = 0;
 
     Status save(const std::string &path) const;
     static StatusOr<ShardResultFile> load(const std::string &path);

@@ -20,7 +20,6 @@
 
 #include "common/log.hh"
 #include "common/versioned_file.hh"
-#include "sim/checkpoint.hh"
 #include "sim/runner.hh"
 
 namespace tmcc
@@ -596,15 +595,6 @@ QueueClient::run(const std::vector<SimConfig> &grid)
             out.resultValid[idx] = true;
             SimRunner::recordExternalRun(file.results[i]);
         }
-        // Fold the worker's checkpoint traffic into this process's
-        // counters so the merged BENCH report carries sweep-wide
-        // checkpoint hit counts.
-        CheckpointStore::Stats ck;
-        ck.memoryHits = file.ckptMemoryHits;
-        ck.diskHits = file.ckptDiskHits;
-        ck.misses = file.ckptMisses;
-        ck.rejectedFiles = file.ckptRejected;
-        CheckpointStore::global().recordExternal(ck);
 
         settled[s] = true;
         --unsettled;

@@ -64,19 +64,14 @@ archName(Arch arch)
     return "?";
 }
 
-System::System(const SimConfig &cfg,
-               std::shared_ptr<const SetupCheckpoint> restore)
-    : cfg_(cfg), restore_(std::move(restore))
+System::System(const SimConfig &cfg) : cfg_(cfg)
 {
     cpuPeriod_ = nsToTicks(1.0 / cfg.cpuGhz);
 
     buildWorkloads();
     hierarchy_ = std::make_unique<Hierarchy>(cfg.hierarchy, cfg.cores);
     dram_ = std::make_unique<DramSystem>(cfg.dram, cfg.interleave);
-    if (restore_ != nullptr)
-        restoreConstruct();
-    else
-        coldConstruct();
+    buildMemories();
     buildMcAndCores();
 }
 
@@ -92,7 +87,7 @@ System::regionMap() const
 }
 
 void
-System::coldConstruct()
+System::buildMemories()
 {
     // Physical memory: footprint + page tables + allocator slack.  With
     // hardware compression the OS may boot with more physical pages
@@ -146,8 +141,7 @@ System::coldConstruct()
     }
 
     // Estimate Compresso's DRAM usage from the profiles to support the
-    // iso-savings configuration (Fig. 17).  All four sums are
-    // page-order independent, so they checkpoint as plain totals.
+    // iso-savings configuration (Fig. 17).
     for (const auto &[base, r] : regions) {
         const std::uint64_t pages = r->bytes / pageSize;
         for (std::uint64_t i = 0; i < pages; ++i) {
@@ -173,32 +167,6 @@ System::coldConstruct()
             }
         }
     }
-}
-
-void
-System::restoreConstruct()
-{
-    const SetupCheckpoint &ck = *restore_;
-    panicIf(ck.key != SetupCheckpoint::keyFor(cfg_),
-            "setup checkpoint key does not match this config");
-    footprintBytes_ = ck.footprintBytes;
-    if (cfg_.nestedPaging) {
-        guestPhysMem_ = std::make_unique<PhysMem>(ck.guestPhysMem);
-        physMem_ = std::make_unique<PhysMem>(ck.physMem);
-        pageTable_ =
-            std::make_unique<PageTable>(*guestPhysMem_, ck.pageTable);
-        hostTable_ =
-            std::make_unique<PageTable>(*physMem_, ck.hostTable);
-    } else {
-        physMem_ = std::make_unique<PhysMem>(ck.physMem);
-        pageTable_ =
-            std::make_unique<PageTable>(*physMem_, ck.pageTable);
-    }
-    profiles_.restore(ck.profiles);
-    estimates_.compressoUsage = ck.compressoUsage;
-    estimates_.ml2CostTotal = ck.ml2CostTotal;
-    estimates_.incompressiblePages = ck.incompressiblePages;
-    estimates_.compressiblePages = ck.compressiblePages;
 }
 
 void
@@ -369,7 +337,7 @@ System::mapAddressSpace()
 }
 
 void
-System::warmPlacement(CaptureScratch *capture)
+System::warmPlacement()
 {
     // Touch-count run: the stand-in for gem5's KVM fast forward.  The
     // counts order pages hottest-first for initial ML1/ML2 placement.
@@ -381,19 +349,7 @@ System::warmPlacement(CaptureScratch *capture)
         }
     }
 
-    // This is the checkpoint boundary: the workload streams have played
-    // their placement window and everything after is arch-dependent.
-    if (capture != nullptr) {
-        capture->workloadStates.reserve(workloads_.size());
-        for (const auto &wl : workloads_) {
-            ByteWriter w;
-            wl->saveState(w);
-            capture->workloadStates.push_back(w.take());
-        }
-    }
-
-    if (osMc_ == nullptr && compressoMc_ == nullptr &&
-        capture == nullptr)
+    if (osMc_ == nullptr && compressoMc_ == nullptr)
         return;
 
     // Page-table pages are the hottest of all (every walk touches
@@ -412,8 +368,7 @@ System::warmPlacement(CaptureScratch *capture)
     // Resolve the placement sequences up front (walks are read-only,
     // so this reorders nothing): the touched pages hottest-first, then
     // the full region scan — remaining (untouched) pages are the
-    // coldest.  These resolved sequences are exactly what a checkpoint
-    // restore replays.
+    // coldest.
     std::vector<Ppn> touched_frames;
     touched_frames.reserve(order.size());
     for (const auto &[count, vpn] : order) {
@@ -443,44 +398,6 @@ System::warmPlacement(CaptureScratch *capture)
         for (Ppn pt : pt_pages)
             compressoMc_->registerPage(pt);
         for (Ppn f : region_frames)
-            compressoMc_->registerPage(f);
-    }
-
-    if (capture != nullptr) {
-        capture->touchedFrames = std::move(touched_frames);
-        capture->regionFrames = std::move(region_frames);
-    }
-}
-
-void
-System::replayPlacement()
-{
-    const SetupCheckpoint &ck = *restore_;
-    panicIf(ck.workloadStates.size() != workloads_.size(),
-            "checkpoint core count does not match this config");
-    for (std::size_t c = 0; c < workloads_.size(); ++c) {
-        ByteReader r(ck.workloadStates[c]);
-        const Status st = workloads_[c]->loadState(r);
-        panicIf(!st.ok(), "checkpoint workload state rejected: " +
-                              st.toString());
-    }
-    // Same placement sequence as the cold path: PT pages (allocation
-    // order, preserved by PhysMemState), touched pages hottest-first,
-    // then the region scan.  placePage/registerPage dedupe repeats
-    // exactly as they did when the sequences were recorded.
-    if (osMc_ != nullptr) {
-        physMem_->forEachPtPage(
-            [&](Ppn ppn, const PtPage &) { osMc_->placePage(ppn); });
-        for (Ppn f : ck.touchedFrames)
-            osMc_->placePage(f);
-        for (Ppn f : ck.regionFrames)
-            osMc_->placePage(f);
-    }
-    if (compressoMc_ != nullptr) {
-        physMem_->forEachPtPage([&](Ppn ppn, const PtPage &) {
-            compressoMc_->registerPage(ppn);
-        });
-        for (Ppn f : ck.regionFrames)
             compressoMc_->registerPage(f);
     }
 }
@@ -745,11 +662,9 @@ System::snapshotEpoch(Tick now)
 }
 
 void
-System::setup(bool capture)
+System::setup()
 {
     panicIf(setupDone_, "System::setup() ran twice");
-    panicIf(capture && restore_ != nullptr,
-            "cannot capture a checkpoint from a restored System");
     setupDone_ = true;
     const auto wall0 = std::chrono::steady_clock::now();
 
@@ -762,45 +677,11 @@ System::setup(bool capture)
     }
     Tracer::PidScope pid_scope(tracePid_);
 
-    if (restore_ != nullptr) {
-        replayPlacement();
-    } else {
-        CaptureScratch scratch;
-        warmPlacement(capture ? &scratch : nullptr);
-        if (capture) {
-            auto ck = std::make_shared<SetupCheckpoint>();
-            ck->key = SetupCheckpoint::keyFor(cfg_);
-            ck->footprintBytes = footprintBytes_;
-            ck->nested = cfg_.nestedPaging;
-            ck->physMem = physMem_->snapshot();
-            ck->pageTable = pageTable_->snapshot();
-            if (cfg_.nestedPaging) {
-                ck->guestPhysMem = guestPhysMem_->snapshot();
-                ck->hostTable = hostTable_->snapshot();
-            }
-            ck->profiles = profiles_.snapshot();
-            ck->compressoUsage = estimates_.compressoUsage;
-            ck->ml2CostTotal = estimates_.ml2CostTotal;
-            ck->incompressiblePages = estimates_.incompressiblePages;
-            ck->compressiblePages = estimates_.compressiblePages;
-            ck->touchedFrames = std::move(scratch.touchedFrames);
-            ck->regionFrames = std::move(scratch.regionFrames);
-            ck->workloadStates = std::move(scratch.workloadStates);
-            captured_ = std::move(ck);
-        }
-    }
+    warmPlacement();
 
     setupSeconds_ = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - wall0)
                         .count();
-}
-
-std::shared_ptr<const SetupCheckpoint>
-System::captureCheckpoint() const
-{
-    panicIf(captured_ == nullptr,
-            "captureCheckpoint() without setup(capture=true)");
-    return captured_;
 }
 
 SimResult
@@ -916,7 +797,6 @@ System::measureExact()
                                  std::chrono::steady_clock::now() -
                                  wall0)
                                  .count();
-    result_.restoredFromCheckpoint = restore_ != nullptr;
 
     return result_;
 }
@@ -1166,7 +1046,6 @@ System::measureSampled()
                                  std::chrono::steady_clock::now() -
                                  wall0)
                                  .count();
-    result_.restoredFromCheckpoint = restore_ != nullptr;
 
     return result_;
 }

@@ -22,7 +22,6 @@
 #include "compresso/compresso_mc.hh"
 #include "dram/dram_system.hh"
 #include "mc/mem_controller.hh"
-#include "sim/checkpoint.hh"
 #include "sim/sim_config.hh"
 #include "sim/sim_result.hh"
 #include "tmcc/cte_buffer.hh"
@@ -43,33 +42,17 @@ template <bool Tracing> struct AccessEngine;
 class System
 {
   public:
-    /**
-     * Build a system cold, or — when `restore` is non-null — rebuild
-     * the setup phase from a SetupCheckpoint captured for the same
-     * invariant config subset (SetupCheckpoint::keyFor must match).
-     */
-    explicit System(
-        const SimConfig &cfg,
-        std::shared_ptr<const SetupCheckpoint> restore = nullptr);
+    /** Build the memories, page tables, MC and cores for `cfg`. */
+    explicit System(const SimConfig &cfg);
 
     /** Run all phases; returns the measured-window results. */
     SimResult run();
 
-    /**
-     * Phase 1: the fast-forward stand-in (touch-count placement) or,
-     * on a restoring System, the checkpoint replay.  With `capture`
-     * the arch-invariant state at the phase boundary is recorded for
-     * captureCheckpoint(); capturing does not perturb the run.
-     */
-    void setup(bool capture = false);
-
-    /** The checkpoint recorded by setup(capture=true). */
-    std::shared_ptr<const SetupCheckpoint> captureCheckpoint() const;
+    /** Phase 1: the fast-forward stand-in (touch-count placement). */
+    void setup();
 
     /** Phase 2: warm window + measured window (runs setup if needed). */
     SimResult measure();
-
-    bool restoredFromCheckpoint() const { return restore_ != nullptr; }
 
     // Component access for tests and benches.
     PhysMem &physMem() { return *physMem_; }
@@ -93,7 +76,7 @@ class System
         std::vector<Tick> storeSlots = std::vector<Tick>(16, 0);
     };
 
-    /** The arch-invariant Compresso-usage estimate (drives MC sizing). */
+    /** The Compresso-usage estimate (drives the OS-MC budget). */
     struct SetupEstimates
     {
         std::uint64_t compressoUsage = 0;
@@ -102,25 +85,13 @@ class System
         std::uint64_t compressiblePages = 0;
     };
 
-    /** Scratch recorded by warmPlacement for checkpoint capture. */
-    struct CaptureScratch
-    {
-        std::vector<Ppn> touchedFrames;
-        std::vector<Ppn> regionFrames;
-        std::vector<std::vector<std::uint8_t>> workloadStates;
-    };
-
     void buildWorkloads();
-    /** Cold setup: size memories, build tables, estimate usage. */
-    void coldConstruct();
-    /** Restoring setup: rebuild memories/tables from the checkpoint. */
-    void restoreConstruct();
-    /** Arch-specific MC + per-core structures (both paths). */
+    /** Size memories, build tables, estimate usage. */
+    void buildMemories();
+    /** Arch-specific MC + per-core structures. */
     void buildMcAndCores();
     void mapAddressSpace();
-    void warmPlacement(CaptureScratch *capture);
-    /** Re-seed the MC metadata layers from the recorded orderings. */
-    void replayPlacement();
+    void warmPlacement();
 
     /** Workload regions deduped by base address. */
     std::unordered_map<Addr, const WlRegion *> regionMap() const;
@@ -199,8 +170,6 @@ class System
 
     SimConfig cfg_;
     Tick cpuPeriod_;
-    std::shared_ptr<const SetupCheckpoint> restore_;
-    std::shared_ptr<const SetupCheckpoint> captured_;
     SetupEstimates estimates_;
     bool setupDone_ = false;
     double setupSeconds_ = 0.0;

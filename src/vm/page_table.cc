@@ -11,27 +11,6 @@ PageTable::PageTable(PhysMem &mem) : mem_(mem)
     tablesAllocated_.inc();
 }
 
-PageTable::PageTable(PhysMem &mem, const PageTableState &state)
-    : mem_(mem), rootPpn_(state.root)
-{
-    panicIf(!mem_.isPageTablePage(rootPpn_),
-            "PageTableState root is not a PT page in this PhysMem");
-    mapped_.inc(state.mapped);
-    unmapped_.inc(state.unmapped);
-    tablesAllocated_.inc(state.tablesAllocated);
-}
-
-PageTableState
-PageTable::snapshot() const
-{
-    PageTableState st;
-    st.root = rootPpn_;
-    st.mapped = mapped_.value();
-    st.unmapped = unmapped_.value();
-    st.tablesAllocated = tablesAllocated_.value();
-    return st;
-}
-
 Ppn
 PageTable::tableFor(Addr vaddr, unsigned stop_level)
 {

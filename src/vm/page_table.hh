@@ -43,30 +43,11 @@ struct WalkResult
     WalkSteps steps;
 };
 
-/** Checkpointable PageTable position (the PTEs live in PhysMem). */
-struct PageTableState
-{
-    Ppn root = 0;
-    std::uint64_t mapped = 0;
-    std::uint64_t unmapped = 0;
-    std::uint64_t tablesAllocated = 0;
-};
-
 /** The per-process 4-level page table. */
 class PageTable : public Stated
 {
   public:
     explicit PageTable(PhysMem &mem);
-
-    /**
-     * Reattach to a table captured by snapshot().  `mem` must already
-     * hold the PT pages (restored from the matching PhysMemState); no
-     * allocation happens.
-     */
-    PageTable(PhysMem &mem, const PageTableState &state);
-
-    /** Capture the root + counters for a checkpoint. */
-    PageTableState snapshot() const;
 
     /** Map a 4KB virtual page. */
     void map(Vpn vpn, Ppn ppn, const PteFlags &flags);

@@ -12,24 +12,6 @@ PhysMem::PhysMem(std::uint64_t total_pages) : totalPages_(total_pages)
     fatalIf(total_pages < 8, "physical memory unreasonably small");
 }
 
-PhysMem::PhysMem(const PhysMemState &state) : PhysMem(state.totalPages)
-{
-    panicIf(state.ptOrder.size() != state.ptPages.size(),
-            "PhysMemState pt vectors disagree");
-    nextFrame_ = state.nextFrame;
-    freeList_ = state.freeList;
-    for (std::size_t i = 0; i < state.ptOrder.size(); ++i) {
-        const Ppn ppn = state.ptOrder[i];
-        panicIf(ppn >= totalPages_, "PhysMemState PT page out of range");
-        if (ppn >= ptStore_.size())
-            ptStore_.resize(ppn + 1);
-        ptStore_[ppn] = std::make_unique<PtPage>(state.ptPages[i]);
-        ptOrder_.push_back(ppn);
-    }
-    allocated_.inc(state.allocated);
-    freed_.inc(state.freed);
-}
-
 Ppn
 PhysMem::allocFrame()
 {
@@ -110,22 +92,6 @@ PhysMem::writeQword(Addr paddr, std::uint64_t value)
     const Ppn ppn = pageNumber(paddr);
     const auto idx = (paddr & (pageSize - 1)) / pteSize;
     ptPage(ppn)[idx] = value;
-}
-
-PhysMemState
-PhysMem::snapshot() const
-{
-    PhysMemState st;
-    st.totalPages = totalPages_;
-    st.nextFrame = nextFrame_;
-    st.freeList = freeList_;
-    st.ptOrder = ptOrder_;
-    st.ptPages.reserve(ptOrder_.size());
-    for (Ppn ppn : ptOrder_)
-        st.ptPages.push_back(*ptStore_[ppn]);
-    st.allocated = allocated_.value();
-    st.freed = freed_.value();
-    return st;
 }
 
 void

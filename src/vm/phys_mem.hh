@@ -13,8 +13,7 @@
  * Page-table pages live in a dense vector indexed by Ppn (frames are
  * allocated densely from 1) rather than a hash map: the page-walk hot
  * path becomes a bounds check + direct index, and iteration follows
- * allocation order, which keeps setup-phase placement deterministic and
- * checkpointable.
+ * allocation order, which keeps setup-phase placement deterministic.
  */
 
 #ifndef TMCC_VM_PHYS_MEM_HH
@@ -35,29 +34,11 @@ namespace tmcc
 /** One backing page-table page (512 PTEs). */
 using PtPage = std::array<std::uint64_t, ptesPerTable>;
 
-/**
- * Snapshot of a PhysMem for setup-phase checkpoints: the allocator
- * position plus every page-table page's contents in allocation order.
- */
-struct PhysMemState
-{
-    std::uint64_t totalPages = 0;
-    std::uint64_t nextFrame = 1;
-    std::vector<Ppn> freeList;
-    std::vector<Ppn> ptOrder;     //!< PT pages in allocation order
-    std::vector<PtPage> ptPages;  //!< parallel to ptOrder
-    std::uint64_t allocated = 0;
-    std::uint64_t freed = 0;
-};
-
 /** Physical frame allocator + page-table page store. */
 class PhysMem : public Stated
 {
   public:
     explicit PhysMem(std::uint64_t total_pages);
-
-    /** Rebuild a PhysMem exactly as captured by snapshot(). */
-    explicit PhysMem(const PhysMemState &state);
 
     /** Allocate one physical frame; fatal on exhaustion. */
     Ppn allocFrame();
@@ -100,9 +81,6 @@ class PhysMem : public Stated
         for (Ppn ppn : ptOrder_)
             fn(ppn, *ptStore_[ppn]);
     }
-
-    /** Capture the full allocator + PT-page state. */
-    PhysMemState snapshot() const;
 
     void dumpStats(StatDump &dump,
                    const std::string &prefix) const override;

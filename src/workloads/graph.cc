@@ -265,51 +265,4 @@ GraphWorkload::next()
     return a;
 }
 
-void
-GraphWorkload::saveState(ByteWriter &w) const
-{
-    for (std::uint64_t word : rng_.state())
-        w.u64(word);
-    w.u64(cursor_);
-    w.u64(frontier_.size());
-    for (std::uint64_t v : frontier_)
-        w.u64(v);
-    w.u64(pending_.size());
-    for (const MemAccess &a : pending_) {
-        w.u64(a.vaddr);
-        w.u8(a.isWrite ? 1 : 0);
-        w.u32(a.thinkCycles);
-    }
-}
-
-Status
-GraphWorkload::loadState(ByteReader &r)
-{
-    std::array<std::uint64_t, 4> s;
-    for (auto &word : s)
-        word = r.u64();
-    const std::uint64_t cursor = r.u64();
-    std::deque<std::uint64_t> frontier;
-    const std::uint64_t frontierCount = r.count(8);
-    for (std::uint64_t i = 0; i < frontierCount && r.ok(); ++i)
-        frontier.push_back(r.u64());
-    std::deque<MemAccess> pending;
-    const std::uint64_t pendingCount = r.count(13);
-    for (std::uint64_t i = 0; i < pendingCount && r.ok(); ++i) {
-        MemAccess a;
-        a.vaddr = r.u64();
-        a.isWrite = r.u8() != 0;
-        a.thinkCycles = r.u32();
-        pending.push_back(a);
-    }
-    TMCC_RETURN_IF_ERROR(r.finish("GraphWorkload state"));
-    if (cursor < cursorStart_ || cursor > cursorEnd_)
-        return Status::corruption("graph cursor out of range");
-    rng_.setState(s);
-    cursor_ = cursor;
-    frontier_ = std::move(frontier);
-    pending_ = std::move(pending);
-    return Status::okStatus();
-}
-
 } // namespace tmcc

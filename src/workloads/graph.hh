@@ -60,8 +60,6 @@ class GraphWorkload : public Workload
     }
     MemAccess next() override;
 
-    void saveState(ByteWriter &w) const override;
-    Status loadState(ByteReader &r) override;
 
     /** Functional graph: degree of u (heavy-tailed, capped at 64). */
     unsigned degree(std::uint64_t u) const;

@@ -192,52 +192,4 @@ MultiTenantWorkload::next()
     return a;
 }
 
-void
-MultiTenantWorkload::saveState(ByteWriter &w) const
-{
-    for (std::uint64_t word : rng_.state())
-        w.u64(word);
-    w.u64(accessIndex_);
-    w.u32(curTenant_);
-    w.u32(burstLeft_);
-    w.u64(seqCursor_);
-    w.u32(seqLeft_);
-    for (const TenantState &ts : tenants_) {
-        w.u32(ts.generation);
-        w.u64(ts.recolonizeLeft);
-        w.u64(ts.recolonizeCursor);
-    }
-}
-
-Status
-MultiTenantWorkload::loadState(ByteReader &r)
-{
-    std::array<std::uint64_t, 4> s;
-    for (auto &word : s)
-        word = r.u64();
-    const std::uint64_t accessIndex = r.u64();
-    const std::uint32_t curTenant = r.u32();
-    const std::uint32_t burstLeft = r.u32();
-    const std::uint64_t seqCursor = r.u64();
-    const std::uint32_t seqLeft = r.u32();
-    std::vector<TenantState> slots(tenants_.size());
-    for (TenantState &ts : slots) {
-        ts.generation = r.u32();
-        ts.recolonizeLeft = r.u64();
-        ts.recolonizeCursor = r.u64();
-    }
-    TMCC_RETURN_IF_ERROR(r.finish("MultiTenantWorkload state"));
-    if (curTenant >= tenants_.size())
-        return Status::corruption(
-            "MultiTenantWorkload state tenant out of range");
-    rng_.setState(s);
-    accessIndex_ = accessIndex;
-    curTenant_ = static_cast<std::uint16_t>(curTenant);
-    burstLeft_ = burstLeft;
-    seqCursor_ = seqCursor;
-    seqLeft_ = seqLeft;
-    tenants_ = std::move(slots);
-    return Status::okStatus();
-}
-
 } // namespace tmcc

@@ -73,7 +73,7 @@ struct MultiTenantParams
      * Global-pressure storms: the last `stormAccesses` of every
      * `stormPeriod` accesses spray uniformly across all tenants' full
      * regions (cold pages included).  Deterministic in the access
-     * index, so the phase boundary checkpoints/restores exactly.
+     * index, so runs are reproducible.
      * stormPeriod = 0 disables storms.
      */
     std::uint64_t stormPeriod = 250'000;
@@ -94,8 +94,6 @@ class MultiTenantWorkload : public Workload
     }
     MemAccess next() override;
 
-    void saveState(ByteWriter &w) const override;
-    Status loadState(ByteReader &r) override;
 
     /** Guest generation of a slot (tests: observe churn). */
     std::uint32_t generation(unsigned tenant) const

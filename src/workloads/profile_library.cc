@@ -326,37 +326,4 @@ ProfileLibrary::partProfiles(unsigned mix_id) const
     return mixes_[mix_id].profiles;
 }
 
-ProfileLibraryState
-ProfileLibrary::snapshot() const
-{
-    ProfileLibraryState st;
-    st.mixes.reserve(mixes_.size());
-    for (const MeasuredMix &m : mixes_)
-        st.mixes.push_back({m.profiles, m.weights, m.deflateNoSkipBytes});
-    st.assigns.assign(pageAssign_.begin(), pageAssign_.end());
-    std::sort(st.assigns.begin(), st.assigns.end());
-    return st;
-}
-
-void
-ProfileLibrary::restore(const ProfileLibraryState &state)
-{
-    mixes_.clear();
-    mixes_.reserve(state.mixes.size());
-    for (const auto &m : state.mixes) {
-        panicIf(m.weights.size() != m.profiles.size() ||
-                    m.deflateNoSkipBytes.size() != m.profiles.size(),
-                "ProfileLibraryState mix vectors disagree");
-        mixes_.push_back({m.profiles, m.weights, m.deflateNoSkipBytes});
-    }
-    pageAssign_.clear();
-    pageAssign_.reserve(state.assigns.size());
-    for (const auto &[ppn, assign] : state.assigns) {
-        panicIf(assign.first >= mixes_.size() ||
-                    assign.second >= mixes_[assign.first].profiles.size(),
-                "ProfileLibraryState assignment out of range");
-        pageAssign_.emplace(ppn, assign);
-    }
-}
-
 } // namespace tmcc

@@ -17,23 +17,6 @@
 namespace tmcc
 {
 
-/**
- * Checkpointable ProfileLibrary instance state: the measured mixes plus
- * the page→mix assignment, sorted by PPN for a stable byte encoding.
- */
-struct ProfileLibraryState
-{
-    struct Mix
-    {
-        std::vector<PageProfile> profiles;
-        std::vector<double> weights;
-        std::vector<std::uint32_t> deflateNoSkipBytes;
-    };
-    std::vector<Mix> mixes;
-    /** (ppn, (mix id, part index)) sorted by ppn. */
-    std::vector<std::pair<Ppn, std::pair<unsigned, unsigned>>> assigns;
-};
-
 /** A weighted mix of content families (one workload's memory image). */
 struct ContentMix
 {
@@ -103,12 +86,6 @@ class ProfileLibrary : public PageInfoProvider
 
     /** The measured per-part profiles of a mix. */
     const std::vector<PageProfile> &partProfiles(unsigned mix_id) const;
-
-    /** Capture mixes + page assignments for a setup checkpoint. */
-    ProfileLibraryState snapshot() const;
-
-    /** Replace this library's state with a snapshot() capture. */
-    void restore(const ProfileLibraryState &state);
 
   private:
     struct MeasuredMix

@@ -133,39 +133,4 @@ SyntheticWorkload::next()
     return a;
 }
 
-void
-SyntheticWorkload::saveState(ByteWriter &w) const
-{
-    for (std::uint64_t word : rng_.state())
-        w.u64(word);
-    w.u64(seqCursor_);
-    w.u32(seqLeft_);
-    w.u32(chaseLeft_);
-    w.u64(chaseCursor_);
-}
-
-Status
-SyntheticWorkload::loadState(ByteReader &r)
-{
-    std::array<std::uint64_t, 4> s;
-    for (auto &word : s)
-        word = r.u64();
-    const std::uint64_t seqCursor = r.u64();
-    const std::uint32_t seqLeft = r.u32();
-    const std::uint32_t chaseLeft = r.u32();
-    const std::uint64_t chaseCursor = r.u64();
-    TMCC_RETURN_IF_ERROR(r.finish("SyntheticWorkload state"));
-    rng_.setState(s);
-    seqCursor_ = seqCursor;
-    seqLeft_ = seqLeft;
-    chaseLeft_ = chaseLeft;
-    chaseCursor_ = chaseCursor;
-    // The run bounds are derived state: the saved cursor always sits
-    // inside the region its run started in.
-    const WlRegion &seqRegion = regionOf(seqCursor_);
-    seqBase_ = seqRegion.base;
-    seqLimit_ = seqRegion.base + seqRegion.bytes;
-    return Status::okStatus();
-}
-
 } // namespace tmcc

@@ -72,8 +72,6 @@ class SyntheticWorkload : public Workload
     }
     MemAccess next() override;
 
-    void saveState(ByteWriter &w) const override;
-    Status loadState(ByteReader &r) override;
 
   private:
     Addr randomTarget();

@@ -51,23 +51,6 @@ class TraceWorkload : public Workload
     }
     MemAccess next() override;
 
-    void
-    saveState(ByteWriter &w) const override
-    {
-        w.u64(cursor_);
-    }
-
-    Status
-    loadState(ByteReader &r) override
-    {
-        const std::uint64_t cursor = r.u64();
-        TMCC_RETURN_IF_ERROR(r.finish("TraceWorkload state"));
-        if (!accesses_.empty() && cursor >= accesses_.size())
-            return Status::corruption("trace cursor out of range");
-        cursor_ = cursor;
-        return Status::okStatus();
-    }
-
     std::uint64_t accessCount() const { return accesses_.size(); }
 
   private:

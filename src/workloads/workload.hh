@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/serial.hh"
 #include "common/types.hh"
 #include "workloads/content.hh"
 
@@ -71,18 +70,6 @@ class Workload
         for (std::size_t i = 0; i < n; ++i)
             out[i] = next();
     }
-
-    /**
-     * Serialize the engine's mutable position — RNG streams, cursors,
-     * pending queues — for setup-phase checkpoints.  Region layout and
-     * other constructor-derived state is not saved: loadState() must be
-     * applied to an engine built with identical constructor arguments,
-     * after which its access stream continues bit-identically.
-     */
-    virtual void saveState(ByteWriter &w) const = 0;
-
-    /** Restore a saveState() snapshot; fails on malformed input. */
-    virtual Status loadState(ByteReader &r) = 0;
 
     std::uint64_t
     footprintBytes() const

@@ -1,7 +1,7 @@
 /**
  * @file
  * The shared versioned-file container: every on-disk artifact
- * (checkpoints, shard specs/results, the sweep manifest) inherits its
+ * (shard specs/results, the sweep manifest) inherits its
  * guarantees, so they are tested once here — atomic publication under
  * concurrent multi-process-style writers, rejection taxonomy, and
  * tolerance of partially written files.
@@ -87,8 +87,8 @@ TEST_F(VersionedFileTest, NoTempFileSurvivesPublication)
 }
 
 /**
- * Many writers racing on one path (the multi-process TMCC_CKPT_DIR
- * scenario): every reader must observe some writer's complete payload —
+ * Many writers racing on one path (several sweep workers publishing
+ * the same shard result): every reader must observe some writer's complete payload —
  * unique temp names + rename make interleaved torn writes impossible.
  */
 TEST_F(VersionedFileTest, ConcurrentWritersNeverTearTheFile)

@@ -57,50 +57,50 @@ struct GoldenCase
 
 // Tracing must not perturb the simulation: the traced case shares the
 // untraced digest.
-constexpr std::uint32_t tmccPageRank = 0x6cb59e76u;
+constexpr std::uint32_t tmccPageRank = 0x851314a1u;
 
 // mcf's footprint at this scale never reaches ML2, where TMCC and
 // barebone+ml1opt differ, so their digests coincide.
 constexpr GoldenCase goldenCases[] = {
     {"NoCompressionPageRank", Arch::NoCompression, "pageRank",
-     Variant::Exact, 0xfae94ab3u},
+     Variant::Exact, 0x33c621c5u},
     {"CompressoPageRank", Arch::Compresso, "pageRank", Variant::Exact,
-     0x146b7fd2u},
+     0x4ad69921u},
     {"BarebonePageRank", Arch::Barebone, "pageRank", Variant::Exact,
-     0x0c41461eu},
+     0x3bd680d2u},
     {"BarebonePlusMl1PageRank", Arch::BarebonePlusMl1, "pageRank",
-     Variant::Exact, 0x22a1f28fu},
+     Variant::Exact, 0xd836047au},
     {"BarebonePlusMl2PageRank", Arch::BarebonePlusMl2, "pageRank",
-     Variant::Exact, 0x7fc41340u},
+     Variant::Exact, 0x08e772b1u},
     {"TmccPageRank", Arch::Tmcc, "pageRank", Variant::Exact,
      tmccPageRank},
-    {"TmccMcf", Arch::Tmcc, "mcf", Variant::Exact, 0xf9490e97u},
+    {"TmccMcf", Arch::Tmcc, "mcf", Variant::Exact, 0xe638f2c7u},
     {"BarebonePlusMl1Mcf", Arch::BarebonePlusMl1, "mcf", Variant::Exact,
-     0xf9490e97u},
+     0xe638f2c7u},
     {"CompressoMcf", Arch::Compresso, "mcf", Variant::Exact,
-     0x5b208726u},
+     0x5d74cce8u},
     {"TmccMemcloud", Arch::Tmcc, "memcloud", Variant::Memcloud,
-     0x7208606du},
+     0xe368b1eau},
     {"NoCompressionEpochs", Arch::NoCompression, "pageRank",
-     Variant::Epochs, 0xe2ac9bbbu},
+     Variant::Epochs, 0x46e56d0bu},
     {"TmccEpochs", Arch::Tmcc, "pageRank", Variant::Epochs,
-     0x657c9b89u},
+     0x1e218c82u},
     {"TmccNestedPaging", Arch::Tmcc, "pageRank", Variant::Nested,
-     0x91c0e53eu},
+     0x6753b02au},
     {"TmccHugePages", Arch::Tmcc, "pageRank", Variant::Huge,
-     0xf3d96473u},
+     0x8caca784u},
     {"SampledNoCompression", Arch::NoCompression, "pageRank",
-     Variant::Sampled, 0xe75cfe05u},
+     Variant::Sampled, 0x5f580118u},
     {"SampledCompresso", Arch::Compresso, "pageRank", Variant::Sampled,
-     0x208aedf5u},
+     0x667f8139u},
     {"SampledBarebone", Arch::Barebone, "pageRank", Variant::Sampled,
-     0x28e50810u},
+     0xf4f48ac5u},
     {"SampledBarebonePlusMl1", Arch::BarebonePlusMl1, "pageRank",
-     Variant::Sampled, 0x3555c6bdu},
+     Variant::Sampled, 0x7e90d094u},
     {"SampledBarebonePlusMl2", Arch::BarebonePlusMl2, "pageRank",
-     Variant::Sampled, 0xb6cbfc84u},
+     Variant::Sampled, 0x6a3dcc4du},
     {"SampledTmcc", Arch::Tmcc, "pageRank", Variant::Sampled,
-     0x10f3559du},
+     0x8544095du},
     {"TmccPageRankTraced", Arch::Tmcc, "pageRank", Variant::Traced,
      tmccPageRank},
 };
@@ -146,7 +146,6 @@ digest(SimResult res)
 {
     res.setupSeconds = 0.0;
     res.measureSeconds = 0.0;
-    res.restoredFromCheckpoint = false;
     ByteWriter w;
     serializeSimResult(w, res);
     return crc32(w.buffer().data(), w.buffer().size());

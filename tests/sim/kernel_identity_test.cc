@@ -54,7 +54,6 @@ fingerprint(SimResult res)
 {
     res.setupSeconds = 0.0;
     res.measureSeconds = 0.0;
-    res.restoredFromCheckpoint = false;
     ByteWriter w;
     serializeSimResult(w, res);
     return w.take();

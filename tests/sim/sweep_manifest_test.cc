@@ -21,7 +21,6 @@
 #include "common/serial.hh"
 #include "common/status.hh"
 #include "common/versioned_file.hh"
-#include "sim/checkpoint.hh"
 #include "sim/sweep_manifest.hh"
 
 namespace tmcc
@@ -82,7 +81,7 @@ perturbedConfig(std::size_t which = allFields)
 {
     SimConfig cfg = SimConfig::scaledDefault();
     std::size_t i = 0;
-    forEachField(cfg, [&](const char *, auto &v, FieldUse) {
+    forEachField(cfg, [&](const char *, auto &v) {
         if (which == allFields || which == i)
             perturb(v);
         ++i;
@@ -132,7 +131,6 @@ fancyResult()
     res.dramUsedBytes = 987'654'321;
     res.setupSeconds = 1.5;
     res.measureSeconds = 2.25;
-    res.restoredFromCheckpoint = true;
     res.stats.set("l3.misses", 777.0);
     res.stats.set("mc.cte_cache.hits", 1.0 / 3.0);
     EpochStat e;
@@ -188,7 +186,6 @@ expectResultEqual(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.dramUsedBytes, b.dramUsedBytes);
     EXPECT_EQ(a.setupSeconds, b.setupSeconds);
     EXPECT_EQ(a.measureSeconds, b.measureSeconds);
-    EXPECT_EQ(a.restoredFromCheckpoint, b.restoredFromCheckpoint);
     EXPECT_EQ(a.stats.all(), b.stats.all());
     EXPECT_EQ(a.l3MissLatency.buckets(), b.l3MissLatency.buckets());
     EXPECT_EQ(a.l3MissLatency.underflow(), b.l3MissLatency.underflow());
@@ -238,14 +235,13 @@ expectResultEqual(const SimResult &a, const SimResult &b)
 
 TEST_F(SweepManifestTest, SimConfigRoundTripsEveryField)
 {
-    // Perturb each table field in turn: it must survive the wire,
-    // reach the grid key, and reach the checkpoint key iff `Setup`.
+    // Perturb each table field in turn: it must survive the wire and
+    // reach the grid key.
     const SimConfig base = SimConfig::scaledDefault();
     const std::vector<std::uint8_t> base_bytes = configBytes(base);
     const std::string base_grid = sweepGridKey({base});
-    const std::string base_key = SetupCheckpoint::keyFor(base);
     std::size_t n = 0;
-    forEachField(base, [&](const char *name, const auto &, FieldUse use) {
+    forEachField(base, [&](const char *name, const auto &) {
         SCOPED_TRACE(name);
         const SimConfig cfg = perturbedConfig(n++);
         const std::vector<std::uint8_t> bytes = configBytes(cfg);
@@ -258,8 +254,6 @@ TEST_F(SweepManifestTest, SimConfigRoundTripsEveryField)
         EXPECT_EQ(configBytes(back), bytes);
 
         EXPECT_NE(sweepGridKey({cfg}), base_grid);
-        EXPECT_EQ(SetupCheckpoint::keyFor(cfg) != base_key,
-                  use == FieldUse::Setup);
     });
     EXPECT_EQ(n, 79u);
 }
@@ -478,18 +472,22 @@ TEST_F(SweepManifestTest, OldFormatVersionIsRejectedClearly)
 {
     // Files from before a format change must be rejected by the
     // version gate with a clear message — not parsed as garbage.  A
-    // v1-era result predates the sampling summary; a v5 spec still
+    // v1-era result predates the sampling summary; a v4 result still
+    // carries the checkpoint counters that v5 dropped; a v5 spec still
     // carries the four derived OsMcConfig fields that v6 dropped.
     ShardResultFile file;
     file.gridKey = "k";
-    ASSERT_TRUE(file.save(path("f")).ok());
-    patchVersion(path("f"), 1);
-    const auto loaded = ShardResultFile::load(path("f"));
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::Corruption);
-    EXPECT_NE(loaded.status().message().find(
-                  "format version mismatch (file v1, expected v4)"),
-              std::string::npos);
+    for (const std::uint32_t old : {1u, 4u}) {
+        ASSERT_TRUE(file.save(path("f")).ok());
+        patchVersion(path("f"), old);
+        const auto loaded = ShardResultFile::load(path("f"));
+        ASSERT_FALSE(loaded.ok());
+        EXPECT_EQ(loaded.status().code(), StatusCode::Corruption);
+        EXPECT_NE(loaded.status().message().find(
+                      "format version mismatch (file v" +
+                      std::to_string(old) + ", expected v5)"),
+                  std::string::npos);
+    }
 
     ShardSpec spec;
     spec.gridKey = "k";

@@ -32,7 +32,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "sim/checkpoint.hh"
 #include "sim/runner.hh"
 #include "sim/sweep_daemon.hh"
 #include "sim/sweep_manifest.hh"
@@ -197,7 +196,6 @@ class SweepQueueTest : public ::testing::Test
         o.leaseSeconds = lease;
         o.pollSeconds = 0.05;
         o.once = true;
-        o.defaultCkptDir = false; // keep the global store's disk dir
         o.verbose = false;
         return o;
     }
@@ -502,44 +500,6 @@ TEST_F(SweepQueueTest, SigkilledDaemonIsReclaimedBySurvivor)
     EXPECT_EQ(QueueClient::totals().reclaimedShards, 1u);
 }
 
-TEST_F(SweepQueueTest, DaemonDefaultsCkptDirIntoSweepDir)
-{
-    // Serving a shard defaults the disk checkpoint dir to
-    // <sweep-dir>/ckpt (unless configured), so every daemon of a sweep
-    // shares warm setups through the sweep directory itself.
-    CheckpointStore &store = CheckpointStore::global();
-    const std::string saved = store.diskDir();
-    store.setDiskDir("");
-    // Drop memoized setups so the daemon's runs miss and must persist
-    // fresh checkpoints into the defaulted directory.
-    store.clear();
-
-    QueueOptions qopts = clientOptions();
-    qopts.shards = 1;
-    QueueClient client(qopts);
-    const std::string sweepDir = client.enqueue(grid());
-
-    DaemonOptions dopts = daemonOptions();
-    dopts.defaultCkptDir = true;
-    SweepDaemon daemon(dopts);
-    EXPECT_EQ(daemon.serve(), 1u);
-    if (store.enabled()) {
-        EXPECT_EQ(store.diskDir(), sweepDir + "/ckpt");
-        EXPECT_TRUE(fs::exists(sweepDir + "/ckpt"));
-    }
-    store.setDiskDir(saved);
-
-    // The published result records the worker's checkpoint traffic
-    // (v3 fields) for sweep-wide BENCH accounting.
-    auto result = ShardResultFile::load(
-        sweepShardFile(sweepDir, 0, "result"));
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->attempt, 1u);
-    EXPECT_GT(result->ckptMemoryHits + result->ckptDiskHits +
-                  result->ckptMisses,
-              0u);
-}
-
 TEST_F(SweepQueueTest, AlwaysCorruptShardStopsAtAttemptCap)
 {
     // Every publication of shard 0 fails its CRC.  The attempt count
@@ -840,7 +800,6 @@ main(int argc, char **argv)
                 (i + 2 < argc) ? std::atof(argv[i + 2]) : 0.5;
             o.pollSeconds = 0.05;
             o.once = true;
-            o.defaultCkptDir = false;
             o.verbose = false;
             o.workerId = "victim";
             tmcc::SweepDaemon(o).serve();

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/serial.hh"
 #include "workloads/multi_tenant.hh"
 
 namespace tmcc
@@ -136,54 +135,6 @@ TEST(MultiTenant, StormWindowTouchesAllTenantsUniformly)
         hi = std::max(hi, c);
     }
     EXPECT_LT(hi, 2 * lo);
-}
-
-TEST(MultiTenant, SaveLoadContinuesBitIdentically)
-{
-    MultiTenantParams p = smallParams();
-    p.churn = 0.05; // exercise per-tenant recolonize state too
-    MultiTenantWorkload a(p, 2, 4, 11);
-    for (int i = 0; i < 70'000; ++i)
-        a.next();
-
-    ByteWriter w;
-    a.saveState(w);
-    MultiTenantWorkload b(p, 2, 4, 11);
-    ByteReader r(w.buffer());
-    ASSERT_TRUE(b.loadState(r).ok());
-
-    for (int i = 0; i < 50'000; ++i) {
-        const MemAccess x = a.next();
-        const MemAccess y = b.next();
-        ASSERT_EQ(x.vaddr, y.vaddr);
-        ASSERT_EQ(x.isWrite, y.isWrite);
-        ASSERT_EQ(x.tenant, y.tenant);
-        ASSERT_EQ(x.thinkCycles, y.thinkCycles);
-    }
-}
-
-TEST(MultiTenant, LoadRejectsTruncatedAndCorruptState)
-{
-    const MultiTenantParams p = smallParams();
-    MultiTenantWorkload a(p, 0, 4, 13);
-    for (int i = 0; i < 1000; ++i)
-        a.next();
-    ByteWriter w;
-    a.saveState(w);
-
-    std::vector<std::uint8_t> bytes = w.buffer();
-    bytes.resize(bytes.size() / 2);
-    MultiTenantWorkload b(p, 0, 4, 13);
-    ByteReader r(bytes);
-    EXPECT_FALSE(b.loadState(r).ok());
-
-    // A state saved for more tenants than this engine has must be
-    // rejected, not partially applied.
-    MultiTenantParams fewer = p;
-    fewer.tenants = 2;
-    MultiTenantWorkload c(fewer, 0, 4, 13);
-    ByteReader r2(w.buffer());
-    EXPECT_FALSE(c.loadState(r2).ok());
 }
 
 TEST(MultiTenantDeath, RejectsSillyParams)

@@ -1,8 +1,11 @@
 /** Tests for trace capture and replay. */
 
 #include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "workloads/trace.hh"
 
@@ -15,12 +18,27 @@ class TraceTest : public ::testing::Test
 {
   protected:
     void
+    SetUp() override
+    {
+        // ctest runs each case as its own process, possibly in
+        // parallel: a per-process, per-case file keeps one case's
+        // TearDown from deleting another's trace.
+        path_ = (std::filesystem::temp_directory_path() /
+                 ("tmcc_trace_test_" + std::to_string(::getpid()) + "_" +
+                  ::testing::UnitTest::GetInstance()
+                      ->current_test_info()
+                      ->name() +
+                  ".tmcctrc"))
+                    .string();
+    }
+
+    void
     TearDown() override
     {
         std::remove(path_.c_str());
     }
 
-    std::string path_ = "trace_test.tmcctrc";
+    std::string path_;
 };
 
 TEST_F(TraceTest, RecordReplayRoundTrip)
