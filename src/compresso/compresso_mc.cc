@@ -26,28 +26,27 @@ CompressoMc::CompressoMc(DramSystem &dram, const PageInfoProvider &info,
       freeChunks_(cfg.chunkBytes), rng_(0xc0de)
 {
     // Seed the chunk pool over the data region (everything below the
-    // CTE table); sized generously, actual usage is what matters.
+    // CTE table); sized generously, actual usage is what matters.  The
+    // list holds the range implicitly, so its size costs nothing.
     freeChunks_.seed(0, dram.capacityBytes() / cfg.chunkBytes);
 }
 
 CompressoMc::PageState &
 CompressoMc::pageState(Ppn ppn)
 {
-    auto it = pages_.find(ppn);
-    if (it == pages_.end()) {
-        registerPage(ppn);
-        it = pages_.find(ppn);
-    }
-    return it->second;
+    registerPage(ppn);
+    return pages_[ppn];
 }
 
 void
 CompressoMc::registerPage(Ppn ppn)
 {
-    if (pages_.count(ppn))
+    if (ppn >= pages_.size())
+        pages_.resize(ppn + 1);
+    PageState &ps = pages_[ppn];
+    if (ps.registered)
         return;
     const PageProfile &prof = info_.profile(ppn);
-    PageState ps;
     ps.compressedBytes =
         std::min<std::uint32_t>(prof.blockBytes, pageSize);
     const auto chunks = std::max<std::uint32_t>(
@@ -55,7 +54,7 @@ CompressoMc::registerPage(Ppn ppn)
     for (std::uint32_t i = 0; i < chunks; ++i)
         ps.chunks.push_back(freeChunks_.pop());
     usedBytes_ += chunks * cfg_.chunkBytes;
-    pages_.emplace(ppn, std::move(ps));
+    ps.registered = true;
 }
 
 Addr

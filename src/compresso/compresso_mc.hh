@@ -14,7 +14,6 @@
 #ifndef TMCC_COMPRESSO_COMPRESSO_MC_HH
 #define TMCC_COMPRESSO_COMPRESSO_MC_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
@@ -77,6 +76,7 @@ class CompressoMc : public MemController
     {
         std::vector<Addr> chunks;
         std::uint32_t compressedBytes = 0;
+        bool registered = false;
     };
 
     PageState &pageState(Ppn ppn);
@@ -92,7 +92,7 @@ class CompressoMc : public MemController
     CteCache cteCache_;
     CteCache llcVictim_; //!< models CTEs spilled into the LLC
     ChunkFreeList freeChunks_;
-    std::unordered_map<Ppn, PageState> pages_;
+    std::vector<PageState> pages_; //!< by Ppn, grown on registration
     std::uint64_t usedBytes_ = 0;
     std::uint64_t repackBytes_ = 0;
     Rng rng_;

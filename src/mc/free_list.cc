@@ -197,18 +197,24 @@ ChunkFreeList::ChunkFreeList(std::size_t chunk_bytes)
 void
 ChunkFreeList::seed(Addr base, std::uint64_t chunk_count)
 {
-    chunks_.reserve(chunks_.size() + chunk_count);
-    for (std::uint64_t i = chunk_count; i-- > 0;)
-        chunks_.push_back(base + i * chunkBytes_);
+    panicIf(!empty(), "chunk free list seeded while non-empty");
+    freshNext_ = base;
+    freshLeft_ = chunk_count;
 }
 
 Addr
 ChunkFreeList::pop()
 {
-    panicIf(chunks_.empty(), "chunk free list underflow");
+    panicIf(empty(), "chunk free list underflow");
     pops_.inc();
-    const Addr a = chunks_.back();
-    chunks_.pop_back();
+    if (!recycled_.empty()) {
+        const Addr a = recycled_.back();
+        recycled_.pop_back();
+        return a;
+    }
+    const Addr a = freshNext_;
+    freshNext_ += chunkBytes_;
+    --freshLeft_;
     return a;
 }
 
@@ -216,13 +222,13 @@ void
 ChunkFreeList::push(Addr chunk_addr)
 {
     pushes_.inc();
-    chunks_.push_back(chunk_addr);
+    recycled_.push_back(chunk_addr);
 }
 
 void
 ChunkFreeList::dumpStats(StatDump &dump, const std::string &prefix) const
 {
-    dump.set(prefix + ".size", chunks_.size());
+    dump.set(prefix + ".size", size());
     dump.set(prefix + ".pops", pops_.value());
     dump.set(prefix + ".pushes", pushes_.value());
 }

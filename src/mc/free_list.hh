@@ -154,16 +154,25 @@ class Ml2FreeLists : public Stated
     Counter allocs_, frees_, superChunksCreated_, superChunksReturned_;
 };
 
-/** Compresso-style free list of 512B chunks. */
+/**
+ * Compresso-style free list of 512B chunks (LIFO).
+ *
+ * Like the hardware list, it costs memory only for what is in use:
+ * the seeded range stays implicit (a cursor plus a count) and only
+ * pushed chunks are stored, on top of it.  Pops take the pushed
+ * chunks first, then the seeded ones in ascending order.
+ */
 class ChunkFreeList : public Stated
 {
   public:
     explicit ChunkFreeList(std::size_t chunk_bytes = 512);
 
+    /** Seed with chunk_count chunks from base up, in O(1).  The list
+     * must be empty. */
     void seed(Addr base, std::uint64_t chunk_count);
 
-    bool empty() const { return chunks_.empty(); }
-    std::size_t size() const { return chunks_.size(); }
+    bool empty() const { return size() == 0; }
+    std::size_t size() const { return recycled_.size() + freshLeft_; }
     std::size_t chunkBytes() const { return chunkBytes_; }
 
     Addr pop();
@@ -174,7 +183,9 @@ class ChunkFreeList : public Stated
 
   private:
     std::size_t chunkBytes_;
-    std::vector<Addr> chunks_;
+    std::vector<Addr> recycled_; //!< pushed chunks, top at the back
+    Addr freshNext_ = 0;         //!< lowest seeded chunk not yet popped
+    std::uint64_t freshLeft_ = 0; //!< seeded chunks not yet popped
     Counter pops_, pushes_;
 };
 

@@ -66,6 +66,7 @@ archName(Arch arch)
 
 System::System(const SimConfig &cfg) : cfg_(cfg)
 {
+    const auto wall0 = std::chrono::steady_clock::now();
     cpuPeriod_ = nsToTicks(1.0 / cfg.cpuGhz);
 
     buildWorkloads();
@@ -73,6 +74,11 @@ System::System(const SimConfig &cfg) : cfg_(cfg)
     dram_ = std::make_unique<DramSystem>(cfg.dram, cfg.interleave);
     buildMemories();
     buildMcAndCores();
+
+    // setup() adds its own span: setupSeconds_ covers both.
+    setupSeconds_ = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - wall0)
+                        .count();
 }
 
 std::unordered_map<Addr, const WlRegion *>
@@ -340,12 +346,15 @@ void
 System::warmPlacement()
 {
     // Touch-count run: the stand-in for gem5's KVM fast forward.  The
-    // counts order pages hottest-first for initial ML1/ML2 placement.
+    // counts order pages hottest-first for initial ML1/ML2 placement;
+    // only the OS-inspired MCs place by them, but every arch draws the
+    // accesses so the measured streams start at the same point.
     std::unordered_map<Vpn, std::uint32_t> touches;
     for (unsigned c = 0; c < cfg_.cores; ++c) {
         for (std::uint64_t i = 0; i < cfg_.placementAccesses; ++i) {
             const MemAccess a = workloads_[c]->next();
-            ++touches[pageNumber(a.vaddr)];
+            if (osMc_ != nullptr)
+                ++touches[pageNumber(a.vaddr)];
         }
     }
 
@@ -358,23 +367,26 @@ System::warmPlacement()
     physMem_->forEachPtPage(
         [&](Ppn ppn, const PtPage &) { pt_pages.push_back(ppn); });
 
-    std::vector<std::pair<std::uint32_t, Vpn>> order;
-    order.reserve(touches.size());
-    for (const auto &[vpn, count] : touches)
-        order.emplace_back(count, vpn);
-    std::sort(order.begin(), order.end(),
-              [](const auto &a, const auto &b) { return a.first > b.first; });
-
     // Resolve the placement sequences up front (walks are read-only,
     // so this reorders nothing): the touched pages hottest-first, then
     // the full region scan — remaining (untouched) pages are the
     // coldest.
     std::vector<Ppn> touched_frames;
-    touched_frames.reserve(order.size());
-    for (const auto &[count, vpn] : order) {
-        const WalkResult w = pageTable_->walk(vpn << pageShift);
-        if (w.valid)
-            touched_frames.push_back(dataFrame(w.ppn));
+    if (osMc_ != nullptr) {
+        std::vector<std::pair<std::uint32_t, Vpn>> order;
+        order.reserve(touches.size());
+        for (const auto &[vpn, count] : touches)
+            order.emplace_back(count, vpn);
+        std::sort(order.begin(), order.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first > b.first;
+                  });
+        touched_frames.reserve(order.size());
+        for (const auto &[count, vpn] : order) {
+            const WalkResult w = pageTable_->walk(vpn << pageShift);
+            if (w.valid)
+                touched_frames.push_back(dataFrame(w.ppn));
+        }
     }
     std::vector<Ppn> region_frames;
     for (const auto &[base, r] : regionMap()) {
@@ -679,7 +691,7 @@ System::setup()
 
     warmPlacement();
 
-    setupSeconds_ = std::chrono::duration<double>(
+    setupSeconds_ += std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - wall0)
                         .count();
 }

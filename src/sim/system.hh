@@ -172,7 +172,7 @@ class System
     Tick cpuPeriod_;
     SetupEstimates estimates_;
     bool setupDone_ = false;
-    double setupSeconds_ = 0.0;
+    double setupSeconds_ = 0.0; //!< constructor + setup() wall time
     std::uint64_t tracePid_ = 0;
 
     std::unique_ptr<PhysMem> physMem_;

@@ -59,6 +59,29 @@ TEST_F(CompressoTest, RegistrationAllocatesChunks)
     EXPECT_EQ(mc_->dramUsedBytes(), 6u * 512u);
 }
 
+TEST_F(CompressoTest, UnregisteredPageFarAboveAutoRegisters)
+{
+    mc_->registerPage(5);
+    // The page table is indexed by Ppn: touching a page far above every
+    // registered one grows it and registers the page on the way.
+    constexpr Ppn far = 100000;
+    mc_->read(readReq(far));
+    EXPECT_EQ(mc_->dramUsedBytes(), 2u * 6u * 512u);
+    mc_->writeback((far << pageShift) | 0x40, 5000, false);
+    StatDump d;
+    mc_->dumpStats(d, "mc");
+    // A repack of a page at its packed size grows it by one chunk.
+    EXPECT_EQ(mc_->dramUsedBytes(),
+              (2u * 6u + static_cast<unsigned>(d.get("mc.repacks"))) *
+                  512u);
+    const std::uint64_t used = mc_->dramUsedBytes();
+    mc_->registerPage(far); // already registered
+    mc_->registerPage(5);
+    EXPECT_EQ(mc_->dramUsedBytes(), used);
+    mc_->registerPage(6); // below the grown end, still unregistered
+    EXPECT_EQ(mc_->dramUsedBytes(), used + 6u * 512u);
+}
+
 TEST_F(CompressoTest, CteHitIsSingleAccess)
 {
     mc_->registerPage(5);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "common/stats.hh"
 #include "mc/free_list.hh"
 
 namespace tmcc
@@ -284,6 +285,80 @@ TEST(ChunkFreeList, SeedPopPush)
     EXPECT_EQ(a, 0x10000u);
     list.push(a);
     EXPECT_EQ(list.pop(), a);
+}
+
+TEST(ChunkFreeList, MatchesMaterializedStackUnderRandomChurn)
+{
+    // The reference materializes the stack: every seeded chunk pushed
+    // in reverse, so pops ascend.
+    constexpr Addr base = 0x40000;
+    constexpr std::uint64_t seeded = 1000;
+    ChunkFreeList list(512);
+    list.seed(base, seeded);
+    std::vector<Addr> ref;
+    for (std::uint64_t i = seeded; i-- > 0;)
+        ref.push_back(base + i * 512);
+
+    Rng rng(17);
+    std::vector<Addr> held;
+    std::uint64_t pops = 0, pushes = 0, emptied = 0;
+    for (int step = 0; step < 20000; ++step) {
+        // Lean towards pops so the fresh range drains and the list
+        // runs empty now and then.
+        if (!ref.empty() && (held.empty() || rng.chance(0.55))) {
+            const Addr a = list.pop();
+            ASSERT_EQ(a, ref.back()) << "step " << step;
+            ref.pop_back();
+            held.push_back(a);
+            ++pops;
+        } else {
+            // Return a random held chunk, not only the newest.
+            const std::size_t i = rng.below(held.size());
+            std::swap(held[i], held.back());
+            list.push(held.back());
+            ref.push_back(held.back());
+            held.pop_back();
+            ++pushes;
+        }
+        ASSERT_EQ(list.size(), ref.size()) << "step " << step;
+        ASSERT_EQ(list.empty(), ref.empty()) << "step " << step;
+        emptied += ref.empty();
+        StatDump dump;
+        list.dumpStats(dump, "c");
+        ASSERT_EQ(dump.get("c.size"), static_cast<double>(ref.size()));
+        ASSERT_EQ(dump.get("c.pops"), static_cast<double>(pops));
+        ASSERT_EQ(dump.get("c.pushes"), static_cast<double>(pushes));
+    }
+    EXPECT_GT(pushes, 5000u);
+    EXPECT_GT(emptied, 0u);
+}
+
+TEST(ChunkFreeList, SeedingHugeRangeIsLazy)
+{
+    // 2^31 chunks: materializing them would take 16 GB.
+    constexpr std::uint64_t chunks = (1ULL << 40) / 512;
+    ChunkFreeList list(512);
+    list.seed(0, chunks);
+    EXPECT_EQ(list.size(), chunks);
+    for (Addr i = 0; i < 4; ++i)
+        EXPECT_EQ(list.pop(), i * 512);
+    EXPECT_EQ(list.size(), chunks - 4);
+}
+
+TEST(ChunkFreeListDeathTest, PopOnEmptyUnderflows)
+{
+    ChunkFreeList list(512);
+    EXPECT_DEATH(list.pop(), "underflow");
+    list.seed(0, 1);
+    list.pop();
+    EXPECT_DEATH(list.pop(), "underflow");
+}
+
+TEST(ChunkFreeListDeathTest, SeedingTwiceIsFatal)
+{
+    ChunkFreeList list(512);
+    list.seed(0, 4);
+    EXPECT_DEATH(list.seed(4096, 4), "seeded while non-empty");
 }
 
 } // namespace
