@@ -21,11 +21,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "sim/runner.hh"
@@ -35,30 +35,11 @@
 namespace tmcc::bench
 {
 
-/** Strictly parse env var `name` (value `s`) as a positive double. */
-inline double
-parsePositiveDouble(const char *name, const char *s)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    fatalIf(end == s || *end != '\0' || !std::isfinite(v) || v <= 0.0,
-            std::string(name) + " must be a positive number, got \"" + s +
-                "\"");
-    return v;
-}
-
 /** TMCC_QUICK: unset/empty or 0 = off, 1 = on; anything else is fatal. */
 inline bool
 quickEnabled()
 {
-    const char *s = std::getenv("TMCC_QUICK");
-    if (!s || !*s)
-        return false;
-    char *end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    fatalIf(end == s || *end != '\0' || (v != 0 && v != 1),
-            std::string("TMCC_QUICK must be 0 or 1, got \"") + s + "\"");
-    return v == 1;
+    return cli::envNumber<unsigned>("TMCC_QUICK", 0, 1).value_or(0) == 1;
 }
 
 /** The standard reach-scaled configuration used by every harness. */
@@ -70,8 +51,8 @@ baseConfig(const std::string &workload, Arch arch)
     cfg.arch = arch;
     applyScalePreset(cfg);
 
-    if (const char *s = std::getenv("TMCC_SCALE"))
-        cfg.scale = parsePositiveDouble("TMCC_SCALE", s);
+    if (const auto scale = cli::envNumber("TMCC_SCALE", cli::kPositive))
+        cfg.scale = *scale;
     if (quickEnabled()) {
         cfg.placementAccesses /= 4;
         cfg.warmAccesses /= 4;
@@ -79,8 +60,8 @@ baseConfig(const std::string &workload, Arch arch)
     }
 
     // TMCC_SAMPLE opts every harness run into interval sampling.
-    if (const char *s = std::getenv("TMCC_SAMPLE"); s && *s)
-        parseSampleSpec("TMCC_SAMPLE", s, cfg);
+    if (const auto spec = cli::envValue("TMCC_SAMPLE"))
+        parseSampleSpec("TMCC_SAMPLE", *spec, cfg);
     return cfg;
 }
 
@@ -133,9 +114,9 @@ class BenchReport
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start_)
                 .count();
-        const char *dir = std::getenv("TMCC_BENCH_DIR");
-        const std::string path = std::string(dir && *dir ? dir : ".") +
-                                 "/BENCH_" + name_ + ".json";
+        const std::string path =
+            cli::envValue("TMCC_BENCH_DIR").value_or(".") + "/BENCH_" +
+            name_ + ".json";
         FILE *f = std::fopen(path.c_str(), "w");
         if (!f) {
             warn("cannot write bench report " + path);
@@ -159,22 +140,15 @@ class BenchReport
                      static_cast<unsigned long long>(phases.runs));
         // Sweep dispatch counters (all zero unless this process ran
         // a --dispatch=fork|queue sweep through QueueClient).
-        const QueueClient::Totals queueTotals = QueueClient::totals();
-        std::fprintf(f, "  \"queue_sweeps\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         queueTotals.sweeps));
-        std::fprintf(f, "  \"queue_merged_shards\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         queueTotals.mergedShards));
-        std::fprintf(f, "  \"queue_reclaimed_shards\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         queueTotals.reclaimedShards));
-        std::fprintf(f, "  \"queue_resumed_shards\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         queueTotals.resumedShards));
-        std::fprintf(f, "  \"queue_failed_shards\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         queueTotals.failedShards));
+        const QueueClient::Totals q = QueueClient::totals();
+        for (const auto &[key, n] :
+             {std::pair{"queue_sweeps", q.sweeps},
+              {"queue_merged_shards", q.mergedShards},
+              {"queue_reclaimed_shards", q.reclaimedShards},
+              {"queue_resumed_shards", q.resumedShards},
+              {"queue_failed_shards", q.failedShards}})
+            std::fprintf(f, "  \"%s\": %llu,\n", key,
+                         static_cast<unsigned long long>(n));
         std::fprintf(f, "  \"metrics\": {");
         for (std::size_t i = 0; i < metrics_.size(); ++i) {
             // Keys pass through jsonEscape (workload names can carry

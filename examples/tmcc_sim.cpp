@@ -3,95 +3,18 @@
  * tmcc_sim: the command-line front end to the simulator — run any
  * workload under any architecture/configuration without writing code.
  *
- * Usage: tmcc_sim [options]
- *   --workload NAME       benchmark name (default pageRank)
- *   --arch A              none|compresso|barebone|barebone+ml1|
- *                         barebone+ml2|tmcc (default tmcc)
- *   --scale F             footprint scale (default preset)
- *   --cores N             core count (default 4)
- *   --budget F            DRAM usage target as a fraction of the
- *                         footprint (default: match Compresso)
- *   --huge                use 2MB pages
- *   --no-prefetch         disable prefetchers
- *   --tlb N               TLB entries
- *   --cte-cache BYTES     TMCC/OS CTE cache size
- *   --measure N           measured accesses per core
- *   --seed N              RNG seed
- *   --fault-ml2 R         per-bit flip rate injected into ML2 images
- *   --fault-cte R         per-bit flip rate injected into embedded CTEs
- *   --fault-ptb R         per-bit flip rate injected into compressed PTBs
- *   --fault-seed N        fault-injection RNG seed
- *   --stats               dump every component counter
- *   --trace FILE          write a Chrome trace-event / Perfetto JSON
- *                         trace of the run (env: TMCC_TRACE)
- *   --stats-interval N    snapshot epoch statistics every N measured
- *                         accesses (env: TMCC_STATS_INTERVAL)
- *   --sample K:W[:WARM]   SMARTS-style interval sampling: fast-forward
- *                         functionally between K evenly spaced detailed
- *                         windows of W accesses/core (each preceded by
- *                         WARM accesses/core of detailed warm-up,
- *                         default W); headline metrics are reported as
- *                         mean +/- 95% CI over the windows
- *                         (env: TMCC_SAMPLE)
- *   --stats-out FILE      write the epoch time series as JSON
- *   --record FILE N       record N accesses of the workload to FILE
- *                         (no simulation) and exit
- *   --tenants N           memcloud only: guest address spaces
- *                         multiplexed on the host (default 6, max 1024)
- *   --tenant-churn R      memcloud only: per-burst probability the
- *                         scheduled guest has been replaced (default
- *                         0.001)
- *   --tenant-zipf A       memcloud only: tenant popularity Zipf alpha
- *                         (default 1.1)
- *   --sweep SET           run every entry of SET (large|small|
- *                         bandwidth|all under the configured arch,
- *                         fig17 = large x {compresso,tmcc}, or
- *                         memcloud = memcloud x {barebone,compresso,
- *                         tmcc}), in parallel, one row per entry
- *   --jobs N              worker threads for --sweep (default:
- *                         TMCC_JOBS or all cores)
- *   --dispatch MODE       how --sweep executes (docs/SWEEP.md):
- *                           thread  in-process SimRunner (default)
- *                           fork    a private work queue under
- *                                   --sweep-dir served by --shards
- *                                   local worker processes
- *                           queue   enqueue on a shared work queue
- *                                   served by tmcc_simd daemons
- *   --shards N            shard count (and local worker count) for
- *                         fork/queue dispatch (env: TMCC_SHARDS;
- *                         unset/0 with --dispatch=fork|queue defaults
- *                         to hardware_concurrency clamped to [1,64];
- *                         --shards N alone implies --dispatch=fork)
- *   --queue-dir DIR       queue directory for --dispatch=queue (env:
- *                         TMCC_QUEUE_DIR; default tmcc-queue); shared
- *                         with the tmcc_simd workers serving it
- *   --queue-poll SEC      result-poll interval (default 0.5)
- *   --queue-timeout SEC   give up waiting for workers after SEC
- *                         (default: wait forever)
- *   --sweep-dir DIR       fork: the private queue directory; reuse it
- *                         to resume an interrupted sweep (default:
- *                         tmcc-sweep-<gridkey8>).  queue: the sweep's
- *                         subdirectory name in the queue directory
- *   --shard-timeout SEC   per-attempt deadline; a claim past it is
- *                         reclaimed (and a local worker holding it
- *                         killed) even while it heartbeats (default:
- *                         none)
- *   --shard-attempts N    attempts per shard before it settles as
- *                         failed (default: 3)
- *   --list                list known workloads and exit
- *
- * A recorded trace replays as a workload: --workload trace:FILE
+ * `tmccsim --help` lists every flag, generated from the flag table in
+ * main().  A recorded trace replays as a workload: --workload trace:FILE
  */
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "common/trace.hh"
 #include "sim/runner.hh"
@@ -106,25 +29,6 @@ using namespace tmcc;
 
 namespace
 {
-
-Arch
-archByName(const std::string &name)
-{
-    if (name == "none" || name == "nocomp")
-        return Arch::NoCompression;
-    if (name == "compresso")
-        return Arch::Compresso;
-    if (name == "barebone")
-        return Arch::Barebone;
-    if (name == "barebone+ml1")
-        return Arch::BarebonePlusMl1;
-    if (name == "barebone+ml2")
-        return Arch::BarebonePlusMl2;
-    if (name == "tmcc")
-        return Arch::Tmcc;
-    std::fprintf(stderr, "unknown arch '%s'\n", name.c_str());
-    std::exit(1);
-}
 
 /** One row of a sweep: a workload, optionally pinned to an arch (the
  * cross-arch sets), and the label metrics are reported under. */
@@ -164,77 +68,10 @@ sweepSet(const std::string &set)
              {Arch::Barebone, Arch::Compresso, Arch::Tmcc})
             entries.push_back({std::string("memcloud:") + archName(a),
                                "memcloud", true, a});
-    if (entries.empty()) {
-        std::fprintf(stderr,
-                     "--sweep wants large|small|bandwidth|all|fig17|"
-                     "memcloud, got '%s'\n",
-                     set.c_str());
-        std::exit(1);
-    }
+    if (entries.empty())
+        fatal("--sweep wants large|small|bandwidth|all|fig17|memcloud, got '" +
+              set + "'");
     return entries;
-}
-
-std::uint64_t
-parsePositiveCount(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const long long v = std::strtoll(s, &end, 10);
-    if (s[0] == '\0' || *end != '\0' || v <= 0) {
-        std::fprintf(stderr, "%s must be a positive integer, got "
-                             "\"%s\"\n",
-                     what, s);
-        std::exit(1);
-    }
-    return static_cast<std::uint64_t>(v);
-}
-
-std::uint64_t
-parseNonNegativeCount(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const long long v = std::strtoll(s, &end, 10);
-    if (s[0] == '\0' || *end != '\0' || v < 0) {
-        std::fprintf(stderr, "%s must be a non-negative integer, got "
-                             "\"%s\"\n",
-                     what, s);
-        std::exit(1);
-    }
-    return static_cast<std::uint64_t>(v);
-}
-
-/** Strict [0, 1] rate for the --fault-* flags: std::atof would turn
- * garbage into a silent 0.0 (faults off), which is the worst possible
- * failure mode for a fault-injection campaign. */
-double
-parseRate(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (s[0] == '\0' || *end != '\0' || !std::isfinite(v) || v < 0.0 ||
-        v > 1.0) {
-        std::fprintf(stderr, "%s must be a rate in [0, 1], got "
-                             "\"%s\"\n",
-                     what, s);
-        std::exit(1);
-    }
-    return v;
-}
-
-/** Strict finite real, > 0 (or >= 0 when zero_ok): std::atof would
- * turn garbage into a silent 0.0 -- a zero scale, the iso-Compresso
- * budget, or a zipf alpha the workload rejects with a worse message. */
-double
-parseReal(const char *s, const char *what, bool zero_ok = false)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (s[0] == '\0' || *end != '\0' || !std::isfinite(v) || v < 0.0 ||
-        (v == 0.0 && !zero_ok)) {
-        std::fprintf(stderr, "%s must be a %s number, got \"%s\"\n",
-                     what, zero_ok ? "non-negative" : "positive", s);
-        std::exit(1);
-    }
-    return v;
 }
 
 /** The path workers re-exec: /proc/self/exe when resolvable (robust
@@ -258,11 +95,8 @@ writeEpochStats(const std::string &path,
                 const std::vector<const SimResult *> &results)
 {
     FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write epoch stats to %s\n",
-                     path.c_str());
-        std::exit(1);
-    }
+    if (!f)
+        fatal("cannot write epoch stats to " + path);
     std::fprintf(f, "{\"runs\":[");
     for (std::size_t i = 0; i < results.size(); ++i) {
         std::fprintf(f, "%s\n{\"workload\":\"%s\",\"epochs\":[",
@@ -320,185 +154,195 @@ main(int argc, char **argv)
     std::string sweep_dir;
     double shard_timeout = 0.0;
     unsigned shard_attempts = 3;
-    if (const char *env = std::getenv("TMCC_SHARDS"); env && *env)
-        shards = static_cast<unsigned>(
-            parseNonNegativeCount(env, "TMCC_SHARDS"));
 
     // Queue-dispatch knobs (docs/SWEEP.md).
     std::string dispatch;
     std::string queue_dir = "tmcc-queue";
     double queue_poll = 0.5;
     double queue_timeout = 0.0;
-    if (const char *env = std::getenv("TMCC_QUEUE_DIR"); env && *env)
-        queue_dir = env;
 
-    // Observability knobs: environment supplies the defaults, the
-    // command line overrides (validated identically either way).
+    // Observability knobs.
     std::string trace_path;
     std::string stats_out;
-    if (const char *env = std::getenv("TMCC_TRACE"); env && *env)
-        trace_path = env;
-    if (const char *env = std::getenv("TMCC_STATS_INTERVAL");
-        env && *env)
-        cfg.statsInterval =
-            parsePositiveCount(env, "TMCC_STATS_INTERVAL");
-    if (const char *env = std::getenv("TMCC_SAMPLE"); env && *env)
-        parseSampleSpec("TMCC_SAMPLE", env, cfg);
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
+    // The tenant knobs record which flag was seen so a non-memcloud run
+    // can reject it below.
+    const auto tenant_knob = [&](cli::Setter set) -> cli::Setter {
+        return [&, set](auto &what, auto &v) {
+            set(what, v);
+            tenant_flag = what;
         };
-        if (arg == "--workload") {
-            cfg.workload = value();
-        } else if (arg == "--arch") {
-            cfg.arch = archByName(value());
-        } else if (arg == "--scale") {
-            cfg.scale = parseReal(value(), "--scale");
-            scale_set = true;
-        } else if (arg == "--cores") {
-            cfg.cores = static_cast<unsigned>(
-                parsePositiveCount(value(), "--cores"));
-        } else if (arg == "--budget") {
-            cfg.dramBudgetFraction =
-                parseReal(value(), "--budget", /*zero_ok=*/true);
-        } else if (arg == "--huge") {
-            cfg.hugePages = true;
-        } else if (arg == "--no-prefetch") {
-            cfg.hierarchy.prefetchers = false;
-        } else if (arg == "--tlb") {
-            cfg.tlbEntries = static_cast<unsigned>(
-                parsePositiveCount(value(), "--tlb"));
-        } else if (arg == "--cte-cache") {
-            cfg.osMc.cteCacheBytes =
-                parsePositiveCount(value(), "--cte-cache");
-        } else if (arg == "--measure") {
-            cfg.measureAccesses =
-                parsePositiveCount(value(), "--measure");
-        } else if (arg == "--seed") {
-            cfg.seed = parseNonNegativeCount(value(), "--seed");
-        } else if (arg == "--fault-ml2") {
-            cfg.osMc.faults.ml2BitFlipRate =
-                parseRate(value(), "--fault-ml2");
-        } else if (arg == "--fault-cte") {
-            cfg.osMc.faults.cteBitFlipRate =
-                parseRate(value(), "--fault-cte");
-        } else if (arg == "--fault-ptb") {
-            cfg.osMc.faults.ptbBitFlipRate =
-                parseRate(value(), "--fault-ptb");
-        } else if (arg == "--fault-seed") {
-            cfg.osMc.faults.seed =
-                parseNonNegativeCount(value(), "--fault-seed");
-        } else if (arg == "--stats") {
-            dump_all = true;
-        } else if (arg == "--trace") {
-            trace_path = value();
-        } else if (arg.rfind("--trace=", 0) == 0) {
-            trace_path = arg.substr(std::strlen("--trace="));
-        } else if (arg == "--stats-interval") {
-            cfg.statsInterval =
-                parsePositiveCount(value(), "--stats-interval");
-        } else if (arg.rfind("--stats-interval=", 0) == 0) {
-            cfg.statsInterval = parsePositiveCount(
-                arg.c_str() + std::strlen("--stats-interval="),
-                "--stats-interval");
-        } else if (arg == "--sample") {
-            parseSampleSpec("--sample", value(), cfg);
-        } else if (arg.rfind("--sample=", 0) == 0) {
-            parseSampleSpec("--sample",
-                            arg.substr(std::strlen("--sample=")), cfg);
-        } else if (arg == "--stats-out") {
-            stats_out = value();
-        } else if (arg.rfind("--stats-out=", 0) == 0) {
-            stats_out = arg.substr(std::strlen("--stats-out="));
-        } else if (arg == "--record") {
-            const std::string path = value();
-            const std::uint64_t n =
-                parsePositiveCount(value(), "--record");
-            auto wl = makeWorkload(cfg.workload, 0, cfg.cores,
-                                   cfg.scale, cfg.seed);
-            TraceRecorder::record(*wl, path, n);
-            std::printf("recorded %llu accesses of %s to %s\n",
-                        static_cast<unsigned long long>(n),
-                        cfg.workload.c_str(), path.c_str());
-            return 0;
-        } else if (arg == "--tenants") {
-            const std::uint64_t v =
-                parsePositiveCount(value(), "--tenants");
-            if (v > 1024) {
-                std::fprintf(stderr,
-                             "--tenants caps at 1024, got %llu\n",
-                             static_cast<unsigned long long>(v));
-                return 1;
-            }
-            cfg.tenants = static_cast<unsigned>(v);
-            tenant_flag = "--tenants";
-        } else if (arg == "--tenant-churn") {
-            cfg.tenantChurn = parseRate(value(), "--tenant-churn");
-            tenant_flag = "--tenant-churn";
-        } else if (arg == "--tenant-zipf") {
-            cfg.tenantZipf = parseReal(value(), "--tenant-zipf");
-            tenant_flag = "--tenant-zipf";
-        } else if (arg == "--sweep") {
-            sweep = value();
-        } else if (arg == "--shards") {
-            shards = static_cast<unsigned>(
-                parseNonNegativeCount(value(), "--shards"));
-            shards_flag = true;
-        } else if (arg == "--dispatch") {
-            dispatch = value();
-        } else if (arg.rfind("--dispatch=", 0) == 0) {
-            dispatch = arg.substr(std::strlen("--dispatch="));
-        } else if (arg == "--queue-dir") {
-            queue_dir = value();
-        } else if (arg.rfind("--queue-dir=", 0) == 0) {
-            queue_dir = arg.substr(std::strlen("--queue-dir="));
-        } else if (arg == "--queue-poll") {
-            queue_poll = parseReal(value(), "--queue-poll");
-        } else if (arg == "--queue-timeout") {
-            queue_timeout = parseReal(value(), "--queue-timeout");
-        } else if (arg == "--sweep-dir") {
-            sweep_dir = value();
-        } else if (arg == "--shard-timeout") {
-            shard_timeout = parseReal(value(), "--shard-timeout");
-        } else if (arg == "--shard-attempts") {
-            shard_attempts = static_cast<unsigned>(
-                parsePositiveCount(value(), "--shard-attempts"));
-        } else if (arg == sweepWorkerFlag) {
-            // Local worker of a --dispatch=fork sweep: drain the
-            // private queue the parent spawned us on.
-            return SweepDaemon::localWorkerMain(value());
-        } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                parsePositiveCount(value(), "--jobs"));
-        } else if (arg == "--list") {
-            listWorkloads();
-            return 0;
-        } else if (arg == "--help" || arg == "-h") {
-            std::printf("see the header of examples/tmcc_sim.cpp\n");
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option %s (try --help)\n",
-                         arg.c_str());
-            return 1;
-        }
-    }
+    };
+
+    // One row per flag: parsing, environment defaults and --help all
+    // come from this table.
+    const std::vector<cli::Flag> flags = {
+        {"--workload", "NAME",
+         "benchmark name (default pageRank, see --list); trace:FILE "
+         "replays a recorded trace",
+         cli::bind(cfg.workload)},
+        {"--arch", "A",
+         "none|compresso|barebone|barebone+ml1|barebone+ml2|tmcc "
+         "(default tmcc)",
+         cli::bind(cfg.arch)},
+        {"--scale", "F", "footprint scale (default: the workload's preset)",
+         [&](auto &what, auto &v) {
+             cfg.scale = cli::parseNumber(what, v[0], cli::kPositive);
+             scale_set = true;
+         }},
+        {"--cores", "N", "core count (default 4)", cli::bind(cfg.cores, 1)},
+        {"--budget", "F",
+         "DRAM usage target as a fraction of the footprint (default 0: "
+         "match Compresso)",
+         cli::bind(cfg.dramBudgetFraction, 0.0)},
+        {"--huge", "", "use 2MB pages", cli::bind(cfg.hugePages)},
+        {"--no-prefetch", "", "disable prefetchers",
+         [&](auto &, auto &) { cfg.hierarchy.prefetchers = false; }},
+        {"--tlb", "N", "TLB entries", cli::bind(cfg.tlbEntries, 1)},
+        {"--cte-cache", "BYTES", "TMCC/OS CTE cache size",
+         cli::bind(cfg.osMc.cteCacheBytes, 1)},
+        {"--measure", "N", "measured accesses per core",
+         cli::bind(cfg.measureAccesses, 1)},
+        {"--seed", "N", "RNG seed", cli::bind(cfg.seed, 0)},
+        {"--fault-ml2", "R", "per-bit flip rate injected into ML2 images",
+         cli::bind(cfg.osMc.faults.ml2BitFlipRate, 0.0, 1.0)},
+        {"--fault-cte", "R", "per-bit flip rate injected into embedded CTEs",
+         cli::bind(cfg.osMc.faults.cteBitFlipRate, 0.0, 1.0)},
+        {"--fault-ptb", "R", "per-bit flip rate injected into compressed PTBs",
+         cli::bind(cfg.osMc.faults.ptbBitFlipRate, 0.0, 1.0)},
+        {"--fault-seed", "N", "fault-injection RNG seed",
+         cli::bind(cfg.osMc.faults.seed, 0)},
+        {"--stats", "", "dump every component counter", cli::bind(dump_all)},
+        {"--trace", "FILE",
+         "write a Chrome trace-event / Perfetto JSON trace of the run",
+         cli::bind(trace_path), "TMCC_TRACE"},
+        {"--stats-interval", "N",
+         "snapshot epoch statistics every N measured accesses",
+         cli::bind(cfg.statsInterval, 1), "TMCC_STATS_INTERVAL"},
+        {"--sample", "K:W[:WARM]",
+         "SMARTS-style interval sampling: K evenly spaced detailed windows "
+         "of W accesses/core, each after WARM (default W) accesses/core of "
+         "warm-up, fast-forwarded in between; metrics are mean +/- 95% CI",
+         [&](auto &what, auto &v) { parseSampleSpec(what, v[0], cfg); },
+         "TMCC_SAMPLE"},
+        {"--stats-out", "FILE", "write the epoch time series as JSON",
+         cli::bind(stats_out)},
+        {"--record", "FILE N",
+         "record N accesses of the workload to FILE (no simulation) and "
+         "exit",
+         [&](auto &what, auto &v) {
+             const auto n = cli::parseNumber(what, v[1], std::uint64_t{1});
+             auto wl = makeWorkload(cfg.workload, 0, cfg.cores, cfg.scale,
+                                    cfg.seed);
+             TraceRecorder::record(*wl, v[0], n);
+             std::printf("recorded %llu accesses of %s to %s\n",
+                         static_cast<unsigned long long>(n),
+                         cfg.workload.c_str(), v[0].c_str());
+             std::exit(0);
+         }},
+        {"--tenants", "N",
+         "memcloud only: guest address spaces multiplexed on the host "
+         "(default 6)",
+         tenant_knob(cli::bind(cfg.tenants, 1, 1024))},
+        {"--tenant-churn", "R",
+         "memcloud only: per-burst probability the scheduled guest has "
+         "been replaced (default 0.001)",
+         tenant_knob(cli::bind(cfg.tenantChurn, 0.0, 1.0))},
+        {"--tenant-zipf", "A",
+         "memcloud only: tenant popularity Zipf alpha (default 1.1)",
+         tenant_knob(cli::bind(cfg.tenantZipf, cli::kPositive))},
+        {"--sweep", "SET",
+         "run every entry of SET in parallel, one row each: large|small|"
+         "bandwidth|all under the configured arch, fig17 = large x "
+         "{compresso,tmcc}, memcloud = memcloud x {barebone,compresso,tmcc}",
+         cli::bind(sweep)},
+        {"--jobs", "N",
+         "worker threads for --sweep (default: TMCC_JOBS or all cores)",
+         cli::bind(jobs, 1)},
+        {"--dispatch", "MODE",
+         "how --sweep runs (docs/SWEEP.md): thread (default, in-process), "
+         "fork (--shards local workers on a private queue in --sweep-dir) "
+         "or queue (a shared work queue served by tmcc_simd daemons)",
+         cli::bind(dispatch)},
+        {"--shards", "N",
+         "shard count (and local worker count) for fork/queue dispatch; "
+         "0 means hardware_concurrency clamped to [1,64]; --shards N "
+         "alone implies --dispatch=fork",
+         [&](auto &what, auto &v) {
+             shards = cli::parseNumber(what, v[0], 0u);
+             shards_flag = what == "--shards";
+         },
+         "TMCC_SHARDS"},
+        {"--queue-dir", "DIR",
+         "queue directory for --dispatch=queue, shared with the tmcc_simd "
+         "workers serving it (default tmcc-queue)",
+         cli::bind(queue_dir), "TMCC_QUEUE_DIR"},
+        {"--queue-poll", "SEC", "result-poll interval (default 0.5)",
+         cli::bind(queue_poll, cli::kPositive)},
+        {"--queue-timeout", "SEC",
+         "give up waiting for workers after SEC (default: wait forever)",
+         cli::bind(queue_timeout, cli::kPositive)},
+        {"--sweep-dir", "DIR",
+         "fork: the private queue directory; reuse it to resume an "
+         "interrupted sweep (default tmcc-sweep-<gridkey8>).  queue: the "
+         "sweep's subdirectory name in the queue directory",
+         cli::bind(sweep_dir)},
+        {"--shard-timeout", "SEC",
+         "per-attempt deadline; a claim past it is reclaimed (and a local "
+         "worker holding it killed) even while it heartbeats (default: "
+         "none)",
+         cli::bind(shard_timeout, cli::kPositive)},
+        {"--shard-attempts", "N",
+         "attempts per shard before it settles as failed (default 3)",
+         cli::bind(shard_attempts, 1)},
+        {"--list", "", "list known workloads and exit",
+         [](auto &, auto &) { listWorkloads(); std::exit(0); }},
+        // Local worker of a --dispatch=fork sweep: drain the private
+        // queue the parent spawned us on.
+        {sweepWorkerFlag, "DIR", "", [](auto &, auto &v) {
+             std::exit(SweepDaemon::localWorkerMain(v[0]));
+         }},
+    };
+    cli::parse("Usage: tmccsim [options]\n\nRun one workload, or a sweep "
+               "of workloads, under any MC architecture and\n"
+               "configuration.\n",
+               flags, argc, argv);
 
     // The tenant knobs only shape the memcloud engine; accepting them
     // elsewhere would silently do nothing.
     if (!tenant_flag.empty() && cfg.workload != "memcloud" &&
-        sweep != "memcloud") {
-        std::fprintf(stderr,
-                     "%s only applies to --workload=memcloud or "
-                     "--sweep=memcloud\n",
-                     tenant_flag.c_str());
-        return 1;
+        sweep != "memcloud")
+        fatal(tenant_flag +
+              " only applies to --workload=memcloud or --sweep=memcloud");
+
+    // Resolve the dispatch mode up front so misuse fails fast.
+    enum class Dispatch
+    {
+        Thread,
+        Fork,
+        Queue,
+    };
+    Dispatch dmode = Dispatch::Thread;
+    if (dispatch.empty()) {
+        // Back-compat: --shards N alone has always meant the forked
+        // multi-process executor.
+        dmode = shards > 0 ? Dispatch::Fork : Dispatch::Thread;
+    } else if (dispatch == "thread") {
+        if (shards_flag && shards > 0)
+            fatal("--dispatch=thread does not shard; drop --shards or "
+                  "pick fork|queue");
+    } else if (dispatch == "fork") {
+        dmode = Dispatch::Fork;
+    } else if (dispatch == "queue") {
+        dmode = Dispatch::Queue;
+    } else {
+        fatal("--dispatch wants thread|fork|queue, got '" + dispatch + "'");
     }
+    if (!dispatch.empty() && sweep.empty())
+        fatal("--dispatch only applies to --sweep");
+    if ((dmode == Dispatch::Fork || dmode == Dispatch::Queue) &&
+        shards == 0)
+        shards = defaultShardCount();
 
     std::unique_ptr<Tracer> tracer;
     if (!trace_path.empty()) {
@@ -519,43 +363,6 @@ main(int argc, char **argv)
                               .c_str()
                         : "");
     };
-
-    // Resolve the dispatch mode up front so misuse fails fast.
-    enum class Dispatch
-    {
-        Thread,
-        Fork,
-        Queue,
-    };
-    Dispatch dmode = Dispatch::Thread;
-    if (dispatch.empty()) {
-        // Back-compat: --shards N alone has always meant the forked
-        // multi-process executor.
-        dmode = shards > 0 ? Dispatch::Fork : Dispatch::Thread;
-    } else if (dispatch == "thread") {
-        if (shards_flag && shards > 0) {
-            std::fprintf(stderr, "--dispatch=thread does not shard; "
-                                 "drop --shards or pick fork|queue\n");
-            return 1;
-        }
-        dmode = Dispatch::Thread;
-    } else if (dispatch == "fork") {
-        dmode = Dispatch::Fork;
-    } else if (dispatch == "queue") {
-        dmode = Dispatch::Queue;
-    } else {
-        std::fprintf(stderr,
-                     "--dispatch wants thread|fork|queue, got '%s'\n",
-                     dispatch.c_str());
-        return 1;
-    }
-    if (!dispatch.empty() && sweep.empty()) {
-        std::fprintf(stderr, "--dispatch only applies to --sweep\n");
-        return 1;
-    }
-    if ((dmode == Dispatch::Fork || dmode == Dispatch::Queue) &&
-        shards == 0)
-        shards = defaultShardCount();
 
     if (!sweep.empty()) {
         const std::vector<SweepEntry> entries = sweepSet(sweep);
@@ -711,37 +518,24 @@ main(int argc, char **argv)
                 "cycle)\n",
                 r.accessesPerNs() * 1000.0, r.storesPerCycle());
     std::printf("avg L3 miss latency %.1f ns\n", r.avgL3MissLatencyNs);
+    // n / d, or 0 when nothing was counted.
+    const auto share = [](std::uint64_t n, std::uint64_t d) {
+        return d ? static_cast<double>(n) / static_cast<double>(d) : 0.0;
+    };
     std::printf("TLB miss rate       %.4f\n",
-                r.tlbHits + r.tlbMisses
-                    ? static_cast<double>(r.tlbMisses) /
-                          static_cast<double>(r.tlbHits + r.tlbMisses)
-                    : 0.0);
+                share(r.tlbMisses, r.tlbHits + r.tlbMisses));
     if (cfg.arch != Arch::NoCompression) {
         std::printf("CTE$ hit rate       %.4f\n",
-                    r.cteHits + r.cteMisses
-                        ? static_cast<double>(r.cteHits) /
-                              static_cast<double>(r.cteHits +
-                                                  r.cteMisses)
-                        : 0.0);
+                    share(r.cteHits, r.cteHits + r.cteMisses));
         std::printf("ML1 access split    hit %.3f / parallel %.3f / "
                     "mismatch %.3f / serial %.3f\n",
-                    r.llcMisses ? static_cast<double>(r.ml1CteHit) /
-                                      r.llcMisses
-                                : 0.0,
-                    r.llcMisses ? static_cast<double>(r.ml1Parallel) /
-                                      r.llcMisses
-                                : 0.0,
-                    r.llcMisses ? static_cast<double>(r.ml1Mismatch) /
-                                      r.llcMisses
-                                : 0.0,
-                    r.llcMisses ? static_cast<double>(r.ml1Serial) /
-                                      r.llcMisses
-                                : 0.0);
+                    share(r.ml1CteHit, r.llcMisses),
+                    share(r.ml1Parallel, r.llcMisses),
+                    share(r.ml1Mismatch, r.llcMisses),
+                    share(r.ml1Serial, r.llcMisses));
         std::printf("ML2 accesses        %lu (%.4f per LLC miss)\n",
                     static_cast<unsigned long>(r.ml2Accesses),
-                    r.llcMisses ? static_cast<double>(r.ml2Accesses) /
-                                      r.llcMisses
-                                : 0.0);
+                    share(r.ml2Accesses, r.llcMisses));
     }
     std::printf("bus utilization     read %.3f write %.3f\n",
                 r.readBusUtil, r.writeBusUtil);

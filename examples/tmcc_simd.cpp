@@ -15,32 +15,19 @@
  * startup and the memoized profile library are paid once per daemon
  * rather than once per shard.
  *
- * Usage: tmcc_simd [options]
- *   --serve DIR       queue directory to serve (env: TMCC_QUEUE_DIR)
- *   --worker-id S     lease-holder identity (default: <hostname>:<pid>)
- *   --jobs N          SimRunner threads per shard (default: the
- *                     enqueuer's advisory value)
- *   --lease SEC       claim lease; a claim not renewed for SEC is
- *                     stale and reclaimable (default 15; must exceed
- *                     cross-host clock skew comfortably)
- *   --poll SEC        idle delay between queue scans (default 1)
- *   --once            exit once every visible sweep is fully served
- *                     (drain mode, for CI and scripts)
- *   --max-shards N    exit after serving N shards (tests)
- *   --quiet           suppress per-shard progress logging
+ * `tmcc_simd --help` lists every flag, generated from the flag table
+ * in main().
  *
  * SIGINT/SIGTERM finish the current shard (its claim is released or
  * republished), then exit; SIGKILL mid-shard is recovered by any peer
  * through stale-lease reclaim.
  */
 
-#include <cmath>
 #include <csignal>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <vector>
 
+#include "common/cli.hh"
 #include "sim/sweep_daemon.hh"
 
 using namespace tmcc;
@@ -57,81 +44,44 @@ onStopSignal(int)
         g_daemon->requestStop(); // async-signal-safe: one atomic store
 }
 
-std::uint64_t
-parsePositiveCount(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const long long v = std::strtoll(s, &end, 10);
-    if (s[0] == '\0' || *end != '\0' || v <= 0) {
-        std::fprintf(stderr,
-                     "%s must be a positive integer, got \"%s\"\n",
-                     what, s);
-        std::exit(1);
-    }
-    return static_cast<std::uint64_t>(v);
-}
-
-double
-parsePositiveSeconds(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (s[0] == '\0' || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
-        std::fprintf(stderr,
-                     "%s must be a positive number of seconds, got "
-                     "\"%s\"\n",
-                     what, s);
-        std::exit(1);
-    }
-    return v;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     DaemonOptions opts;
-    if (const char *env = std::getenv("TMCC_QUEUE_DIR"); env && *env)
-        opts.queueDir = env;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--serve") {
-            opts.queueDir = value();
-        } else if (arg.rfind("--serve=", 0) == 0) {
-            opts.queueDir = arg.substr(std::strlen("--serve="));
-        } else if (arg == "--worker-id") {
-            opts.workerId = value();
-        } else if (arg == "--jobs") {
-            opts.jobs = static_cast<unsigned>(
-                parsePositiveCount(value(), "--jobs"));
-        } else if (arg == "--lease") {
-            opts.leaseSeconds = parsePositiveSeconds(value(), "--lease");
-        } else if (arg == "--poll") {
-            opts.pollSeconds = parsePositiveSeconds(value(), "--poll");
-        } else if (arg == "--once") {
-            opts.once = true;
-        } else if (arg == "--max-shards") {
-            opts.maxShards = parsePositiveCount(value(), "--max-shards");
-        } else if (arg == "--quiet") {
-            opts.verbose = false;
-        } else if (arg == "--help" || arg == "-h") {
-            std::printf("see the header of examples/tmcc_simd.cpp\n");
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option %s (try --help)\n",
-                         arg.c_str());
-            return 1;
-        }
-    }
+    const std::vector<cli::Flag> flags = {
+        {"--serve", "DIR", "queue directory to serve",
+         cli::bind(opts.queueDir), "TMCC_QUEUE_DIR"},
+        {"--worker-id", "S",
+         "lease-holder identity (default <hostname>:<pid>)",
+         cli::bind(opts.workerId)},
+        {"--jobs", "N",
+         "SimRunner threads per shard (default: the enqueuer's advisory "
+         "value)",
+         cli::bind(opts.jobs, 1)},
+        {"--lease", "SEC",
+         "claim lease; a claim not renewed for SEC is stale and "
+         "reclaimable (default 15; must exceed cross-host clock skew "
+         "comfortably)",
+         cli::bind(opts.leaseSeconds, cli::kPositive)},
+        {"--poll", "SEC", "idle delay between queue scans (default 1)",
+         cli::bind(opts.pollSeconds, cli::kPositive)},
+        {"--once", "",
+         "exit once every visible sweep is fully served (drain mode, for "
+         "CI and scripts)",
+         cli::bind(opts.once)},
+        {"--max-shards", "N", "exit after serving N shards (tests)",
+         cli::bind(opts.maxShards, 1)},
+        {"--quiet", "", "suppress per-shard progress logging",
+         [&](auto &, auto &) {
+             opts.verbose = false;
+         }},
+    };
+    cli::parse("Usage: tmcc_simd [options]\n\nServe the sweep work queue "
+               "in DIR until stopped (SIGINT/SIGTERM finish the\n"
+               "current shard first).\n",
+               flags, argc, argv);
 
     SweepDaemon daemon(opts); // fatal on out-of-contract options
     g_daemon = &daemon;

@@ -46,8 +46,9 @@ writeSyncedTmp(const std::string &path, const char magic[8],
     const bool wrote =
         std::fwrite(header.buffer().data(), 1, header.buffer().size(),
                     f) == header.buffer().size() &&
-        std::fwrite(payload.data(), 1, payload.size(), f) ==
-            payload.size();
+        (payload.empty() ||
+         std::fwrite(payload.data(), 1, payload.size(), f) ==
+             payload.size());
     // Flush user-space buffers and push the bytes to storage before the
     // rename/link publishes them: a reader that sees the new name must
     // see the new content even if this process is killed right after.

@@ -1,12 +1,11 @@
 #include "sim/runner.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <thread>
 
-#include "common/log.hh"
+#include "common/cli.hh"
 #include "common/trace.hh"
 #include "sim/system.hh"
 
@@ -60,15 +59,8 @@ SimRunner::SimRunner(unsigned jobs)
 unsigned
 SimRunner::defaultJobs()
 {
-    const char *env = std::getenv("TMCC_JOBS");
-    if (env && *env) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        fatalIf(*end != '\0' || v <= 0,
-                std::string("TMCC_JOBS must be a positive integer, got \"") +
-                    env + "\"");
-        return static_cast<unsigned>(v);
-    }
+    if (const auto jobs = cli::envNumber<unsigned>("TMCC_JOBS", 1))
+        return *jobs;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }

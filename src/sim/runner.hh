@@ -52,8 +52,9 @@ class SimRunner
     static void recordExternalRun(const SimResult &result);
 
     /**
-     * TMCC_JOBS if set (rejects non-numeric or nonpositive values with
-     * a clear fatal error), else hardware_concurrency, else 1.
+     * TMCC_JOBS if set (anything but a positive integer that fits
+     * `unsigned` exits with an error naming it), else
+     * hardware_concurrency, else 1.
      */
     static unsigned defaultJobs();
 

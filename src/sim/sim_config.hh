@@ -8,11 +8,15 @@
 #ifndef TMCC_SIM_SIM_CONFIG_HH
 #define TMCC_SIM_SIM_CONFIG_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <type_traits>
+#include <vector>
 
 #include "cache/hierarchy.hh"
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "common/serial.hh"
 #include "compresso/compresso_mc.hh"
@@ -34,6 +38,17 @@ enum class Arch
 };
 
 const char *archName(Arch arch);
+
+/** The arch named by `--arch` (none|nocomp|compresso|barebone|
+ * barebone+ml1|barebone+ml2|tmcc); fails (exit 1) on any other name. */
+Arch archByName(const std::string &name);
+
+/** cli::bind's parser for an Arch member. */
+inline void
+parseFlagValue(const std::string &, const std::string &text, Arch &out)
+{
+    out = archByName(text);
+}
 
 /** Inert: nothing reads it; perfbench/perfbench.cc is its only writer. */
 enum class KernelMode : std::uint8_t { Batch };
@@ -317,30 +332,19 @@ parseSampleSpec(const std::string &flag, const std::string &s,
     const std::string usage =
         flag + " must be k:w[:warm] with positive integers, got \"" + s +
         "\"";
-    std::uint64_t parts[3] = {0, 0, 0};
-    std::size_t nparts = 0;
-    std::size_t pos = 0;
-    while (true) {
-        fatalIf(nparts == 3, usage);
-        const std::size_t colon = s.find(':', pos);
-        const std::string tok = s.substr(
-            pos, colon == std::string::npos ? std::string::npos
-                                            : colon - pos);
-        fatalIf(tok.empty() ||
-                    tok.find_first_not_of("0123456789") !=
-                        std::string::npos ||
-                    tok.size() > 19,
-                usage);
-        parts[nparts++] = std::stoull(tok);
-        fatalIf(parts[nparts - 1] == 0, usage);
-        if (colon == std::string::npos)
-            break;
+    std::vector<std::uint64_t> parts;
+    for (std::size_t pos = 0; pos <= s.size() && parts.size() <= 3;) {
+        const std::size_t colon = std::min(s.find(':', pos), s.size());
+        const auto part = cli::tryParseNumber(
+            std::string_view(s).substr(pos, colon - pos), std::uint64_t{1});
+        fatalIf(!part, usage);
+        parts.push_back(*part);
         pos = colon + 1;
     }
-    fatalIf(nparts < 2, usage);
+    fatalIf(parts.size() < 2 || parts.size() > 3, usage);
     cfg.sampleWindows = parts[0];
     cfg.sampleWindowAccesses = parts[1];
-    cfg.sampleWarmAccesses = nparts == 3 ? parts[2] : parts[1];
+    cfg.sampleWarmAccesses = parts.back();
 }
 
 } // namespace tmcc

@@ -64,6 +64,24 @@ archName(Arch arch)
     return "?";
 }
 
+Arch
+archByName(const std::string &name)
+{
+    static const std::pair<const char *, Arch> names[] = {
+        {"none", Arch::NoCompression},
+        {"nocomp", Arch::NoCompression},
+        {"compresso", Arch::Compresso},
+        {"barebone", Arch::Barebone},
+        {"barebone+ml1", Arch::BarebonePlusMl1},
+        {"barebone+ml2", Arch::BarebonePlusMl2},
+        {"tmcc", Arch::Tmcc},
+    };
+    for (const auto &[n, arch] : names)
+        if (name == n)
+            return arch;
+    fatal("unknown arch '" + name + "'");
+}
+
 System::System(const SimConfig &cfg) : cfg_(cfg)
 {
     const auto wall0 = std::chrono::steady_clock::now();

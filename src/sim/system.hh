@@ -60,8 +60,6 @@ class System
     Hierarchy &hierarchy() { return *hierarchy_; }
     DramSystem &dram() { return *dram_; }
     MemController &mc() { return *mc_; }
-    OsInspiredMc *osMc() { return osMc_; }
-    CompressoMc *compressoMc() { return compressoMc_; }
     ProfileLibrary &profiles() { return profiles_; }
     Tlb &tlb(unsigned core) { return *tlbs_[core]; }
     const SimConfig &config() const { return cfg_; }

@@ -180,6 +180,13 @@ TEST(SimRunnerDeathTest, RejectsMalformedTmccJobs)
             SimRunner::defaultJobs();
         },
         "TMCC_JOBS");
+    // Too wide for the unsigned job count: rejected, not truncated to 1.
+    EXPECT_DEATH(
+        {
+            setenv("TMCC_JOBS", "4294967297", 1);
+            SimRunner::defaultJobs();
+        },
+        "TMCC_JOBS must be a positive integer");
 }
 
 } // namespace
