@@ -6,15 +6,18 @@
  * whether the cacheline is compressed").
  *
  * The model is functional (hits/misses/evictions); latency composition
- * is the pipeline's job.  State is structure-of-arrays (contiguous tag
- * / LRU / flag arrays), each set padded to the SIMD vector width, so
- * the tag probe and the LRU victim scan are whole-set vector compares
- * (common/simd.hh) that never straddle sets; the hot methods are
- * defined inline here so both the scalar and the batched access
- * kernels can fold them into their loops.  Every probe decision is
- * made by the simd::Ops primitives, whose scalar fallback is the
- * oracle — SIMD and scalar builds are bit-identical by construction
- * (tests/cache/probe_property_test.cc).
+ * is the pipeline's job.  Way metadata is structure-of-arrays, one row
+ * per set: a 32-bit tag row holding block numbers, a flag row, and a
+ * one-byte recency-rank row (rank 0 = most recently used).  Rows are
+ * padded so the tag probe, the victim pick and the LRU update are each
+ * a few native-width vector operations (common/simd.hh) that never read
+ * past their set.  Tags are 32-bit block numbers up to simd::maxKey, so
+ * the cache holds addresses just under 2^38 (256 GiB); inserting a
+ * higher one panics and looking one up misses.  The hot methods are inline so the access
+ * path's member templates (cache/hierarchy.hh) fold them in.  Every
+ * probe decision is made by the simd primitives, whose scalar fallback
+ * is the oracle — SIMD and scalar builds are bit-identical by
+ * construction (tests/cache/probe_property_test.cc).
  */
 
 #ifndef TMCC_CACHE_CACHE_HH
@@ -53,19 +56,26 @@ class Cache : public Stated
     bool
     access(Addr addr, bool is_write)
     {
-        const std::size_t w = find(addr);
-        if (w == npos) {
+        const std::uint64_t blk = blockNumber(addr);
+        const std::size_t set = setIndex(blk);
+        const unsigned way = findWay(set, blk);
+        if (way == noWay) {
             misses_.inc();
             return false;
         }
         hits_.inc();
-        lru_[w] = ++lruClock_;
-        flags_[w] |= is_write ? Dirty : 0;
+        touchRank(set, way);
+        flags_[set * wstride_ + way] |= is_write ? Dirty : 0;
         return true;
     }
 
     /** Hit check without LRU/dirty side effects. */
-    bool probe(Addr addr) const { return find(addr) != npos; }
+    bool
+    probe(Addr addr) const
+    {
+        const std::uint64_t blk = blockNumber(addr);
+        return findWay(setIndex(blk), blk) != noWay;
+    }
 
     /**
      * Insert a line, returning the evicted victim if any.  The victim
@@ -75,51 +85,43 @@ class Cache : public Stated
     std::optional<CacheLine>
     insert(const CacheLine &line)
     {
-        const Addr tag = blockAlign(line.addr);
+        const std::uint32_t tag = keyOf(line.addr);
+        const std::size_t set = setIndex(tag);
+        const std::size_t base = set * wstride_;
 
-        // Vector pass over the set: resident-way match, else the
-        // victim in exactly the order the historical scalar scan
-        // evaluated it (results depend on it): first invalid way
-        // among 1..N-1, else way 0 when invalid, else the LRU way
-        // (stamps unique, so the min is unique).
-        const std::size_t base = setIndex(tag) * wstride_;
+        // One pass over the set: resident-way match, else the victim
+        // in exactly the order the historical scalar scan evaluated it
+        // (results depend on it): first invalid way among 1..N-1, else
+        // way 0 when invalid, else the LRU way.
         std::uint64_t match, inv;
-        Probe::eqMask2(&tags_[base], wstride_, tag, invalidAddr,
+        Probe::eqMask2(&tags_[base], wstride_, tag, simd::invalidKey,
                        match, inv);
 
         // Refresh in place if already resident.
         if (match) {
-            const std::size_t w = base + simd::firstWay(match);
-            lru_[w] = ++lruClock_;
-            flags_[w] = static_cast<std::uint8_t>(
-                (flags_[w] & ~Compressed) |
-                (line.dirty ? Dirty : 0) |
+            const unsigned way = simd::firstWay(match);
+            touchRank(set, way);
+            std::uint8_t &f = flags_[base + way];
+            f = static_cast<std::uint8_t>(
+                (f & ~Compressed) | (line.dirty ? Dirty : 0) |
                 (line.compressed ? Compressed : 0));
             return std::nullopt;
         }
 
-        std::size_t victim;
+        unsigned way;
         if (inv) {
             const std::uint64_t above0 = inv & ~1ULL;
-            victim = base + (above0 ? simd::firstWay(above0) : 0);
+            way = above0 ? simd::firstWay(above0) : 0;
         } else {
-            victim = base + Probe::minIndex(&lru_[base], wstride_);
+            way = Probe::rankOldest(&ranks_[set * rstride_], assoc_);
         }
 
         std::optional<CacheLine> evicted;
-        if (flags_[victim] & Valid) {
-            evictions_.inc();
-            if (flags_[victim] & Dirty)
-                dirtyEvictions_.inc();
-            evicted = CacheLine{tags_[victim],
-                                (flags_[victim] & Dirty) != 0,
-                                (flags_[victim] & Compressed) != 0};
+        if (flags_[base + way] & Valid) {
+            evicted = lineAt(base + way);
+            countEviction(*evicted);
         }
-        tags_[victim] = tag;
-        flags_[victim] = static_cast<std::uint8_t>(
-            Valid | (line.dirty ? Dirty : 0) |
-            (line.compressed ? Compressed : 0));
-        lru_[victim] = ++lruClock_;
+        fill(set, way, tag, line);
         return evicted;
     }
 
@@ -135,40 +137,33 @@ class Cache : public Stated
     bool
     touch(const CacheLine &line, CacheLine &evicted)
     {
-        const Addr tag = blockAlign(line.addr);
-        const std::size_t base = setIndex(tag) * wstride_;
-        const std::uint64_t match =
-            Probe::eqMask(&tags_[base], wstride_, tag);
+        const std::uint32_t tag = keyOf(line.addr);
+        const std::size_t set = setIndex(tag);
+        const std::size_t base = set * wstride_;
+        std::uint64_t match, inv;
+        Probe::eqMask2(&tags_[base], wstride_, tag, simd::invalidKey,
+                       match, inv);
         if (match) {
-            const std::size_t w = base + simd::firstWay(match);
+            const unsigned way = simd::firstWay(match);
             hits_.inc();
-            lru_[w] = ++lruClock_;
-            flags_[w] |= line.dirty ? Dirty : 0;
+            touchRank(set, way);
+            flags_[base + way] |= line.dirty ? Dirty : 0;
             evicted.addr = invalidAddr;
             return true;
         }
-        // Victim: earliest way minimizing (invalid ? 0 : lru), the
-        // same replacement the historical running-min scan made
-        // (padding ways carry an all-ones stamp and never win).
-        const std::size_t victim =
-            base + Probe::victimIndex(&tags_[base], &lru_[base],
-                                      wstride_, invalidAddr);
+        // Victim: the first free way, else the LRU way (the historical
+        // scan took the earliest way minimizing invalid ? 0 : stamp).
+        const unsigned way =
+            inv ? simd::firstWay(inv)
+                : Probe::rankOldest(&ranks_[set * rstride_], assoc_);
         misses_.inc();
-        if (tags_[victim] != invalidAddr) {
-            evictions_.inc();
-            if (flags_[victim] & Dirty)
-                dirtyEvictions_.inc();
-            evicted = CacheLine{tags_[victim],
-                                (flags_[victim] & Dirty) != 0,
-                                (flags_[victim] & Compressed) != 0};
-        } else {
+        if (inv) {
             evicted.addr = invalidAddr;
+        } else {
+            evicted = lineAt(base + way);
+            countEviction(evicted);
         }
-        tags_[victim] = tag;
-        flags_[victim] = static_cast<std::uint8_t>(
-            Valid | (line.dirty ? Dirty : 0) |
-            (line.compressed ? Compressed : 0));
-        lru_[victim] = ++lruClock_;
+        fill(set, way, tag, line);
         return false;
     }
 
@@ -176,13 +171,14 @@ class Cache : public Stated
     std::optional<CacheLine>
     extract(Addr addr)
     {
-        const std::size_t w = find(addr);
-        if (w == npos)
+        const std::uint64_t blk = blockNumber(addr);
+        const std::size_t set = setIndex(blk);
+        const unsigned way = findWay(set, blk);
+        if (way == noWay)
             return std::nullopt;
-        CacheLine line{tags_[w], (flags_[w] & Dirty) != 0,
-                       (flags_[w] & Compressed) != 0};
-        flags_[w] &= static_cast<std::uint8_t>(~(Valid | Dirty));
-        tags_[w] = invalidAddr;
+        const std::size_t w = set * wstride_ + way;
+        const CacheLine line = lineAt(w);
+        clear(w);
         return line;
     }
 
@@ -190,10 +186,8 @@ class Cache : public Stated
     void
     invalidate(Addr addr)
     {
-        if (const std::size_t w = find(addr); w != npos) {
-            flags_[w] &= static_cast<std::uint8_t>(~(Valid | Dirty));
-            tags_[w] = invalidAddr;
-        }
+        if (const std::size_t w = find(addr); w != npos)
+            clear(w);
     }
 
     /** Read the compressed bit of a resident line. */
@@ -223,23 +217,24 @@ class Cache : public Stated
     }
 
     /**
-     * Hint the hardware prefetcher at this address's set metadata (tag
-     * + LRU rows).  The measured loop calls this for upcoming ring
-     * slots so the probe's loads are in flight before the probe runs.
+     * Hint the hardware prefetcher at this address's set metadata (the
+     * tag and rank rows every probe reads).  The measured loop calls
+     * this for upcoming ring slots so the probe's loads are in flight
+     * before the probe runs.
      */
     void
     prefetchSet(Addr addr) const
     {
-        const std::size_t base = setIndex(addr) * wstride_;
-        simd::prefetchRow(&tags_[base]);
-        simd::prefetchRow(&lru_[base]);
+        const std::size_t set = setIndex(blockNumber(addr));
+        simd::prefetchRow(&tags_[set * wstride_]);
+        simd::prefetchRow(&ranks_[set * rstride_]);
     }
 
     /** Test-only view of one way's metadata (way < associativity). */
     struct WayView
     {
-        Addr tag;
-        std::uint64_t lru;
+        Addr tag;      //!< block-aligned address; invalidAddr if free
+        unsigned rank; //!< recency rank, 0 = most recently used
         bool valid;
         bool dirty;
         bool compressed;
@@ -249,9 +244,10 @@ class Cache : public Stated
     wayView(std::size_t set, unsigned way) const
     {
         const std::size_t w = set * wstride_ + way;
-        return WayView{tags_[w], lru_[w], (flags_[w] & Valid) != 0,
-                       (flags_[w] & Dirty) != 0,
-                       (flags_[w] & Compressed) != 0};
+        const CacheLine line = lineAt(w);
+        return WayView{line.addr, ranks_[set * rstride_ + way],
+                       (flags_[w] & Valid) != 0, line.dirty,
+                       line.compressed};
     }
 
     std::size_t sizeBytes() const { return sets_ * assoc_ * blockSize; }
@@ -267,6 +263,7 @@ class Cache : public Stated
 
   private:
     static constexpr std::size_t npos = ~static_cast<std::size_t>(0);
+    static constexpr unsigned noWay = ~0u;
 
     // Way metadata flag bits (flags_ bytes).
     enum : std::uint8_t
@@ -276,52 +273,121 @@ class Cache : public Stated
         Compressed = 4,
     };
 
+    using Probe = simd::Active;
+
     std::size_t
-    setIndex(Addr addr) const
+    setIndex(std::uint64_t blk) const
     {
         // Power-of-two set counts (every standard geometry) index with
         // a mask; odd geometries take the general modulo path.
-        const auto blk = static_cast<std::size_t>(blockNumber(addr));
-        return setsPow2_ ? (blk & setMask_) : (blk % sets_);
+        const auto b = static_cast<std::size_t>(blk);
+        return setsPow2_ ? (b & setMask_) : (b % sets_);
     }
 
+    /** Tag of a line about to be installed; panics past the key range. */
+    std::uint32_t
+    keyOf(Addr addr) const
+    {
+        const std::uint64_t blk = blockNumber(addr);
+        if (blk > simd::maxKey) [[unlikely]]
+            keyOutOfRange(addr);
+        return static_cast<std::uint32_t>(blk);
+    }
+
+    [[noreturn]] void keyOutOfRange(Addr addr) const;
+
     /**
-     * Index of the way holding `addr`, or npos.  Invalid ways hold
-     * the invalidAddr tag and padding ways a distinct non-aligned
-     * sentinel, so neither can match a (block-aligned) probe tag and
-     * the scan is one whole-set vector compare — this is the single
-     * hottest operation in the simulator.  Tags are unique per set
-     * (insert/touch refresh in place), so "first match" is "the
-     * match".
+     * Way of `set` holding block `blk`, or noWay.  Invalid and padding
+     * ways hold the reserved keys above simd::maxKey, and a block past
+     * the key range is reported absent before the compare (its low 32
+     * bits could name a resident block), so the scan is one whole-set
+     * vector compare — the single hottest operation in the simulator.
+     * Tags are unique per set (insert/touch refresh in place), so
+     * "first match" is "the match".
      */
+    unsigned
+    findWay(std::size_t set, std::uint64_t blk) const
+    {
+        if (blk > simd::maxKey) [[unlikely]]
+            return noWay;
+        const std::uint64_t m =
+            Probe::eqMask(&tags_[set * wstride_], wstride_,
+                          static_cast<std::uint32_t>(blk));
+        return m ? simd::firstWay(m) : noWay;
+    }
+
+    /** Flat index of the way holding `addr`, or npos. */
     std::size_t
     find(Addr addr) const
     {
-        const Addr tag = blockAlign(addr);
-        const std::size_t base = setIndex(addr) * wstride_;
-        const std::uint64_t m =
-            Probe::eqMask(&tags_[base], wstride_, tag);
-        return m ? base + simd::firstWay(m) : npos;
+        const std::uint64_t blk = blockNumber(addr);
+        const std::size_t set = setIndex(blk);
+        const unsigned way = findWay(set, blk);
+        return way == noWay ? npos : set * wstride_ + way;
     }
 
-    using Probe = simd::Active;
+    /** Make `way` of `set` the most recently used. */
+    void
+    touchRank(std::size_t set, unsigned way)
+    {
+        Probe::rankTouch(&ranks_[set * rstride_], assoc_, way);
+    }
 
-    /** Padding-way tag: never block-aligned, never invalidAddr. */
-    static constexpr Addr padTag = invalidAddr ^ 1;
+    /** The line held by flat way index `w` (addr invalidAddr if free). */
+    CacheLine
+    lineAt(std::size_t w) const
+    {
+        const std::uint32_t tag = tags_[w];
+        return CacheLine{tag == simd::invalidKey
+                             ? invalidAddr
+                             : static_cast<Addr>(tag) << blockShift,
+                         (flags_[w] & Dirty) != 0,
+                         (flags_[w] & Compressed) != 0};
+    }
+
+    void
+    countEviction(const CacheLine &victim)
+    {
+        evictions_.inc();
+        if (victim.dirty)
+            dirtyEvictions_.inc();
+    }
+
+    /** Install `line` (tag `tag`) in `way` of `set` as the MRU way. */
+    void
+    fill(std::size_t set, unsigned way, std::uint32_t tag,
+         const CacheLine &line)
+    {
+        const std::size_t w = set * wstride_ + way;
+        tags_[w] = tag;
+        flags_[w] = static_cast<std::uint8_t>(
+            Valid | (line.dirty ? Dirty : 0) |
+            (line.compressed ? Compressed : 0));
+        touchRank(set, way);
+    }
+
+    /** Free flat way `w`; its rank and compressed bit stay stale. */
+    void
+    clear(std::size_t w)
+    {
+        flags_[w] &= static_cast<std::uint8_t>(~(Valid | Dirty));
+        tags_[w] = simd::invalidKey;
+    }
 
     std::string name_;
     std::size_t sets_;
     bool setsPow2_ = true;   //!< shift-mask indexing fast path
     std::size_t setMask_ = 0; //!< sets_ - 1 when setsPow2_
     unsigned assoc_;
-    unsigned wstride_;        //!< assoc_ padded to the vector width
+    unsigned wstride_; //!< assoc_ padded to the u32 vector width
+    unsigned rstride_; //!< assoc_ padded to whole 16-byte rank rows
 
-    // Structure-of-arrays way metadata, sets_ x wstride_ flattened
-    // (padding ways carry padTag / all-ones LRU and are never chosen).
-    std::vector<Addr> tags_;
-    std::vector<std::uint64_t> lru_;
+    // Structure-of-arrays way metadata, flattened per set: tags_ and
+    // flags_ are sets_ x wstride_ (padding ways hold simd::padKey),
+    // ranks_ is sets_ x rstride_ (padding bytes hold simd::padRank).
+    std::vector<std::uint32_t> tags_;
     std::vector<std::uint8_t> flags_;
-    std::uint64_t lruClock_ = 0;
+    std::vector<std::uint8_t> ranks_;
 
     Counter hits_, misses_, evictions_, dirtyEvictions_;
 };

@@ -1,5 +1,8 @@
 #include "cache/prefetcher.hh"
 
+#include <algorithm>
+#include <sstream>
+
 #include "common/log.hh"
 
 namespace tmcc
@@ -11,21 +14,28 @@ NextLinePrefetcher::NextLinePrefetcher(unsigned check_window,
 {}
 
 StridePrefetcher::StridePrefetcher(unsigned degree, unsigned streams)
-    : degree_(degree),
-      wstride_(simd::padWays(streams)),
-      pages_(wstride_, padPage),
-      lastAddr_(wstride_, invalidAddr),
-      stride_(wstride_, 0),
-      confidence_(wstride_, 0),
-      lastUse_(wstride_, ~std::uint64_t{0})
+    : degree_(degree), streams_(streams),
+      wstride_(simd::padWays<std::uint32_t>(streams))
 {
     fatalIf(streams == 0 || streams > simd::maxWays,
             "stride prefetcher stream count must be in [1, " +
                 std::to_string(simd::maxWays) + "]");
-    for (unsigned i = 0; i < streams; ++i) {
-        pages_[i] = invalidAddr;
-        lastUse_[i] = 0;
-    }
+    pages_.assign(wstride_, simd::padKey);
+    std::fill_n(pages_.begin(), streams_, simd::invalidKey);
+    lastAddr_.assign(streams_, invalidAddr);
+    stride_.assign(streams_, 0);
+    confidence_.assign(streams_, 0);
+    simd::initRankRows(ranks_, 1, streams_, simd::padRanks(streams_));
+}
+
+void
+StridePrefetcher::pageOutOfRange(Addr addr) const
+{
+    std::ostringstream msg;
+    msg << "stride prefetcher: address 0x" << std::hex << addr
+        << " is past the 32-bit page-number key range (addresses must"
+           " be below 0xffffffffe000, just under 16 TiB)";
+    panic(msg.str());
 }
 
 } // namespace tmcc

@@ -10,9 +10,12 @@
  *
  * The observe paths are `observeT<Sink>` member templates defined
  * inline so the access path appends into fixed-capacity sinks without
- * virtual dispatch.  The stride streams live in flat arrays (no
- * hashing) — with unique lastUse stamps the LRU victim is unique, so
- * eviction is bit-identical to the old map-based scan.
+ * virtual dispatch.  The stride streams are one fully associative set
+ * on the common/simd.hh probe engine: a 32-bit page-number row for the
+ * stream match and a one-byte recency-rank row for the LRU victim, so
+ * stream lookup and replacement are native-width vector operations.
+ * Page numbers are 32-bit keys up to simd::maxKey: observing an address
+ * past that (just under 2^44, 16 TiB) panics.
  */
 
 #ifndef TMCC_CACHE_PREFETCHER_HH
@@ -131,34 +134,34 @@ class StridePrefetcher : public Prefetcher
     void
     observeT(Addr addr, bool was_miss, Sink &out)
     {
-        const Addr page = pageNumber(addr);
+        const std::uint64_t page_number = pageNumber(addr);
+        if (page_number > simd::maxKey) [[unlikely]]
+            pageOutOfRange(addr);
+        const auto page = static_cast<std::uint32_t>(page_number);
         const Addr block = blockAlign(addr);
 
         // One fused vector pass: find the stream for `page` and the
         // first free slot in case it is missing (only consulted on a
         // miss, so fusing matches the old early-exit scan exactly).
         std::uint64_t match, inv;
-        Probe::eqMask2(pages_.data(), wstride_, page, invalidAddr,
+        Probe::eqMask2(pages_.data(), wstride_, page, simd::invalidKey,
                        match, inv);
-        const std::size_t hit =
-            match ? simd::firstWay(match) : npos;
-        const std::size_t free_slot =
-            inv ? simd::firstWay(inv) : npos;
 
-        if (hit == npos) {
+        if (!match) {
             // Evict the least recently used stream if at capacity.
-            const std::size_t slot =
-                free_slot != npos ? free_slot : lruSlot();
+            const unsigned slot =
+                inv ? simd::firstWay(inv)
+                    : Probe::rankOldest(ranks_.data(), streams_);
             pages_[slot] = page;
             lastAddr_[slot] = block;
             stride_[slot] = 0;
             confidence_[slot] = 0;
-            lastUse_[slot] = ++useClock_;
+            Probe::rankTouch(ranks_.data(), streams_, slot);
             return;
         }
 
-        const std::size_t s = hit;
-        lastUse_[s] = ++useClock_;
+        const unsigned s = simd::firstWay(match);
+        Probe::rankTouch(ranks_.data(), streams_, s);
         const std::int64_t stride =
             static_cast<std::int64_t>(block) -
             static_cast<std::int64_t>(lastAddr_[s]);
@@ -187,34 +190,40 @@ class StridePrefetcher : public Prefetcher
         }
     }
 
-  private:
-    static constexpr std::size_t npos = ~static_cast<std::size_t>(0);
-
-    /** Occupied slot with the smallest lastUse (stamps are unique). */
-    std::size_t
-    lruSlot() const
+    /** Test-only view of one stream slot (slot < stream count). */
+    struct SlotView
     {
-        return Probe::minIndex(lastUse_.data(), wstride_);
+        Addr page;     //!< page number; invalidAddr if free
+        unsigned rank; //!< recency rank, 0 = most recently used
+    };
+
+    SlotView
+    slotView(unsigned slot) const
+    {
+        return SlotView{pages_[slot] == simd::invalidKey
+                            ? invalidAddr
+                            : Addr{pages_[slot]},
+                        ranks_[slot]};
     }
 
+  private:
     using Probe = simd::Active;
 
-    /** Padding-slot page key: matches no page, never looks free. */
-    static constexpr Addr padPage = invalidAddr ^ 1;
+    [[noreturn]] void pageOutOfRange(Addr addr) const;
 
     unsigned degree_;
-    unsigned wstride_; //!< stream count padded to the vector width
-    std::uint64_t useClock_ = 0;
+    unsigned streams_;
+    unsigned wstride_; //!< stream count padded to the u32 vector width
 
-    // Structure-of-arrays streams, padded to the vector width (padding
-    // slots hold padPage / all-ones lastUse and are never chosen);
-    // pages_ == invalidAddr marks a free slot (page numbers are small,
-    // never all-ones).
-    std::vector<Addr> pages_;
+    // Structure-of-arrays streams.  pages_ is padded to the vector
+    // width with simd::padKey (never matches, never looks free) and
+    // holds simd::invalidKey in a free slot; ranks_ is one rank row
+    // padded to 16 bytes with simd::padRank.
+    std::vector<std::uint32_t> pages_;
     std::vector<Addr> lastAddr_;
     std::vector<std::int64_t> stride_;
     std::vector<unsigned> confidence_;
-    std::vector<std::uint64_t> lastUse_;
+    std::vector<std::uint8_t> ranks_;
 };
 
 } // namespace tmcc

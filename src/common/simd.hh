@@ -1,29 +1,41 @@
 /**
  * @file
- * Portable SIMD set-probe primitives for the hot tag/LRU scans in
- * Cache, CteCache and Tlb.
+ * Portable SIMD set-probe primitives for every set-associative
+ * structure in the simulator: Cache, StridePrefetcher, CteCache and
+ * Tlb.
  *
- * Every set-associative structure in the simulator keeps its way
- * metadata as structure-of-arrays u64 rows (tags or packed keys, LRU
- * stamps), padded per set to the vector width so one probe is a few
- * whole-vector compares that never straddle into the next set.  The
- * primitives here are the only code that makes *decisions* over those
- * rows:
+ * Each structure keeps its way metadata as structure-of-arrays rows,
+ * one row per set, padded so a probe is a few whole-vector operations
+ * that never read past the row's end:
  *
- *   - eqMask      which ways match a key (tag probe)
- *   - eqMask2     which ways match either of two keys, one load pass
- *                 (the insert path's fused resident + free-way probe)
- *   - eqMaskAnd   which ways match a key under a bit mask (validity)
- *   - minIndex    earliest way holding the minimum value (LRU victim)
- *   - victimIndex earliest way minimizing (invalid ? 0 : lru) — the
- *                 fused find-or-insert victim scan
+ *   - a key row: 32-bit keys (cache block numbers, prefetcher page
+ *     numbers, CTE block numbers) or, for the TLB only, 64-bit packed
+ *     (vpn << 2 | flags) keys; padded to the vector width;
+ *   - a recency-rank row: one byte per way, rank 0 the most recently
+ *     used way, assoc-1 the least; padded to 16 bytes with padRank.
  *
- * Each primitive is defined once per ISA as Ops<Isa> with *identical*
- * result contracts: callers get the same answer from every
- * instantiation, bit for bit, which is what keeps SIMD builds
- * metric-identical to the scalar fallback (property-tested in
- * tests/common/simd_test.cc and tests/cache/probe_property_test.cc,
- * cross-build-diffed by the simd-identity CI job).
+ * Exact LRU needs only each way's recency order, so a byte per way
+ * replaces a 64-bit timestamp and a global clock, and the victim is a
+ * byte compare instead of a 64-bit min scan.  The primitives here are
+ * the only code that makes *decisions* over those rows:
+ *
+ *   - eqMask      which ways match a key (u32 and u64 rows)
+ *   - eqMask2     which ways match either of two keys in one load
+ *                 pass (u32 rows: resident + free-way probe)
+ *   - eqMaskAnd   which u64 ways match a key under a bit mask (the
+ *                 TLB's validity bit)
+ *   - rankTouch   make one way the most recently used: every way
+ *                 ranked below it ages by one
+ *   - rankOldest  the least recently used way (ranked n-1)
+ *
+ * Each primitive is defined once per ISA with *identical* result
+ * contracts: callers get the same answer from every instantiation,
+ * bit for bit, which is what keeps SIMD builds metric-identical to the
+ * scalar fallback (property-tested in tests/common/simd_test.cc and
+ * tests/cache/probe_property_test.cc, cross-build-diffed by the
+ * simd-identity CI job).  Every compare is native on every ISA: 32-bit
+ * and 8-bit lanes for the key and rank rows, 64-bit only for the
+ * TLB's keys.
  *
  * ISA selection is compile-time: AVX2 > SSE2 > NEON (aarch64) > scalar,
  * overridden to scalar by defining TMCC_SIMD_FORCE_SCALAR (the
@@ -35,6 +47,7 @@
 #ifndef TMCC_COMMON_SIMD_HH
 #define TMCC_COMMON_SIMD_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #if !defined(TMCC_SIMD_FORCE_SCALAR)
@@ -58,6 +71,23 @@ namespace tmcc::simd
  */
 constexpr unsigned maxWays = 64;
 
+/** 32-bit key of an invalid (free) way. */
+constexpr std::uint32_t invalidKey = 0xFFFFFFFF;
+/** 32-bit key of a padding way: matches no probe, never looks free. */
+constexpr std::uint32_t padKey = 0xFFFFFFFE;
+/** Largest storable 32-bit key; the two above it are reserved. */
+constexpr std::uint64_t maxKey = padKey - 1;
+
+/**
+ * Rank of a padding byte in a rank row.  Real ranks are below maxWays,
+ * and 0x7F is above every one of them under both signed (SSE2) and
+ * unsigned byte compares, so padding never ages and never reads as the
+ * oldest way.
+ */
+constexpr std::uint8_t padRank = 0x7F;
+/** Rank rows are padded to whole 16-byte vectors on every ISA. */
+constexpr unsigned rankRowBytes = 16;
+
 /** First set bit of a nonzero way mask = lowest matching way. */
 inline unsigned
 firstWay(std::uint64_t mask)
@@ -67,17 +97,22 @@ firstWay(std::uint64_t mask)
 
 /**
  * The scalar fallback — also the oracle every vector ISA is
- * property-tested against.  `n` is the padded way count; the contracts
- * below hold for any n in [1, maxWays].
+ * property-tested against.  For the key probes `n` is the padded way
+ * count of the row; for the rank ops it is the real way count and the
+ * row holds a permutation of [0, n) followed by padRank bytes up to
+ * the next multiple of rankRowBytes.  The contracts hold for any n in
+ * [1, maxWays].
  */
 struct ScalarIsa
 {
-    static constexpr unsigned lanes = 1;
+    static constexpr unsigned lanes64 = 1;
+    static constexpr unsigned lanes32 = 1;
     static constexpr const char *name = "scalar";
 
     /** Bit i set iff p[i] == key. */
+    template <class Key>
     static std::uint64_t
-    eqMask(const std::uint64_t *p, unsigned n, std::uint64_t key)
+    eqMask(const Key *p, unsigned n, Key key)
     {
         std::uint64_t m = 0;
         for (unsigned i = 0; i < n; ++i)
@@ -87,8 +122,8 @@ struct ScalarIsa
 
     /** eqMask for two keys over one pass: ma/mb get the way masks. */
     static void
-    eqMask2(const std::uint64_t *p, unsigned n, std::uint64_t key_a,
-            std::uint64_t key_b, std::uint64_t &ma, std::uint64_t &mb)
+    eqMask2(const std::uint32_t *p, unsigned n, std::uint32_t key_a,
+            std::uint32_t key_b, std::uint64_t &ma, std::uint64_t &mb)
     {
         ma = mb = 0;
         for (unsigned i = 0; i < n; ++i) {
@@ -108,50 +143,50 @@ struct ScalarIsa
         return m;
     }
 
-    /** Earliest index of the minimum of p[0..n). */
-    static unsigned
-    minIndex(const std::uint64_t *p, unsigned n)
+    /** Ways ranked below `way` age by one; `way` becomes rank 0. */
+    static void
+    rankTouch(std::uint8_t *row, unsigned n, unsigned way)
     {
-        unsigned best = 0;
-        for (unsigned i = 1; i < n; ++i)
-            if (p[i] < p[best])
-                best = i;
-        return best;
+        const std::uint8_t r = row[way];
+        for (unsigned i = 0; i < n; ++i)
+            row[i] = static_cast<std::uint8_t>(row[i] + (row[i] < r));
+        row[way] = 0;
     }
 
-    /**
-     * Earliest index minimizing (tags[i] == invalid_tag ? 0 : lru[i])
-     * — the replacement scan of the fused find-or-insert path, where
-     * invalid ways outrank every valid way and ties go to the lowest
-     * way.
-     */
+    /** The way ranked n-1 (the least recently used). */
     static unsigned
-    victimIndex(const std::uint64_t *tags, const std::uint64_t *lru,
-                unsigned n, std::uint64_t invalid_tag)
+    rankOldest(const std::uint8_t *row, unsigned n)
     {
-        unsigned best = 0;
-        std::uint64_t best_score =
-            tags[0] == invalid_tag ? 0 : lru[0];
-        for (unsigned i = 1; i < n; ++i) {
-            const std::uint64_t score =
-                tags[i] == invalid_tag ? 0 : lru[i];
-            if (score < best_score) {
-                best_score = score;
-                best = i;
-            }
-        }
-        return best;
+        for (unsigned i = 0; i < n; ++i)
+            if (row[i] == n - 1)
+                return i;
+        return 0; // unreachable while the row is a permutation
     }
 };
 
 #if defined(TMCC_SIMD_X86)
 
-/** 128-bit SSE2 path: 2 u64 lanes, u64 compares synthesized from epi32
- * ops (baseline x86-64 has no 64-bit vector compare). */
+/** 128-bit SSE2 path: 4 u32 lanes or 16 rank bytes per compare; the
+ * TLB's u64 compares are synthesized from epi32 ops (baseline x86-64
+ * has no 64-bit vector compare). */
 struct Sse2Isa
 {
-    static constexpr unsigned lanes = 2;
+    static constexpr unsigned lanes64 = 2;
+    static constexpr unsigned lanes32 = 4;
     static constexpr const char *name = "sse2";
+
+    static __m128i
+    load(const void *p)
+    {
+        return _mm_loadu_si128(static_cast<const __m128i *>(p));
+    }
+
+    static std::uint64_t
+    mask32(__m128i eq)
+    {
+        return static_cast<std::uint64_t>(
+            _mm_movemask_ps(_mm_castsi128_ps(eq)));
+    }
 
     static __m128i
     eq64(__m128i a, __m128i b)
@@ -161,28 +196,28 @@ struct Sse2Isa
             e, _mm_shuffle_epi32(e, _MM_SHUFFLE(2, 3, 0, 1)));
     }
 
-    /** Signed 64-bit a > b from epi32 compares (classic SSE2 trick:
-     * on equal high halves the borrow of the 64-bit subtract carries
-     * the unsigned low-half comparison into the sign bit). */
-    static __m128i
-    gt64s(__m128i a, __m128i b)
+    static std::uint64_t
+    eqMask(const std::uint32_t *p, unsigned n, std::uint32_t key)
     {
-        __m128i r = _mm_and_si128(_mm_cmpeq_epi32(a, b),
-                                  _mm_sub_epi64(b, a));
-        r = _mm_or_si128(r, _mm_cmpgt_epi32(a, b));
-        return _mm_shuffle_epi32(r, _MM_SHUFFLE(3, 3, 1, 1));
+        const __m128i k = _mm_set1_epi32(static_cast<int>(key));
+        std::uint64_t m = 0;
+        for (unsigned i = 0; i < n; i += 4)
+            m |= mask32(_mm_cmpeq_epi32(load(p + i), k)) << i;
+        return m;
     }
 
-    /** Unsigned 64-bit min via sign-bias + gt64s. */
-    static __m128i
-    minU64(__m128i a, __m128i b)
+    static void
+    eqMask2(const std::uint32_t *p, unsigned n, std::uint32_t key_a,
+            std::uint32_t key_b, std::uint64_t &ma, std::uint64_t &mb)
     {
-        const __m128i bias = _mm_set1_epi64x(
-            static_cast<long long>(0x8000000000000000ULL));
-        const __m128i gt =
-            gt64s(_mm_xor_si128(a, bias), _mm_xor_si128(b, bias));
-        return _mm_or_si128(_mm_and_si128(gt, b),
-                            _mm_andnot_si128(gt, a));
+        const __m128i ka = _mm_set1_epi32(static_cast<int>(key_a));
+        const __m128i kb = _mm_set1_epi32(static_cast<int>(key_b));
+        ma = mb = 0;
+        for (unsigned i = 0; i < n; i += 4) {
+            const __m128i v = load(p + i);
+            ma |= mask32(_mm_cmpeq_epi32(v, ka)) << i;
+            mb |= mask32(_mm_cmpeq_epi32(v, kb)) << i;
+        }
     }
 
     static std::uint64_t
@@ -190,35 +225,11 @@ struct Sse2Isa
     {
         const __m128i k = _mm_set1_epi64x(static_cast<long long>(key));
         std::uint64_t m = 0;
-        for (unsigned i = 0; i < n; i += 2) {
-            const __m128i v = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(p + i));
+        for (unsigned i = 0; i < n; i += 2)
             m |= static_cast<std::uint64_t>(_mm_movemask_pd(
-                     _mm_castsi128_pd(eq64(v, k))))
+                     _mm_castsi128_pd(eq64(load(p + i), k))))
                  << i;
-        }
         return m;
-    }
-
-    static void
-    eqMask2(const std::uint64_t *p, unsigned n, std::uint64_t key_a,
-            std::uint64_t key_b, std::uint64_t &ma, std::uint64_t &mb)
-    {
-        const __m128i ka =
-            _mm_set1_epi64x(static_cast<long long>(key_a));
-        const __m128i kb =
-            _mm_set1_epi64x(static_cast<long long>(key_b));
-        ma = mb = 0;
-        for (unsigned i = 0; i < n; i += 2) {
-            const __m128i v = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(p + i));
-            ma |= static_cast<std::uint64_t>(_mm_movemask_pd(
-                      _mm_castsi128_pd(eq64(v, ka))))
-                  << i;
-            mb |= static_cast<std::uint64_t>(_mm_movemask_pd(
-                      _mm_castsi128_pd(eq64(v, kb))))
-                  << i;
-        }
     }
 
     static std::uint64_t
@@ -230,10 +241,7 @@ struct Sse2Isa
             _mm_set1_epi64x(static_cast<long long>(mask));
         std::uint64_t m = 0;
         for (unsigned i = 0; i < n; i += 2) {
-            const __m128i v = _mm_and_si128(
-                _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(p + i)),
-                am);
+            const __m128i v = _mm_and_si128(load(p + i), am);
             m |= static_cast<std::uint64_t>(_mm_movemask_pd(
                      _mm_castsi128_pd(eq64(v, k))))
                  << i;
@@ -241,95 +249,36 @@ struct Sse2Isa
         return m;
     }
 
-    static std::uint64_t
-    hmin(__m128i v)
+    static void
+    rankTouch(std::uint8_t *row, unsigned n, unsigned way)
     {
-        const std::uint64_t lo =
-            static_cast<std::uint64_t>(_mm_cvtsi128_si64(v));
-        const std::uint64_t hi = static_cast<std::uint64_t>(
-            _mm_cvtsi128_si64(_mm_unpackhi_epi64(v, v)));
-        return lo < hi ? lo : hi;
-    }
-
-    /**
-     * Pick the earliest-index minimum from per-lane running (value,
-     * index) pairs.  Within a lane, strict less-than updates kept the
-     * earliest index; across lanes, equal values break toward the
-     * smaller index — together exactly the oracle's scan order.
-     */
-    static unsigned
-    pickLane(__m128i bestv, __m128i besti)
-    {
-        const std::uint64_t v0 =
-            static_cast<std::uint64_t>(_mm_cvtsi128_si64(bestv));
-        const std::uint64_t v1 = static_cast<std::uint64_t>(
-            _mm_cvtsi128_si64(_mm_unpackhi_epi64(bestv, bestv)));
-        const std::uint64_t i0 =
-            static_cast<std::uint64_t>(_mm_cvtsi128_si64(besti));
-        const std::uint64_t i1 = static_cast<std::uint64_t>(
-            _mm_cvtsi128_si64(_mm_unpackhi_epi64(besti, besti)));
-        return static_cast<unsigned>(
-            (v1 < v0 || (v1 == v0 && i1 < i0)) ? i1 : i0);
-    }
-
-    /** Unsigned 64-bit a < b (lanewise mask). */
-    static __m128i
-    lt64u(__m128i a, __m128i b)
-    {
-        const __m128i bias = _mm_set1_epi64x(
-            static_cast<long long>(0x8000000000000000ULL));
-        return gt64s(_mm_xor_si128(b, bias), _mm_xor_si128(a, bias));
-    }
-
-    static __m128i
-    blend(__m128i a, __m128i b, __m128i take_b)
-    {
-        return _mm_or_si128(_mm_and_si128(take_b, b),
-                            _mm_andnot_si128(take_b, a));
-    }
-
-    static unsigned
-    minIndex(const std::uint64_t *p, unsigned n)
-    {
-        __m128i bestv = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(p));
-        __m128i besti = _mm_set_epi64x(1, 0);
-        __m128i idx = besti;
-        const __m128i step = _mm_set1_epi64x(2);
-        for (unsigned i = 2; i < n; i += 2) {
-            idx = _mm_add_epi64(idx, step);
-            const __m128i v = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(p + i));
-            const __m128i lt = lt64u(v, bestv);
-            bestv = blend(bestv, v, lt);
-            besti = blend(besti, idx, lt);
+        // Ranks and padRank are all below 0x80, so the signed byte
+        // compare orders them like the oracle's unsigned one.  Ranks
+        // are unique, so the one lane equal to r is `way`: zeroing it
+        // in-register leaves one whole-vector store per 16 ways, which
+        // the next touch's load can forward from.
+        const __m128i r = _mm_set1_epi8(static_cast<char>(row[way]));
+        for (unsigned i = 0; i < n; i += rankRowBytes) {
+            const __m128i v = load(row + i);
+            // v < r lanes are all-ones (-1): subtracting ages them.
+            const __m128i aged = _mm_sub_epi8(v, _mm_cmpgt_epi8(r, v));
+            _mm_storeu_si128(
+                reinterpret_cast<__m128i *>(row + i),
+                _mm_andnot_si128(_mm_cmpeq_epi8(v, r), aged));
         }
-        return pickLane(bestv, besti);
     }
 
     static unsigned
-    victimIndex(const std::uint64_t *tags, const std::uint64_t *lru,
-                unsigned n, std::uint64_t invalid_tag)
+    rankOldest(const std::uint8_t *row, unsigned n)
     {
-        const __m128i inv =
-            _mm_set1_epi64x(static_cast<long long>(invalid_tag));
-        __m128i bestv = _mm_set1_epi64x(-1);
-        __m128i besti = _mm_setzero_si128();
-        __m128i idx = _mm_set_epi64x(1, 0);
-        const __m128i step = _mm_set1_epi64x(2);
-        for (unsigned i = 0; i < n; i += 2) {
-            const __m128i t = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(tags + i));
-            const __m128i l = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(lru + i));
-            // invalid way -> score 0, else its LRU stamp.
-            const __m128i score = _mm_andnot_si128(eq64(t, inv), l);
-            const __m128i lt = lt64u(score, bestv);
-            bestv = blend(bestv, score, lt);
-            besti = blend(besti, idx, lt);
-            idx = _mm_add_epi64(idx, step);
+        const __m128i want = _mm_set1_epi8(static_cast<char>(n - 1));
+        for (unsigned i = 0; i < n; i += rankRowBytes) {
+            const unsigned m = static_cast<unsigned>(
+                _mm_movemask_epi8(_mm_cmpeq_epi8(load(row + i), want)));
+            if (m)
+                return i + static_cast<unsigned>(__builtin_ctz(m));
         }
-        return pickLane(bestv, besti);
+        return 0; // unreachable while the row is a permutation
     }
 };
 
@@ -337,20 +286,56 @@ struct Sse2Isa
 
 #if defined(TMCC_SIMD_X86) && defined(__AVX2__)
 
-/** 256-bit AVX2 path: 4 u64 lanes with native 64-bit compares. */
+/** 256-bit AVX2 path: 8 u32 or 4 u64 lanes with native compares; rank
+ * rows (16 bytes per 16 ways) use the SSE2 ops. */
 struct Avx2Isa
 {
-    static constexpr unsigned lanes = 4;
+    static constexpr unsigned lanes64 = 4;
+    static constexpr unsigned lanes32 = 8;
     static constexpr const char *name = "avx2";
 
     static __m256i
-    minU64(__m256i a, __m256i b)
+    load(const void *p)
     {
-        const __m256i bias = _mm256_set1_epi64x(
-            static_cast<long long>(0x8000000000000000ULL));
-        const __m256i gt = _mm256_cmpgt_epi64(
-            _mm256_xor_si256(a, bias), _mm256_xor_si256(b, bias));
-        return _mm256_blendv_epi8(a, b, gt);
+        return _mm256_loadu_si256(static_cast<const __m256i *>(p));
+    }
+
+    static std::uint64_t
+    mask32(__m256i eq)
+    {
+        return static_cast<std::uint64_t>(
+            _mm256_movemask_ps(_mm256_castsi256_ps(eq)));
+    }
+
+    static std::uint64_t
+    mask64(__m256i eq)
+    {
+        return static_cast<std::uint64_t>(
+            _mm256_movemask_pd(_mm256_castsi256_pd(eq)));
+    }
+
+    static std::uint64_t
+    eqMask(const std::uint32_t *p, unsigned n, std::uint32_t key)
+    {
+        const __m256i k = _mm256_set1_epi32(static_cast<int>(key));
+        std::uint64_t m = 0;
+        for (unsigned i = 0; i < n; i += 8)
+            m |= mask32(_mm256_cmpeq_epi32(load(p + i), k)) << i;
+        return m;
+    }
+
+    static void
+    eqMask2(const std::uint32_t *p, unsigned n, std::uint32_t key_a,
+            std::uint32_t key_b, std::uint64_t &ma, std::uint64_t &mb)
+    {
+        const __m256i ka = _mm256_set1_epi32(static_cast<int>(key_a));
+        const __m256i kb = _mm256_set1_epi32(static_cast<int>(key_b));
+        ma = mb = 0;
+        for (unsigned i = 0; i < n; i += 8) {
+            const __m256i v = load(p + i);
+            ma |= mask32(_mm256_cmpeq_epi32(v, ka)) << i;
+            mb |= mask32(_mm256_cmpeq_epi32(v, kb)) << i;
+        }
     }
 
     static std::uint64_t
@@ -359,38 +344,9 @@ struct Avx2Isa
         const __m256i k =
             _mm256_set1_epi64x(static_cast<long long>(key));
         std::uint64_t m = 0;
-        for (unsigned i = 0; i < n; i += 4) {
-            const __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(p + i));
-            m |= static_cast<std::uint64_t>(
-                     _mm256_movemask_pd(_mm256_castsi256_pd(
-                         _mm256_cmpeq_epi64(v, k))))
-                 << i;
-        }
+        for (unsigned i = 0; i < n; i += 4)
+            m |= mask64(_mm256_cmpeq_epi64(load(p + i), k)) << i;
         return m;
-    }
-
-    static void
-    eqMask2(const std::uint64_t *p, unsigned n, std::uint64_t key_a,
-            std::uint64_t key_b, std::uint64_t &ma, std::uint64_t &mb)
-    {
-        const __m256i ka =
-            _mm256_set1_epi64x(static_cast<long long>(key_a));
-        const __m256i kb =
-            _mm256_set1_epi64x(static_cast<long long>(key_b));
-        ma = mb = 0;
-        for (unsigned i = 0; i < n; i += 4) {
-            const __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(p + i));
-            ma |= static_cast<std::uint64_t>(
-                      _mm256_movemask_pd(_mm256_castsi256_pd(
-                          _mm256_cmpeq_epi64(v, ka))))
-                  << i;
-            mb |= static_cast<std::uint64_t>(
-                      _mm256_movemask_pd(_mm256_castsi256_pd(
-                          _mm256_cmpeq_epi64(v, kb))))
-                  << i;
-        }
     }
 
     static std::uint64_t
@@ -402,96 +358,23 @@ struct Avx2Isa
         const __m256i am =
             _mm256_set1_epi64x(static_cast<long long>(mask));
         std::uint64_t m = 0;
-        for (unsigned i = 0; i < n; i += 4) {
-            const __m256i v = _mm256_and_si256(
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(p + i)),
-                am);
-            m |= static_cast<std::uint64_t>(
-                     _mm256_movemask_pd(_mm256_castsi256_pd(
-                         _mm256_cmpeq_epi64(v, k))))
+        for (unsigned i = 0; i < n; i += 4)
+            m |= mask64(_mm256_cmpeq_epi64(
+                     _mm256_and_si256(load(p + i), am), k))
                  << i;
-        }
         return m;
     }
 
-    static std::uint64_t
-    hmin(__m256i v)
+    static void
+    rankTouch(std::uint8_t *row, unsigned n, unsigned way)
     {
-        const __m128i half =
-            Sse2Isa::minU64(_mm256_castsi256_si128(v),
-                            _mm256_extracti128_si256(v, 1));
-        return Sse2Isa::hmin(half);
-    }
-
-    /** Unsigned 64-bit a < b (lanewise mask). */
-    static __m256i
-    lt64u(__m256i a, __m256i b)
-    {
-        const __m256i bias = _mm256_set1_epi64x(
-            static_cast<long long>(0x8000000000000000ULL));
-        return _mm256_cmpgt_epi64(_mm256_xor_si256(b, bias),
-                                  _mm256_xor_si256(a, bias));
-    }
-
-    /** See Sse2Isa::pickLane: earliest-index minimum across lanes. */
-    static unsigned
-    pickLane(__m256i bestv, __m256i besti)
-    {
-        alignas(32) std::uint64_t v[4], id[4];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(v), bestv);
-        _mm256_store_si256(reinterpret_cast<__m256i *>(id), besti);
-        unsigned best = 0;
-        for (unsigned l = 1; l < 4; ++l)
-            if (v[l] < v[best] ||
-                (v[l] == v[best] && id[l] < id[best]))
-                best = l;
-        return static_cast<unsigned>(id[best]);
+        Sse2Isa::rankTouch(row, n, way);
     }
 
     static unsigned
-    minIndex(const std::uint64_t *p, unsigned n)
+    rankOldest(const std::uint8_t *row, unsigned n)
     {
-        __m256i bestv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(p));
-        __m256i besti = _mm256_setr_epi64x(0, 1, 2, 3);
-        __m256i idx = besti;
-        const __m256i step = _mm256_set1_epi64x(4);
-        for (unsigned i = 4; i < n; i += 4) {
-            idx = _mm256_add_epi64(idx, step);
-            const __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(p + i));
-            const __m256i lt = lt64u(v, bestv);
-            bestv = _mm256_blendv_epi8(bestv, v, lt);
-            besti = _mm256_blendv_epi8(besti, idx, lt);
-        }
-        return pickLane(bestv, besti);
-    }
-
-    static unsigned
-    victimIndex(const std::uint64_t *tags, const std::uint64_t *lru,
-                unsigned n, std::uint64_t invalid_tag)
-    {
-        const __m256i inv =
-            _mm256_set1_epi64x(static_cast<long long>(invalid_tag));
-        __m256i bestv = _mm256_set1_epi64x(-1);
-        __m256i besti = _mm256_setzero_si256();
-        __m256i idx = _mm256_setr_epi64x(0, 1, 2, 3);
-        const __m256i step = _mm256_set1_epi64x(4);
-        for (unsigned i = 0; i < n; i += 4) {
-            const __m256i t = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(tags + i));
-            const __m256i l = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(lru + i));
-            // invalid way -> score 0, else its LRU stamp.
-            const __m256i score = _mm256_andnot_si256(
-                _mm256_cmpeq_epi64(t, inv), l);
-            const __m256i lt = lt64u(score, bestv);
-            bestv = _mm256_blendv_epi8(bestv, score, lt);
-            besti = _mm256_blendv_epi8(besti, idx, lt);
-            idx = _mm256_add_epi64(idx, step);
-        }
-        return pickLane(bestv, besti);
+        return Sse2Isa::rankOldest(row, n);
     }
 };
 
@@ -499,23 +382,50 @@ struct Avx2Isa
 
 #if defined(TMCC_SIMD_NEON)
 
-/** 128-bit NEON path (aarch64: native 64-bit compares). */
+/** 128-bit NEON path (aarch64): 4 u32, 2 u64 or 16 rank-byte lanes,
+ * all with native compares. */
 struct NeonIsa
 {
-    static constexpr unsigned lanes = 2;
+    static constexpr unsigned lanes64 = 2;
+    static constexpr unsigned lanes32 = 4;
     static constexpr const char *name = "neon";
 
     static std::uint64_t
-    pairMask(uint64x2_t m)
+    mask32(uint32x4_t eq)
     {
-        return (vgetq_lane_u64(m, 0) & 1) |
-               ((vgetq_lane_u64(m, 1) & 1) << 1);
+        const std::uint32_t bits[4] = {1, 2, 4, 8};
+        return vaddvq_u32(vandq_u32(eq, vld1q_u32(bits)));
     }
 
-    static uint64x2_t
-    minU64(uint64x2_t a, uint64x2_t b)
+    static std::uint64_t
+    mask64(uint64x2_t eq)
     {
-        return vbslq_u64(vcgtq_u64(a, b), b, a);
+        return (vgetq_lane_u64(eq, 0) & 1) |
+               ((vgetq_lane_u64(eq, 1) & 1) << 1);
+    }
+
+    static std::uint64_t
+    eqMask(const std::uint32_t *p, unsigned n, std::uint32_t key)
+    {
+        const uint32x4_t k = vdupq_n_u32(key);
+        std::uint64_t m = 0;
+        for (unsigned i = 0; i < n; i += 4)
+            m |= mask32(vceqq_u32(vld1q_u32(p + i), k)) << i;
+        return m;
+    }
+
+    static void
+    eqMask2(const std::uint32_t *p, unsigned n, std::uint32_t key_a,
+            std::uint32_t key_b, std::uint64_t &ma, std::uint64_t &mb)
+    {
+        const uint32x4_t ka = vdupq_n_u32(key_a);
+        const uint32x4_t kb = vdupq_n_u32(key_b);
+        ma = mb = 0;
+        for (unsigned i = 0; i < n; i += 4) {
+            const uint32x4_t v = vld1q_u32(p + i);
+            ma |= mask32(vceqq_u32(v, ka)) << i;
+            mb |= mask32(vceqq_u32(v, kb)) << i;
+        }
     }
 
     static std::uint64_t
@@ -524,22 +434,8 @@ struct NeonIsa
         const uint64x2_t k = vdupq_n_u64(key);
         std::uint64_t m = 0;
         for (unsigned i = 0; i < n; i += 2)
-            m |= pairMask(vceqq_u64(vld1q_u64(p + i), k)) << i;
+            m |= mask64(vceqq_u64(vld1q_u64(p + i), k)) << i;
         return m;
-    }
-
-    static void
-    eqMask2(const std::uint64_t *p, unsigned n, std::uint64_t key_a,
-            std::uint64_t key_b, std::uint64_t &ma, std::uint64_t &mb)
-    {
-        const uint64x2_t ka = vdupq_n_u64(key_a);
-        const uint64x2_t kb = vdupq_n_u64(key_b);
-        ma = mb = 0;
-        for (unsigned i = 0; i < n; i += 2) {
-            const uint64x2_t v = vld1q_u64(p + i);
-            ma |= pairMask(vceqq_u64(v, ka)) << i;
-            mb |= pairMask(vceqq_u64(v, kb)) << i;
-        }
     }
 
     static std::uint64_t
@@ -550,71 +446,40 @@ struct NeonIsa
         const uint64x2_t am = vdupq_n_u64(mask);
         std::uint64_t m = 0;
         for (unsigned i = 0; i < n; i += 2)
-            m |= pairMask(vceqq_u64(
-                     vandq_u64(vld1q_u64(p + i), am), k))
+            m |= mask64(vceqq_u64(vandq_u64(vld1q_u64(p + i), am), k))
                  << i;
         return m;
     }
 
-    static std::uint64_t
-    hmin(uint64x2_t v)
+    static void
+    rankTouch(std::uint8_t *row, unsigned n, unsigned way)
     {
-        const std::uint64_t lo = vgetq_lane_u64(v, 0);
-        const std::uint64_t hi = vgetq_lane_u64(v, 1);
-        return lo < hi ? lo : hi;
-    }
-
-    /** See Sse2Isa::pickLane: earliest-index minimum across lanes. */
-    static unsigned
-    pickLane(uint64x2_t bestv, uint64x2_t besti)
-    {
-        const std::uint64_t v0 = vgetq_lane_u64(bestv, 0);
-        const std::uint64_t v1 = vgetq_lane_u64(bestv, 1);
-        const std::uint64_t i0 = vgetq_lane_u64(besti, 0);
-        const std::uint64_t i1 = vgetq_lane_u64(besti, 1);
-        return static_cast<unsigned>(
-            (v1 < v0 || (v1 == v0 && i1 < i0)) ? i1 : i0);
-    }
-
-    static unsigned
-    minIndex(const std::uint64_t *p, unsigned n)
-    {
-        uint64x2_t bestv = vld1q_u64(p);
-        const std::uint64_t init[2] = {0, 1};
-        uint64x2_t besti = vld1q_u64(init);
-        uint64x2_t idx = besti;
-        const uint64x2_t step = vdupq_n_u64(2);
-        for (unsigned i = 2; i < n; i += 2) {
-            idx = vaddq_u64(idx, step);
-            const uint64x2_t v = vld1q_u64(p + i);
-            const uint64x2_t lt = vcltq_u64(v, bestv);
-            bestv = vbslq_u64(lt, v, bestv);
-            besti = vbslq_u64(lt, idx, besti);
+        // See Sse2Isa::rankTouch: `way` is the one lane equal to r.
+        const uint8x16_t r = vdupq_n_u8(row[way]);
+        for (unsigned i = 0; i < n; i += rankRowBytes) {
+            const uint8x16_t v = vld1q_u8(row + i);
+            // v < r lanes are all-ones (-1): subtracting ages them.
+            const uint8x16_t aged = vsubq_u8(v, vcltq_u8(v, r));
+            vst1q_u8(row + i, vbicq_u8(aged, vceqq_u8(v, r)));
         }
-        return pickLane(bestv, besti);
     }
 
     static unsigned
-    victimIndex(const std::uint64_t *tags, const std::uint64_t *lru,
-                unsigned n, std::uint64_t invalid_tag)
+    rankOldest(const std::uint8_t *row, unsigned n)
     {
-        const uint64x2_t inv = vdupq_n_u64(invalid_tag);
-        uint64x2_t bestv = vdupq_n_u64(~0ULL);
-        uint64x2_t besti = vdupq_n_u64(0);
-        const std::uint64_t init[2] = {0, 1};
-        uint64x2_t idx = vld1q_u64(init);
-        const uint64x2_t step = vdupq_n_u64(2);
-        for (unsigned i = 0; i < n; i += 2) {
-            const uint64x2_t t = vld1q_u64(tags + i);
-            const uint64x2_t l = vld1q_u64(lru + i);
-            // invalid way -> score 0, else its LRU stamp.
-            const uint64x2_t score = vbicq_u64(l, vceqq_u64(t, inv));
-            const uint64x2_t lt = vcltq_u64(score, bestv);
-            bestv = vbslq_u64(lt, score, bestv);
-            besti = vbslq_u64(lt, idx, besti);
-            idx = vaddq_u64(idx, step);
+        const uint8x16_t want =
+            vdupq_n_u8(static_cast<std::uint8_t>(n - 1));
+        for (unsigned i = 0; i < n; i += rankRowBytes) {
+            // Narrow the byte mask to one nibble per lane.
+            const uint8x16_t eq = vceqq_u8(vld1q_u8(row + i), want);
+            const std::uint64_t m = vget_lane_u64(
+                vreinterpret_u64_u8(
+                    vshrn_n_u16(vreinterpretq_u16_u8(eq), 4)),
+                0);
+            if (m)
+                return i + static_cast<unsigned>(__builtin_ctzll(m)) / 4;
         }
-        return pickLane(bestv, besti);
+        return 0; // unreachable while the row is a permutation
     }
 };
 
@@ -631,11 +496,39 @@ using Active = NeonIsa;
 using Active = ScalarIsa;
 #endif
 
-/** Ways per set after padding to the active vector width. */
+/** Ways per set after padding a row of `Key`s to the vector width. */
+template <class Key>
 constexpr unsigned
 padWays(unsigned assoc)
 {
-    return (assoc + Active::lanes - 1) / Active::lanes * Active::lanes;
+    static_assert(sizeof(Key) == 4 || sizeof(Key) == 8,
+                  "probe rows hold 32- or 64-bit keys");
+    constexpr unsigned lanes =
+        sizeof(Key) == 4 ? Active::lanes32 : Active::lanes64;
+    return (assoc + lanes - 1) / lanes * lanes;
+}
+
+/** Bytes per set of a rank row holding `assoc` ranks. */
+constexpr unsigned
+padRanks(unsigned assoc)
+{
+    return (assoc + rankRowBytes - 1) / rankRowBytes * rankRowBytes;
+}
+
+/**
+ * Build `sets` rank rows of `stride` bytes: each set starts with ranks
+ * 0..assoc-1 in way order (any permutation is a valid empty-set
+ * order), then padRank up to the stride.
+ */
+template <class Vec>
+void
+initRankRows(Vec &ranks, std::size_t sets, unsigned assoc,
+             unsigned stride)
+{
+    ranks.assign(sets * stride, padRank);
+    for (std::size_t s = 0; s < sets; ++s)
+        for (unsigned w = 0; w < assoc; ++w)
+            ranks[s * stride + w] = static_cast<std::uint8_t>(w);
 }
 
 /** Hint the prefetcher at the metadata row starting at `p`. */

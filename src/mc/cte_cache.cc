@@ -1,5 +1,7 @@
 #include "mc/cte_cache.hh"
 
+#include <sstream>
+
 #include "common/bitops.hh"
 #include "common/log.hh"
 
@@ -32,17 +34,25 @@ CteCache::CteCache(std::size_t size_bytes, unsigned pages_per_block,
     blockShift_ = blockPow2_ ? floorLog2(pages_per_block) : 0;
     setsPow2_ = isPowerOf2(sets_);
     setMask_ = setsPow2_ ? sets_ - 1 : 0;
-    // Pad each set's metadata row to the vector width; invalid ways
-    // hold the invalidTag sentinel, padding ways a distinct sentinel
-    // plus an all-ones LRU stamp so no scan can pick them.
-    wstride_ = simd::padWays(assoc_);
-    tags_.assign(sets_ * wstride_, padTag);
-    lru_.assign(sets_ * wstride_, ~std::uint64_t{0});
+    // Pad each set's rows: padding ways hold a tag no probe can match
+    // and that never reads as free, and a rank no update ages and no
+    // victim pick can choose.
+    wstride_ = simd::padWays<std::uint32_t>(assoc_);
+    rstride_ = simd::padRanks(assoc_);
+    tags_.assign(sets_ * wstride_, simd::padKey);
     for (std::size_t s = 0; s < sets_; ++s)
-        for (unsigned w = 0; w < assoc_; ++w) {
-            tags_[s * wstride_ + w] = invalidTag;
-            lru_[s * wstride_ + w] = 0;
-        }
+        for (unsigned w = 0; w < assoc_; ++w)
+            tags_[s * wstride_ + w] = simd::invalidKey;
+    simd::initRankRows(ranks_, sets_, assoc_, rstride_);
+}
+
+void
+CteCache::blockOutOfRange(Ppn ppn) const
+{
+    std::ostringstream msg;
+    msg << "CTE cache: PPN 0x" << std::hex << ppn
+        << " is past the 32-bit CTE-block key range";
+    panic(msg.str());
 }
 
 void

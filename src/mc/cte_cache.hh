@@ -9,12 +9,14 @@
  * page-level translation gets its 8x reach (and the spatial-locality
  * benefit of §IV) purely from the format, exactly as in the paper.
  *
- * Way metadata is structure-of-arrays (contiguous tag / LRU arrays,
- * sets padded to the SIMD vector width; invalid ways carry a sentinel
- * tag no real CTE block number can take) with hot methods defined
- * inline, so the MC-side lookup in the measured kernels is a whole-set
- * vector compare through the common/simd.hh probe primitives — same
- * engine, and same bit-identical-to-scalar contract, as Cache and Tlb.
+ * Way metadata is structure-of-arrays on the common/simd.hh probe
+ * engine, one row per set: a 32-bit tag row of CTE block numbers and a
+ * one-byte recency-rank row (rank 0 = most recently used), each padded
+ * so the lookup is a whole-set vector compare and the LRU update and
+ * victim pick are single byte-vector operations — the same engine, and
+ * the same bit-identical-to-scalar contract, as Cache and Tlb.  Tags
+ * are 32-bit keys: installing a block number past simd::maxKey panics
+ * and looking one up misses.
  */
 
 #ifndef TMCC_MC_CTE_CACHE_HH
@@ -46,11 +48,9 @@ class CteCache : public Stated
     lookup(Ppn ppn)
     {
         const std::uint64_t tag = blockOf(ppn);
-        const std::size_t base = setIndexOf(tag) * wstride_;
-        const std::uint64_t m =
-            Probe::eqMask(&tags_[base], wstride_, tag);
-        if (m) {
-            lru_[base + simd::firstWay(m)] = ++lruClock_;
+        const std::size_t set = setIndexOf(tag);
+        if (const std::uint64_t m = matchMask(set, tag)) {
+            touchRank(set, simd::firstWay(m));
             hits_.inc();
             return true;
         }
@@ -63,35 +63,37 @@ class CteCache : public Stated
     probe(Ppn ppn) const
     {
         const std::uint64_t tag = blockOf(ppn);
-        const std::size_t base = setIndexOf(tag) * wstride_;
-        return Probe::eqMask(&tags_[base], wstride_, tag) != 0;
+        return matchMask(setIndexOf(tag), tag) != 0;
     }
 
     /** Install the block covering `ppn` (after a DRAM CTE fetch). */
     void
     insert(Ppn ppn)
     {
-        const std::uint64_t tag = blockOf(ppn);
-        const std::size_t base = setIndexOf(tag) * wstride_;
+        const std::uint64_t block = blockOf(ppn);
+        if (block > simd::maxKey) [[unlikely]]
+            blockOutOfRange(ppn);
+        const auto tag = static_cast<std::uint32_t>(block);
+        const std::size_t set = setIndexOf(tag);
+        const std::size_t base = set * wstride_;
         // The historical scalar scan stopped at the first way that
         // matched (refresh) or was invalid (victim), else took the
-        // running LRU min; the mask math preserves that order.
+        // LRU way; the mask math preserves that order.
         std::uint64_t match, inv;
-        Probe::eqMask2(&tags_[base], wstride_, tag, invalidTag,
+        Probe::eqMask2(&tags_[base], wstride_, tag, simd::invalidKey,
                        match, inv);
-        std::size_t victim;
+        unsigned way;
         if (match | inv) {
-            const unsigned w = simd::firstWay(match | inv);
-            if (match & (std::uint64_t{1} << w)) {
-                lru_[base + w] = ++lruClock_;
+            way = simd::firstWay(match | inv);
+            if (match & (std::uint64_t{1} << way)) {
+                touchRank(set, way);
                 return; // already present
             }
-            victim = base + w;
         } else {
-            victim = base + Probe::minIndex(&lru_[base], wstride_);
+            way = Probe::rankOldest(&ranks_[set * rstride_], assoc_);
         }
-        tags_[victim] = tag;
-        lru_[victim] = ++lruClock_;
+        tags_[base + way] = tag;
+        touchRank(set, way);
     }
 
     /** Invalidate the block covering `ppn` (CTE rewritten in DRAM). */
@@ -99,10 +101,10 @@ class CteCache : public Stated
     invalidate(Ppn ppn)
     {
         const std::uint64_t tag = blockOf(ppn);
-        const std::size_t base = setIndexOf(tag) * wstride_;
-        std::uint64_t m = Probe::eqMask(&tags_[base], wstride_, tag);
+        const std::size_t set = setIndexOf(tag);
+        std::uint64_t m = matchMask(set, tag);
         while (m) {
-            tags_[base + simd::firstWay(m)] = invalidTag;
+            tags_[set * wstride_ + simd::firstWay(m)] = simd::invalidKey;
             m &= m - 1;
         }
     }
@@ -110,16 +112,17 @@ class CteCache : public Stated
     /** Test-only view of one way's metadata (way < associativity). */
     struct WayView
     {
-        std::uint64_t tag;
-        std::uint64_t lru;
+        std::uint64_t tag; //!< CTE block number (meaningful if valid)
+        unsigned rank;     //!< recency rank, 0 = most recently used
         bool valid;
     };
 
     WayView
     wayView(std::size_t set, unsigned way) const
     {
-        const std::size_t w = set * wstride_ + way;
-        return WayView{tags_[w], lru_[w], tags_[w] != invalidTag};
+        const std::uint32_t tag = tags_[set * wstride_ + way];
+        return WayView{tag, ranks_[set * rstride_ + way],
+                       tag != simd::invalidKey};
     }
 
     std::size_t numSets() const { return sets_; }
@@ -148,15 +151,31 @@ class CteCache : public Stated
             setsPow2_ ? (block & setMask_) : (block % sets_));
     }
 
-    using Probe = simd::Active;
-
     /**
-     * Sentinel tags.  Real tags are CTE block numbers (PPN divided by
-     * pages-per-block), bounded far below 2^63 by the simulated DRAM
-     * size, so neither sentinel can collide with a probe key.
+     * Ways of `set` holding CTE block `tag`.  Invalid and padding ways
+     * hold the reserved keys above simd::maxKey, and a block past the
+     * key range is reported absent before the compare (its low 32 bits
+     * could name a resident block).
      */
-    static constexpr std::uint64_t invalidTag = ~std::uint64_t{0};
-    static constexpr std::uint64_t padTag = invalidTag ^ 1;
+    std::uint64_t
+    matchMask(std::size_t set, std::uint64_t tag) const
+    {
+        if (tag > simd::maxKey) [[unlikely]]
+            return 0;
+        return Probe::eqMask(&tags_[set * wstride_], wstride_,
+                             static_cast<std::uint32_t>(tag));
+    }
+
+    /** Make `way` of `set` the most recently used. */
+    void
+    touchRank(std::size_t set, unsigned way)
+    {
+        Probe::rankTouch(&ranks_[set * rstride_], assoc_, way);
+    }
+
+    [[noreturn]] void blockOutOfRange(Ppn ppn) const;
+
+    using Probe = simd::Active;
 
     unsigned pagesPerBlock_;
     bool blockPow2_ = true;
@@ -165,14 +184,15 @@ class CteCache : public Stated
     bool setsPow2_ = true;
     std::uint64_t setMask_ = 0;
     unsigned assoc_;
-    unsigned wstride_; //!< assoc_ padded to the vector width
+    unsigned wstride_; //!< assoc_ padded to the u32 vector width
+    unsigned rstride_; //!< assoc_ padded to whole 16-byte rank rows
 
-    // Structure-of-arrays way metadata, sets_ x wstride_ flattened
-    // (invalid ways hold invalidTag, padding ways padTag + all-ones
-    // LRU so no probe or victim scan can pick them).
-    std::vector<std::uint64_t> tags_;
-    std::vector<std::uint64_t> lru_;
-    std::uint64_t lruClock_ = 0;
+    // Structure-of-arrays way metadata, flattened per set: tags_ is
+    // sets_ x wstride_ (invalid ways hold simd::invalidKey, padding
+    // ways simd::padKey), ranks_ is sets_ x rstride_ (padding bytes
+    // hold simd::padRank).
+    std::vector<std::uint32_t> tags_;
+    std::vector<std::uint8_t> ranks_;
     Counter hits_, misses_;
 };
 

@@ -17,18 +17,17 @@ Tlb::Tlb(unsigned entries, unsigned assoc) : assoc_(assoc)
     sets_ = entries / assoc;
     fatalIf(!isPowerOf2(sets_), "TLB set count must be a power of two");
 
-    // Pad each set's metadata row to the vector width; padding ways
-    // hold a key no probe can match (and that never reads as invalid)
-    // plus an all-ones LRU stamp no victim scan can pick.
-    wstride_ = simd::padWays(assoc_);
+    // Pad each set's rows: padding ways hold a key no probe can match
+    // (and that never reads as invalid), and a rank no update ages and
+    // no victim pick can choose.
+    wstride_ = simd::padWays<std::uint64_t>(assoc_);
+    rstride_ = simd::padRanks(assoc_);
     keys_.assign(sets_ * wstride_, padKey);
     ppns_.assign(sets_ * wstride_, 0);
-    lru_.assign(sets_ * wstride_, ~std::uint64_t{0});
     for (std::size_t s = 0; s < sets_; ++s)
-        for (unsigned w = 0; w < assoc_; ++w) {
+        for (unsigned w = 0; w < assoc_; ++w)
             keys_[s * wstride_ + w] = 0;
-            lru_[s * wstride_ + w] = 0;
-        }
+    simd::initRankRows(ranks_, sets_, assoc_, rstride_);
 }
 
 void

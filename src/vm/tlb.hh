@@ -5,14 +5,17 @@
  * real two-level design (AMD Zen 3-like total capacity); 2MB huge-page
  * entries are kept in the same structure at their own granularity.
  *
- * Entry metadata is structure-of-arrays with each set padded to the
- * SIMD vector width, and the VPN + valid/huge flags of an entry are
- * packed into a single 64-bit key (key = vpn << 2 | flags).  A lookup
- * is then one whole-set vector compare against the wanted key through
- * the common/simd.hh probe primitives: flag equality and tag equality
- * in the same instruction, no separate flag bytes on the hot path.
- * The scalar fallback of those primitives is the oracle, so SIMD and
- * scalar builds make bit-identical hit/victim decisions.
+ * Entry metadata is structure-of-arrays on the common/simd.hh probe
+ * engine, one row per set.  The VPN + valid/huge flags of an entry are
+ * packed into a single 64-bit key (key = vpn << 2 | flags; the TLB is
+ * the one structure whose keys need more than 32 bits), so a lookup is
+ * one whole-set vector compare against the wanted key: flag equality
+ * and tag equality in the same instruction, no separate flag bytes on
+ * the hot path.  Recency is a one-byte rank per way (rank 0 = most
+ * recently used), so the LRU update and the victim pick are single
+ * byte-vector operations.  The scalar fallback of the primitives is
+ * the oracle, so SIMD and scalar builds make bit-identical hit/victim
+ * decisions.
  */
 
 #ifndef TMCC_VM_TLB_HH
@@ -39,23 +42,12 @@ class Tlb : public Stated
     lookup(Addr vaddr, Ppn &ppn)
     {
         const Vpn vpn = pageNumber(vaddr);
-
-        if (const std::size_t e = find(vpn, false); e != npos) {
-            lru_[e] = ++lruClock_;
-            ppn = ppns_[e];
-            hits_.inc();
-            return true;
-        }
         // The huge-page probe can only hit if a huge entry was ever
         // installed; skipping it otherwise changes no state (a probe
         // that cannot match has no side effects).
-        if (anyHuge_) {
-            if (const std::size_t e = find(vpn, true); e != npos) {
-                lru_[e] = ++lruClock_;
-                ppn = ppns_[e] + (vpn & ((hugePageSize / pageSize) - 1));
-                hits_.inc();
-                return true;
-            }
+        if (hit(vpn, false, ppn) || (anyHuge_ && hit(vpn, true, ppn))) {
+            hits_.inc();
+            return true;
         }
         misses_.inc();
         return false;
@@ -72,17 +64,16 @@ class Tlb : public Stated
     /**
      * Hint the hardware prefetcher at the set(s) `vaddr` will probe.
      * The measured loop calls this for upcoming ring slots so the
-     * key/LRU rows are in flight before the lookup runs.
+     * key and rank rows are in flight before the lookup runs.
      */
     void
     prefetchSet(Addr vaddr) const
     {
-        const Vpn vpn = pageNumber(vaddr);
-        const std::size_t base = (vpn & (sets_ - 1)) * wstride_;
-        simd::prefetchRow(&keys_[base]);
-        simd::prefetchRow(&lru_[base]);
+        const std::size_t set = pageNumber(vaddr) & (sets_ - 1);
+        simd::prefetchRow(&keys_[set * wstride_]);
+        simd::prefetchRow(&ranks_[set * rstride_]);
         if (anyHuge_) {
-            const Vpn hkey = vpn & ~((hugePageSize / pageSize) - 1);
+            const Vpn hkey = pageNumber(vaddr) & ~hugeMask;
             simd::prefetchRow(&keys_[(hkey & (sets_ - 1)) * wstride_]);
         }
     }
@@ -92,7 +83,7 @@ class Tlb : public Stated
     {
         Vpn vpn;
         Ppn ppn;
-        std::uint64_t lru;
+        unsigned rank; //!< recency rank, 0 = most recently used
         bool valid;
         bool huge;
     };
@@ -101,7 +92,8 @@ class Tlb : public Stated
     wayView(std::size_t set, unsigned way) const
     {
         const std::size_t e = set * wstride_ + way;
-        return WayView{keys_[e] >> flagBits, ppns_[e], lru_[e],
+        return WayView{keys_[e] >> flagBits, ppns_[e],
+                       ranks_[set * rstride_ + way],
                        (keys_[e] & Valid) != 0, (keys_[e] & Huge) != 0};
     }
 
@@ -115,8 +107,6 @@ class Tlb : public Stated
                    const std::string &prefix) const override;
 
   private:
-    static constexpr std::size_t npos = ~static_cast<std::size_t>(0);
-
     // Flag bits packed into the low bits of each entry key.
     enum : std::uint64_t
     {
@@ -135,57 +125,68 @@ class Tlb : public Stated
 
     using Probe = simd::Active;
 
-    /** Index of the entry translating (vpn, huge), or npos. */
-    std::size_t
-    find(Vpn vpn, bool huge) const
+    static constexpr Vpn hugeMask = (hugePageSize / pageSize) - 1;
+
+    /**
+     * Probe for the entry translating (vpn, huge).  On a hit it becomes
+     * its set's most recently used and `ppn` gets the translation.
+     */
+    bool
+    hit(Vpn vpn, bool huge, Ppn &ppn)
     {
-        const Vpn key =
-            huge ? (vpn & ~((hugePageSize / pageSize) - 1)) : vpn;
-        const std::size_t base = (key & (sets_ - 1)) * wstride_;
+        const Vpn key = huge ? (vpn & ~hugeMask) : vpn;
+        const std::size_t set = key & (sets_ - 1);
         const std::uint64_t want =
             (key << flagBits) | Valid | (huge ? std::uint64_t{Huge} : std::uint64_t{0});
         const std::uint64_t m =
-            Probe::eqMask(&keys_[base], wstride_, want);
-        return m ? base + simd::firstWay(m) : npos;
+            Probe::eqMask(&keys_[set * wstride_], wstride_, want);
+        if (!m)
+            return false;
+        const unsigned way = simd::firstWay(m);
+        Probe::rankTouch(&ranks_[set * rstride_], assoc_, way);
+        ppn = ppns_[set * wstride_ + way] + (huge ? (vpn & hugeMask) : 0);
+        return true;
     }
 
     void
     install(Vpn vpn, Ppn ppn, bool huge)
     {
-        const std::size_t base = (vpn & (sets_ - 1)) * wstride_;
+        const std::size_t set = vpn & (sets_ - 1);
+        const std::size_t base = set * wstride_;
         const std::uint64_t want =
             (vpn << flagBits) | Valid | (huge ? std::uint64_t{Huge} : std::uint64_t{0});
         // The historical scalar scan stopped at the first way that
         // matched exactly (refresh) or was invalid (victim), else
-        // took the running LRU min; the mask math preserves that
-        // order.  Invalid entries have the Valid bit clear; padding
-        // keys keep it set so they never surface here.
+        // took the LRU way; the mask math preserves that order.
+        // Invalid entries have the Valid bit clear; padding keys keep
+        // it set so they never surface here.
         const std::uint64_t match =
             Probe::eqMask(&keys_[base], wstride_, want);
         const std::uint64_t inv =
             Probe::eqMaskAnd(&keys_[base], wstride_, Valid, 0);
-        std::size_t victim;
-        if (match | inv)
-            victim = base + simd::firstWay(match | inv);
-        else
-            victim = base + Probe::minIndex(&lru_[base], wstride_);
-        keys_[victim] = want;
-        ppns_[victim] = ppn;
-        lru_[victim] = ++lruClock_;
+        const unsigned way =
+            (match | inv)
+                ? simd::firstWay(match | inv)
+                : Probe::rankOldest(&ranks_[set * rstride_], assoc_);
+        keys_[base + way] = want;
+        ppns_[base + way] = ppn;
+        Probe::rankTouch(&ranks_[set * rstride_], assoc_, way);
         anyHuge_ = anyHuge_ || huge;
     }
 
     unsigned sets_;
     unsigned assoc_;
-    unsigned wstride_; //!< assoc_ padded to the vector width
+    unsigned wstride_; //!< assoc_ padded to the u64 vector width
+    unsigned rstride_; //!< assoc_ padded to whole 16-byte rank rows
     bool anyHuge_ = false; //!< a huge entry was installed since flush
 
-    // Structure-of-arrays entry metadata, sets_ x wstride_ flattened
-    // (padding ways carry padKey / all-ones LRU and are never chosen).
+    // Structure-of-arrays entry metadata, flattened per set: keys_ and
+    // ppns_ are sets_ x wstride_ (padding ways carry padKey and are
+    // never chosen), ranks_ is sets_ x rstride_ (padding bytes hold
+    // simd::padRank).
     std::vector<std::uint64_t> keys_;
     std::vector<Ppn> ppns_;
-    std::vector<std::uint64_t> lru_;
-    std::uint64_t lruClock_ = 0;
+    std::vector<std::uint8_t> ranks_;
 
     Counter hits_, misses_;
 };

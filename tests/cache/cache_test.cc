@@ -126,5 +126,13 @@ TEST(Cache, StatsDump)
     EXPECT_DOUBLE_EQ(d.get("c.miss_rate"), 0.5);
 }
 
+TEST(CacheDeathTest, RejectsZeroSizeNamingTheCache)
+{
+    // Size 0 passes the multiple-of-a-set check; it must fail at
+    // construction, not as a divide by zero on the first access.
+    EXPECT_EXIT(Cache("l1.0", 0, 8), ::testing::ExitedWithCode(1),
+                "fatal: l1.0: size must be nonzero");
+}
+
 } // namespace
 } // namespace tmcc

@@ -1,13 +1,21 @@
 /**
  * @file
  * Structure-level probe properties: randomized op streams driven
- * through Cache, CteCache and Tlb at every legal associativity shape
- * (including non-power-of-two way counts, which exercise the padded
- * tail lanes) are compared way-for-way against reference models that
- * replicate the historical scalar scan loops verbatim — same match
- * order, same victim tie-breaks, same stale state after invalidation.
- * Any divergence in the SIMD probe engine's decisions shows up as a
- * metadata mismatch within one operation of the bug.
+ * through Cache, CteCache, Tlb and StridePrefetcher at every legal
+ * associativity shape (including non-power-of-two way counts, which
+ * exercise the padded tail lanes) are compared way-for-way against
+ * reference models that replicate the historical scalar scan loops
+ * verbatim, 64-bit LRU stamps included — same match order, same victim
+ * tie-breaks, same stale state after invalidation.  The structures
+ * keep one recency rank per way instead of a stamp, so recency is
+ * compared as an order: among the valid ways of a set, a lower rank
+ * must mean a later stamp.  Any divergence in the SIMD probe engine's
+ * decisions shows up as a metadata mismatch within one operation of
+ * the bug.
+ *
+ * Keys are 32 bits wide: installing one past the range must panic, and
+ * probing one must miss rather than alias the resident key that shares
+ * its low 32 bits.
  *
  * Unsupported geometry (more ways than the 64-bit way mask can hold)
  * must be rejected at construction: death tests pin that contract for
@@ -16,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -36,6 +45,30 @@ constexpr std::size_t npos = ~static_cast<std::size_t>(0);
 
 /** Associativities under test; non-powers-of-two stress pad lanes. */
 const unsigned kAssocs[] = {1, 2, 3, 4, 5, 7, 8, 12, 16, 24, 33, 64};
+
+/** One valid way's recency: the DUT's rank and the reference stamp. */
+struct Recency
+{
+    unsigned rank;
+    std::uint64_t stamp;
+};
+
+/**
+ * For every pair of valid ways in one set, the DUT's rank order must
+ * be the reverse of the reference's stamp order (rank 0 = latest).
+ */
+void
+expectRecencyOrder(const std::vector<Recency> &ways)
+{
+    for (std::size_t i = 0; i < ways.size(); ++i)
+        for (std::size_t j = i + 1; j < ways.size(); ++j) {
+            ASSERT_NE(ways[i].rank, ways[j].rank)
+                << "valid ways " << i << " and " << j;
+            ASSERT_EQ(ways[i].rank < ways[j].rank,
+                      ways[i].stamp > ways[j].stamp)
+                << "valid ways " << i << " and " << j;
+        }
+}
 
 // ---------------------------------------------------------------------
 // Cache vs the historical scalar loops.
@@ -202,20 +235,24 @@ void
 expectCacheMatches(const Cache &dut, const RefCache &ref,
                    std::size_t sets, unsigned assoc)
 {
-    for (std::size_t s = 0; s < sets; ++s)
+    for (std::size_t s = 0; s < sets; ++s) {
+        std::vector<Recency> recency;
         for (unsigned w = 0; w < assoc; ++w) {
             const auto v = dut.wayView(s, w);
             const auto &r = ref.way(s, w);
             ASSERT_EQ(v.valid, r.valid) << "set " << s << " way " << w;
-            ASSERT_EQ(v.lru, r.lru) << "set " << s << " way " << w;
             if (v.valid) {
                 ASSERT_EQ(v.tag, r.tag) << "set " << s << " way " << w;
                 ASSERT_EQ(v.dirty, r.dirty)
                     << "set " << s << " way " << w;
                 ASSERT_EQ(v.compressed, r.compressed)
                     << "set " << s << " way " << w;
+                recency.push_back({v.rank, r.lru});
             }
         }
+        ASSERT_NO_FATAL_FAILURE(expectRecencyOrder(recency))
+            << "set " << s;
+    }
 }
 
 void
@@ -404,16 +441,20 @@ TEST(ProbeProperty, CteCacheMatchesScalarReferenceAtEveryAssoc)
                 ref.invalidate(ppn);
                 break;
             }
-            for (std::size_t s = 0; s < sets; ++s)
+            for (std::size_t s = 0; s < sets; ++s) {
+                std::vector<Recency> recency;
                 for (unsigned w = 0; w < assoc; ++w) {
                     const auto v = dut.wayView(s, w);
                     ASSERT_EQ(v.valid,
                               ref.tag(s, w) != ~std::uint64_t{0});
                     if (v.valid) {
                         ASSERT_EQ(v.tag, ref.tag(s, w));
+                        recency.push_back({v.rank, ref.lru(s, w)});
                     }
-                    ASSERT_EQ(v.lru, ref.lru(s, w));
                 }
+                ASSERT_NO_FATAL_FAILURE(expectRecencyOrder(recency))
+                    << "set " << s;
+            }
         }
     }
 }
@@ -564,7 +605,8 @@ TEST(ProbeProperty, TlbMatchesScalarReferenceAtEveryAssoc)
                 }
                 break;
             }
-            for (std::size_t s = 0; s < sets; ++s)
+            for (std::size_t s = 0; s < sets; ++s) {
+                std::vector<Recency> recency;
                 for (unsigned w = 0; w < assoc; ++w) {
                     const auto v = dut.wayView(s, w);
                     const auto &r = ref.way(s, w);
@@ -574,11 +616,210 @@ TEST(ProbeProperty, TlbMatchesScalarReferenceAtEveryAssoc)
                         ASSERT_EQ(v.vpn, r.vpn);
                         ASSERT_EQ(v.ppn, r.ppn);
                         ASSERT_EQ(v.huge, r.huge);
-                        ASSERT_EQ(v.lru, r.lru);
+                        recency.push_back({v.rank, r.lru});
                     }
                 }
+                ASSERT_NO_FATAL_FAILURE(expectRecencyOrder(recency))
+                    << "set " << s;
+            }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// StridePrefetcher vs the historical stamp-based stream table.
+// ---------------------------------------------------------------------
+
+/** Replica of the stride prefetcher's old scan over stamped streams. */
+class RefStride
+{
+  public:
+    struct Stream
+    {
+        Addr page = invalidAddr;
+        Addr lastAddr = invalidAddr;
+        std::int64_t stride = 0;
+        unsigned confidence = 0;
+        std::uint64_t lastUse = 0;
+    };
+
+    RefStride(unsigned degree, unsigned streams)
+        : degree_(degree), streams_(streams)
+    {}
+
+    void
+    observe(Addr addr, bool was_miss, std::vector<Addr> &out)
+    {
+        const Addr page = pageNumber(addr);
+        const Addr block = blockAlign(addr);
+        std::size_t hit = npos, free_slot = npos;
+        for (std::size_t i = 0; i < streams_.size(); ++i) {
+            if (streams_[i].page == page) {
+                hit = i;
+                break;
+            }
+            if (free_slot == npos && streams_[i].page == invalidAddr)
+                free_slot = i;
+        }
+        if (hit == npos) {
+            // Free slot first, else the unique least recently used.
+            std::size_t slot = free_slot;
+            if (slot == npos) {
+                slot = 0;
+                for (std::size_t i = 1; i < streams_.size(); ++i)
+                    if (streams_[i].lastUse < streams_[slot].lastUse)
+                        slot = i;
+            }
+            streams_[slot] = Stream{page, block, 0, 0, ++clock_};
+            return;
+        }
+        Stream &s = streams_[hit];
+        s.lastUse = ++clock_;
+        const std::int64_t stride = static_cast<std::int64_t>(block) -
+                                    static_cast<std::int64_t>(s.lastAddr);
+        if (stride == 0)
+            return;
+        if (stride == s.stride) {
+            s.confidence = std::min(s.confidence + 1, 4u);
+        } else {
+            s.stride = stride;
+            s.confidence = 1;
+        }
+        s.lastAddr = block;
+        if (s.confidence >= 2 && was_miss)
+            for (unsigned d = 1; d <= degree_; ++d) {
+                const std::int64_t target =
+                    static_cast<std::int64_t>(block) +
+                    stride * static_cast<std::int64_t>(d);
+                if (target < 0)
+                    break;
+                out.push_back(static_cast<Addr>(target));
+            }
+    }
+
+    const Stream &stream(unsigned i) const { return streams_[i]; }
+
+  private:
+    unsigned degree_;
+    std::vector<Stream> streams_;
+    std::uint64_t clock_ = 0;
+};
+
+TEST(ProbeProperty, StridePrefetcherMatchesStampReference)
+{
+    for (unsigned streams : {1u, 3u, 4u, 16u, 17u, 64u}) {
+        SCOPED_TRACE("streams=" + std::to_string(streams));
+        constexpr unsigned degree = 4;
+        StridePrefetcher dut(degree, streams);
+        RefStride ref(degree, streams);
+        std::mt19937_64 rng(4000 + streams);
+
+        // ~3x the stream count in pages forces constant eviction; each
+        // page walks its own stride so streams gain confidence.
+        const unsigned pages = streams * 3 + 1;
+        std::vector<unsigned> offset(pages), step(pages);
+        for (unsigned p = 0; p < pages; ++p)
+            step[p] = 1 + static_cast<unsigned>(rng() % 3);
+        for (int op = 0; op < 4000; ++op) {
+            const unsigned p = static_cast<unsigned>(rng() % pages);
+            offset[p] = rng() % 8 == 0
+                            ? static_cast<unsigned>(rng() % blocksPerPage)
+                            : (offset[p] + step[p]) % blocksPerPage;
+            const Addr addr = (Addr{p} + 100) * pageSize +
+                              offset[p] * blockSize + rng() % blockSize;
+            const bool was_miss = rng() % 4 != 0;
+            std::vector<Addr> dout, rout;
+            dut.observeT(addr, was_miss, dout);
+            ref.observe(addr, was_miss, rout);
+            ASSERT_EQ(dout, rout) << "op " << op;
+
+            std::vector<Recency> recency;
+            for (unsigned i = 0; i < streams; ++i) {
+                const auto v = dut.slotView(i);
+                const auto &r = ref.stream(i);
+                ASSERT_EQ(v.page, r.page) << "slot " << i;
+                if (r.page != invalidAddr)
+                    recency.push_back({v.rank, r.lastUse});
+            }
+            ASSERT_NO_FATAL_FAILURE(expectRecencyOrder(recency));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// 32-bit keys: no truncation, ever.
+// ---------------------------------------------------------------------
+
+/** Block-number keys cover addresses below 2^38 (256 GiB). */
+constexpr Addr kCacheKeySpan = Addr{1} << (32 + blockShift);
+
+TEST(ProbeKeyRange, CacheProbeOfAliasedAddressMisses)
+{
+    Cache c("l2.0", 4 * 8 * blockSize, 8);
+    const Addr a = 0x12340;
+    const Addr alias = a + kCacheKeySpan;
+    EXPECT_FALSE(c.insert({a, true, true}).has_value());
+    EXPECT_TRUE(c.probe(a));
+    EXPECT_FALSE(c.probe(alias));
+    EXPECT_FALSE(c.access(alias, true));
+    EXPECT_FALSE(c.isCompressed(alias));
+    EXPECT_FALSE(c.extract(alias).has_value());
+    c.invalidate(alias);
+    c.markDirty(alias);
+    c.setCompressed(alias, false);
+    // The resident line is untouched by every aliased call.
+    EXPECT_TRUE(c.probe(a));
+    EXPECT_TRUE(c.isCompressed(a));
+    EXPECT_EQ(c.hits(), 0u);
+    EXPECT_EQ(c.misses(), 1u);
+    // invalidAddr itself is a probe like any other: a miss.
+    EXPECT_FALSE(c.probe(invalidAddr));
+    // The highest storable block still round-trips.
+    const Addr top = kCacheKeySpan - 3 * blockSize;
+    c.insert({top, false, false});
+    EXPECT_TRUE(c.probe(top));
+    EXPECT_FALSE(c.probe(top + blockSize));
+}
+
+TEST(ProbeKeyRange, CteCacheProbeOfAliasedBlockMisses)
+{
+    constexpr unsigned ppb = 8;
+    CteCache cte(4 * 8 * blockSize, ppb, 8);
+    const Ppn a = 0x777;
+    const Ppn alias = a + (Ppn{1} << 32) * ppb;
+    cte.insert(a);
+    EXPECT_TRUE(cte.probe(a));
+    EXPECT_FALSE(cte.probe(alias));
+    EXPECT_FALSE(cte.lookup(alias));
+    cte.invalidate(alias);
+    EXPECT_TRUE(cte.lookup(a));
+}
+
+using ProbeKeyRangeDeathTest = ::testing::Test;
+
+TEST(ProbeKeyRangeDeathTest, CacheInsertPastTheKeyRangePanics)
+{
+    Cache c("l3", 4 * 16 * blockSize, 16);
+    EXPECT_DEATH(c.insert({kCacheKeySpan, false, false}),
+                 "l3: address 0x4000000000 is past the 32-bit");
+    CacheLine evicted;
+    EXPECT_DEATH(c.touch({kCacheKeySpan - blockSize, false, false},
+                         evicted),
+                 "l3: address 0x3fffffffc0 is past the 32-bit");
+}
+
+TEST(ProbeKeyRangeDeathTest, CteCacheInsertPastTheKeyRangePanics)
+{
+    CteCache cte(4 * 8 * blockSize, 1, 8);
+    EXPECT_DEATH(cte.insert(Ppn{1} << 32), "CTE cache: PPN 0x100000000");
+}
+
+TEST(ProbeKeyRangeDeathTest, StridePrefetcherPastTheKeyRangePanics)
+{
+    StridePrefetcher pf(2, 16);
+    std::vector<Addr> out;
+    EXPECT_DEATH(pf.observeT(Addr{1} << 44, true, out),
+                 "stride prefetcher: address 0x100000000000");
 }
 
 // ---------------------------------------------------------------------
