@@ -5,6 +5,9 @@
  * which PTBs are fetched, whether each compresses (Fig. 7), which
  * truncated CTEs ride inside, and how a CTE-buffer hit converts the
  * final data access into a speculative parallel DRAM access (Fig. 11).
+ * PTB fetches and the data access make the same controller calls as
+ * the simulator (walkerFetched fills core 0's CTE buffer; read probes
+ * it).
  *
  * Usage: walk_tracer [vaddr-hex] (default 0x40001234)
  */
@@ -12,7 +15,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "tmcc/cte_buffer.hh"
 #include "tmcc/os_mc.hh"
 #include "vm/walker.hh"
 
@@ -83,17 +85,17 @@ main(int argc, char **argv)
         return 1;
     }
 
-    CteBuffer buffer;
     for (const WalkStep &step : plan.fetches) {
         std::printf("L%u PTB fetch @ paddr 0x%llx\n", step.level,
                     static_cast<unsigned long long>(step.ptbAddr));
-        const auto view = mc.ptbView(step.ptbAddr);
-        if (!view.compressed) {
+        if (!mc.walkerFetched(0, step.ptbAddr)) {
             std::printf("    PTB not compressible (mixed status "
                         "bits)\n");
             continue;
         }
-        std::printf("    PTB compressed; embedded CTEs:\n");
+        std::printf("    PTB compressed; CTEs harvested into the CTE "
+                    "buffer:\n");
+        const auto view = mc.ptbView(step.ptbAddr);
         for (unsigned i = 0; i < ptesPerPtb; ++i) {
             if (!view.present[i])
                 continue;
@@ -101,8 +103,6 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(view.ppns[i]),
                         view.hasCte[i] ? "cte" : "(no cte)",
                         static_cast<unsigned long long>(view.cte[i]));
-            buffer.insert(view.ppns[i], view.hasCte[i], view.cte[i],
-                          step.ptbAddr);
         }
     }
 
@@ -110,22 +110,20 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(plan.ppn),
                 plan.huge ? "2MB" : "4KB");
 
-    // The data access: consult the CTE buffer as L2 would.
-    McReadRequest req;
-    req.paddr = (plan.ppn << pageShift) | (vaddr & (pageSize - 1));
-    req.when = 1000000;
-    if (const auto *e = buffer.lookup(plan.ppn);
-        e != nullptr && e->hasCte) {
-        req.hasEmbeddedCte = true;
-        req.embeddedCte = e->cte;
+    // The data access: read() consults core 0's CTE buffer as L2 would
+    // and speculates on a hit.  Peek at what it will find.
+    if (const auto *e = mc.cteBuffer(0).lookup(plan.ppn);
+        e != nullptr && e->hasCte)
         std::printf("CTE buffer hit: data access carries embedded CTE "
                     "0x%llx\n",
                     static_cast<unsigned long long>(e->cte));
-    } else {
+    else
         std::printf("CTE buffer miss: data access has no embedded "
                     "CTE\n");
-    }
 
+    McReadRequest req;
+    req.paddr = (plan.ppn << pageShift) | (vaddr & (pageSize - 1));
+    req.when = 1000000;
     const McReadResponse resp = mc.read(req);
     std::printf("MC served the L3 miss in %.1fns: %s\n",
                 ticksToNs(resp.complete - req.when),

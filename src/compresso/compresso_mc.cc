@@ -34,12 +34,12 @@ CompressoMc::CompressoMc(DramSystem &dram, const PageInfoProvider &info,
 CompressoMc::PageState &
 CompressoMc::pageState(Ppn ppn)
 {
-    registerPage(ppn);
+    placePage(ppn);
     return pages_[ppn];
 }
 
 void
-CompressoMc::registerPage(Ppn ppn)
+CompressoMc::placePage(Ppn ppn)
 {
     if (ppn >= pages_.size())
         pages_.resize(ppn + 1);

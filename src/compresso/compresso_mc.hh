@@ -39,14 +39,15 @@ struct CompressoConfig
 };
 
 /** The Compresso memory controller. */
-class CompressoMc : public MemController
+class CompressoMc final : public MemController
 {
   public:
     CompressoMc(DramSystem &dram, const PageInfoProvider &info,
                 const CompressoConfig &cfg = CompressoConfig{});
 
     /** Place and pack one physical page (done in bulk at warm-up). */
-    void registerPage(Ppn ppn);
+    void placePage(Ppn ppn) override;
+    bool hasCtes() const override { return true; }
 
     McReadResponse read(const McReadRequest &req) override;
     void writeback(Addr paddr, Tick when, bool line_compressed) override;
@@ -62,11 +63,6 @@ class CompressoMc : public MemController
     std::uint64_t dramUsedBytes() const override;
 
     CteCache &cteCache() { return cteCache_; }
-
-    std::uint64_t cteDramFetches() const
-    {
-        return cteDramFetches_.value();
-    }
 
     void dumpStats(StatDump &dump,
                    const std::string &prefix) const override;

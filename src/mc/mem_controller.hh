@@ -3,6 +3,13 @@
  * The memory-controller architecture interface: what the simulation
  * pipeline sees of "no compression" vs Compresso vs the OS-inspired
  * designs (barebone and TMCC).
+ *
+ * The one seam between System and an architecture: System builds the
+ * controller in its factory and then calls only its hooks -- read,
+ * writeback, drain, functionalTouch, dramUsedBytes, hasCtes, placePage,
+ * placesByHeat, walkerFetched and dumpCoreStats.  All but read,
+ * writeback and dramUsedBytes default to "the architecture lacks the
+ * feature", so a new backend is one subclass plus one factory line.
  */
 
 #ifndef TMCC_MC_MEM_CONTROLLER_HH
@@ -25,10 +32,6 @@ struct McReadRequest
     Tick when = 0;
     bool fromWalker = false; //!< request originated from a page walk
     bool background = false; //!< prefetch (does not block the core)
-
-    /** TMCC: truncated CTE piggybacked from a compressed PTB (§V-A3). */
-    bool hasEmbeddedCte = false;
-    std::uint64_t embeddedCte = 0;
 };
 
 /** What the MC returns to the LLC. */
@@ -43,12 +46,13 @@ struct McReadResponse
     bool serializedNoCte = false;   //!< CTE fetched serially from DRAM
     bool hitMl2 = false;            //!< page was compressed (Deflate)
 
-    /** Walker fills should be cached PTB-compressed in L2 (§V-A4). */
+    /** Never set (L2 learns of compressed PTBs from walkerFetched);
+     * kept only because perfbench passes it to Hierarchy::fillT. */
     bool fillCompressedPtb = false;
 
-    /** The correct CTE piggybacked back toward L2 (§V-A3). */
-    bool hasCorrectCte = false;
-    std::uint64_t correctCte = 0;
+    /** PTB whose embedded CTE the MC lazily patched (§V-A3), now
+     * dirty in L2; invalidAddr if none. */
+    Addr stalePtb = invalidAddr;
 };
 
 /** Abstract MC architecture. */
@@ -86,7 +90,26 @@ class MemController : public Stated
     /** Total DRAM bytes this architecture currently uses for data. */
     virtual std::uint64_t dramUsedBytes() const = 0;
 
-    DramSystem &dram() { return dram_; }
+    /** Reads resolve a CTE (count CTE hits/misses; place pages). */
+    virtual bool hasCtes() const { return false; }
+
+    /** Initial placement of one physical page (set-up, §VI). */
+    virtual void placePage(Ppn /*ppn*/) {}
+
+    /** placePage() wants data pages hottest first (touch-counted). */
+    virtual bool placesByHeat() const { return false; }
+
+    /** Core `core`'s walker fetched the PTB block at `ptb_addr` (from
+     * any level); true when L2 should mark it a compressed PTB. */
+    virtual bool walkerFetched(unsigned /*core*/, Addr /*ptb_addr*/)
+    {
+        return false;
+    }
+
+    /** Dump core `core`'s structures owned by the MC under `prefix`. */
+    virtual void dumpCoreStats(StatDump &, unsigned /*core*/,
+                               const std::string & /*prefix*/) const
+    {}
 
   protected:
     DramSystem &dram_;
@@ -96,7 +119,10 @@ class MemController : public Stated
 class NoCompressionMc : public MemController
 {
   public:
-    explicit NoCompressionMc(DramSystem &dram) : MemController(dram) {}
+    /** `used_bytes`: the physical memory the workload maps. */
+    NoCompressionMc(DramSystem &dram, std::uint64_t used_bytes)
+        : MemController(dram), usedBytes_(used_bytes)
+    {}
 
     McReadResponse
     read(const McReadRequest &req) override
@@ -124,9 +150,6 @@ class NoCompressionMc : public MemController
         return usedBytes_;
     }
 
-    /** The driver reports how much physical memory the workload maps. */
-    void setUsedBytes(std::uint64_t bytes) { usedBytes_ = bytes; }
-
     void
     dumpStats(StatDump &dump, const std::string &prefix) const override
     {
@@ -136,7 +159,7 @@ class NoCompressionMc : public MemController
 
   private:
     Counter reads_, writebacks_;
-    std::uint64_t usedBytes_ = 0;
+    std::uint64_t usedBytes_;
 };
 
 } // namespace tmcc

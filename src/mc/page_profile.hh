@@ -42,7 +42,6 @@ struct PageProfile
     double overflowP = 0.02;
 
     bool deflateIncompressible() const { return deflateBytes >= pageSize; }
-    bool blockIncompressible() const { return blockBytes >= pageSize; }
 
     double
     deflateRatio() const

@@ -1,8 +1,9 @@
 /**
  * @file
  * The simulated access path: the full per-access pipeline — TLB, page
- * walk (native or 2D nested), cache hierarchy, MC architecture,
- * prefetch issue, CTE-buffer maintenance — in one engine.
+ * walk (native or 2D nested), cache hierarchy, MC architecture and
+ * prefetch issue — in one engine.  Everything architecture-specific
+ * happens behind the MemController hooks it calls.
  *
  * AccessEngine<Tracing> calls the hierarchy's inline member templates
  * with fixed-capacity SmallVec sinks, so an access allocates nothing.
@@ -32,27 +33,17 @@ template <bool Tracing>
 struct AccessEngine
 {
     static void
-    handleMcResponse(System &sys, unsigned core, Addr paddr,
-                     const McReadResponse &resp, bool from_walker,
-                     bool after_tlb_miss, bool measuring)
+    handleMcResponse(System &sys, unsigned core,
+                     const McReadResponse &resp, bool after_tlb_miss,
+                     bool measuring)
     {
-        // Piggybacked correct CTE: refresh the CTE buffer and lazily
-        // patch the PTB in L2 when the stored embedded CTE was stale
-        // (§V-A3).
-        if (resp.hasCorrectCte && sys.osMc_ != nullptr) {
-            const Addr stale_ptb =
-                sys.cteBuffers_[core]->updateOnResponse(
-                    pageNumber(paddr), resp.correctCte);
-            if (stale_ptb != invalidAddr) {
-                sys.osMc_->lazyUpdatePtb(stale_ptb, pageNumber(paddr),
-                                         resp.correctCte);
-                sys.hierarchy_->touchL2Dirty(core, stale_ptb);
-            }
-        }
+        // The MC lazily patched a stale PTB's embedded CTE (§V-A3): the
+        // PTB's line in L2 is now dirty.
+        if (resp.stalePtb != invalidAddr)
+            sys.hierarchy_->touchL2Dirty(core, resp.stalePtb);
 
         if constexpr (Tracing) {
-            if (sys.cfg_.arch != Arch::NoCompression &&
-                !resp.cteCacheHit) {
+            if (sys.mc_->hasCtes() && !resp.cteCacheHit) {
                 if (Tracer *tr = Tracer::active())
                     tr->instant("cte_miss", "mc", core,
                                 ticksToNs(resp.complete));
@@ -62,7 +53,7 @@ struct AccessEngine
         if (!measuring)
             return;
         ++sys.result_.llcMisses;
-        if (sys.cfg_.arch != Arch::NoCompression) {
+        if (sys.mc_->hasCtes()) {
             if (resp.cteCacheHit)
                 ++sys.result_.cteHits;
             else
@@ -82,7 +73,6 @@ struct AccessEngine
             else
                 ++sys.result_.ml1Serial;
         }
-        (void)from_walker;
     }
 
     static Tick
@@ -116,14 +106,6 @@ struct AccessEngine
             req.paddr = paddr;
             req.when = start + l1 + l2 + l3 + noc;
             req.fromWalker = from_walker;
-            if (sys.embedCtes_) {
-                const CteBuffer::Entry *e =
-                    sys.cteBuffers_[core]->lookup(pageNumber(paddr));
-                if (e != nullptr && e->hasCte) {
-                    req.hasEmbeddedCte = true;
-                    req.embeddedCte = e->cte;
-                }
-            }
             const McReadResponse resp = sys.mc_->read(req);
             // Fig. 18 convention: the 53ns no-compression miss latency
             // is one NoC traversal plus the DRAM access; the return
@@ -154,8 +136,7 @@ struct AccessEngine
                                  ticksToNs(done - miss_start));
             }
 
-            handleMcResponse(sys, core, paddr, resp, from_walker,
-                             after_tlb_miss, measuring);
+            handleMcResponse(sys, core, resp, after_tlb_miss, measuring);
 
             const SmallOutcome fill =
                 sys.hierarchy_->fillT<SmallOutcome>(
@@ -177,10 +158,10 @@ struct AccessEngine
                 ++sys.result_.llcWritebacks;
         }
 
-        // Walker fetch of a (possibly compressed) PTB: harvest embedded
-        // CTEs into this core's CTE buffer.
-        if (from_walker)
-            sys.collectPtbCtes(core, blockAlign(paddr));
+        // Walker fetch of a PTB: the MC may harvest its embedded CTEs
+        // and have L2 mark the line as a compressed PTB.
+        if (from_walker && sys.mc_->walkerFetched(core, blockAlign(paddr)))
+            sys.hierarchy_->l2(core).setCompressed(blockAlign(paddr), true);
 
         // Prefetch proposals: background fills that stay in the page.
         for (Addr pf : out.prefetches) {
@@ -194,8 +175,7 @@ struct AccessEngine
                 req.when = start + l1 + l2 + l3 + noc;
                 req.background = true;
                 const McReadResponse resp = sys.mc_->read(req);
-                handleMcResponse(sys, core, pf, resp, false, false,
-                                 false);
+                handleMcResponse(sys, core, resp, false, false);
                 const SmallOutcome fill =
                     sys.hierarchy_->fillT<SmallOutcome>(core, pf, false,
                                                         false, false);

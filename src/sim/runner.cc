@@ -35,14 +35,6 @@ SimRunner::phaseTotals()
 }
 
 void
-SimRunner::resetPhaseTotals()
-{
-    setupNsTotal = 0;
-    measureNsTotal = 0;
-    runsTotal = 0;
-}
-
-void
 SimRunner::recordExternalRun(const SimResult &result)
 {
     setupNsTotal.fetch_add(

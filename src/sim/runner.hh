@@ -42,7 +42,6 @@ class SimRunner
         std::uint64_t runs = 0;
     };
     static PhaseTotals phaseTotals();
-    static void resetPhaseTotals(); //!< tests
 
     /**
      * Fold a run executed in another process (a sweep shard worker)

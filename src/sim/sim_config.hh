@@ -248,8 +248,9 @@ forEachField(Config &c, Visitor &&visit)
 
     visit("osMc.cteCacheBytes", c.osMc.cteCacheBytes);
     visit("osMc.mcProcNs", c.osMc.mcProcNs);
-    // osMc.{embedCtes,fastDeflate,dramBudgetBytes,ml1TargetPages} are
-    // absent: System derives them from `arch` and the DRAM budget.
+    // osMc.{embedCtes,fastDeflate,dramBudgetBytes,ml1TargetPages,cores,
+    // cteBufferEntries} are absent: System derives them from `arch`, the
+    // DRAM budget, `cores` and `cteBufferEntries`.
     visit("osMc.freeListLow", c.osMc.freeListLow);
     visit("osMc.freeListCritical", c.osMc.freeListCritical);
     visit("osMc.evictBatch", c.osMc.evictBatch);

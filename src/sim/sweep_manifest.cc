@@ -386,17 +386,6 @@ ShardResultFile::load(const std::string &path)
     return file;
 }
 
-const char *
-shardStateName(ShardState s)
-{
-    switch (s) {
-      case ShardState::Pending: return "pending";
-      case ShardState::Done: return "done";
-      case ShardState::Failed: return "failed";
-    }
-    return "?";
-}
-
 Status
 SweepManifest::save(const std::string &path) const
 {

@@ -102,8 +102,6 @@ enum class ShardState : std::uint8_t
     Failed = 2,  //!< exhausted its attempt budget
 };
 
-const char *shardStateName(ShardState s);
-
 /** The client's durable sweep record (MANIFEST.tmccsweep). */
 struct SweepManifest
 {

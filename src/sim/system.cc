@@ -198,25 +198,21 @@ System::buildMcAndCores()
 {
     // Build the selected MC architecture.
     switch (cfg_.arch) {
-      case Arch::NoCompression: {
-        auto mc = std::make_unique<NoCompressionMc>(*dram_);
-        mc->setUsedBytes(footprintBytes_);
-        mc_ = std::move(mc);
+      case Arch::NoCompression:
+        mc_ = std::make_unique<NoCompressionMc>(*dram_, footprintBytes_);
         break;
-      }
-      case Arch::Compresso: {
-        auto mc = std::make_unique<CompressoMc>(*dram_, profiles_,
-                                                cfg_.compresso);
-        compressoMc_ = mc.get();
-        mc_ = std::move(mc);
+      case Arch::Compresso:
+        mc_ = std::make_unique<CompressoMc>(*dram_, profiles_,
+                                            cfg_.compresso);
         break;
-      }
       default: {
         OsMcConfig oc = cfg_.osMc;
         oc.embedCtes = cfg_.arch == Arch::Tmcc ||
                        cfg_.arch == Arch::BarebonePlusMl1;
         oc.fastDeflate = cfg_.arch == Arch::Tmcc ||
                          cfg_.arch == Arch::BarebonePlusMl2;
+        oc.cores = cfg_.cores;
+        oc.cteBufferEntries = cfg_.cteBufferEntries;
         // Target total usage: either an explicit fraction of the
         // footprint (Table IV sweeps) or Compresso's usage (Fig. 17's
         // iso-savings comparison).
@@ -252,25 +248,17 @@ System::buildMcAndCores()
         oc.dramBudgetBytes = target_usage +
                              physMem_->pageTablePages() * pageSize +
                              (oc.freeListLow + 512) * pageSize;
-        auto mc = std::make_unique<OsInspiredMc>(*dram_, profiles_,
-                                                 *physMem_, oc);
-        osMc_ = mc.get();
-        embedCtes_ = oc.embedCtes;
-        mc_ = std::move(mc);
+        mc_ = std::make_unique<OsInspiredMc>(*dram_, profiles_,
+                                             *physMem_, oc);
         break;
       }
     }
 
-    tlbs_.clear();
-    walkers_.clear();
-    cteBuffers_.clear();
     cores_.assign(cfg_.cores, CoreState{});
     ffFilter_.assign(cfg_.cores, FfFilter{});
     for (unsigned c = 0; c < cfg_.cores; ++c) {
         tlbs_.push_back(std::make_unique<Tlb>(cfg_.tlbEntries));
         walkers_.push_back(std::make_unique<Walker>(*pageTable_));
-        cteBuffers_.push_back(
-            std::make_unique<CteBuffer>(cfg_.cteBufferEntries));
         if (cfg_.nestedPaging)
             hostWalkers_.push_back(
                 std::make_unique<Walker>(*hostTable_));
@@ -365,18 +353,19 @@ System::warmPlacement()
 {
     // Touch-count run: the stand-in for gem5's KVM fast forward.  The
     // counts order pages hottest-first for initial ML1/ML2 placement;
-    // only the OS-inspired MCs place by them, but every arch draws the
-    // accesses so the measured streams start at the same point.
+    // only an MC that places by heat needs them, but every arch draws
+    // the accesses so the measured streams start at the same point.
+    const bool by_heat = mc_->placesByHeat();
     std::unordered_map<Vpn, std::uint32_t> touches;
     for (unsigned c = 0; c < cfg_.cores; ++c) {
         for (std::uint64_t i = 0; i < cfg_.placementAccesses; ++i) {
             const MemAccess a = workloads_[c]->next();
-            if (osMc_ != nullptr)
+            if (by_heat)
                 ++touches[pageNumber(a.vaddr)];
         }
     }
 
-    if (osMc_ == nullptr && compressoMc_ == nullptr)
+    if (!mc_->hasCtes())
         return;
 
     // Page-table pages are the hottest of all (every walk touches
@@ -390,7 +379,7 @@ System::warmPlacement()
     // the full region scan — remaining (untouched) pages are the
     // coldest.
     std::vector<Ppn> touched_frames;
-    if (osMc_ != nullptr) {
+    if (by_heat) {
         std::vector<std::pair<std::uint32_t, Vpn>> order;
         order.reserve(touches.size());
         for (const auto &[vpn, count] : touches)
@@ -416,37 +405,12 @@ System::warmPlacement()
         }
     }
 
-    if (osMc_ != nullptr) {
-        for (Ppn pt : pt_pages)
-            osMc_->placePage(pt);
-        for (Ppn f : touched_frames)
-            osMc_->placePage(f);
-        for (Ppn f : region_frames)
-            osMc_->placePage(f);
-    }
-    if (compressoMc_ != nullptr) {
-        for (Ppn pt : pt_pages)
-            compressoMc_->registerPage(pt);
-        for (Ppn f : region_frames)
-            compressoMc_->registerPage(f);
-    }
-}
-
-void
-System::collectPtbCtes(unsigned core, Addr ptb_addr)
-{
-    if (!embedCtes_)
-        return;
-    const OsInspiredMc::PtbView view = osMc_->ptbView(ptb_addr);
-    if (!view.compressed)
-        return;
-    hierarchy_->l2(core).setCompressed(ptb_addr, true);
-    for (unsigned i = 0; i < ptesPerPtb; ++i) {
-        if (!view.present[i])
-            continue;
-        cteBuffers_[core]->insert(view.ppns[i], view.hasCte[i],
-                                  view.cte[i], ptb_addr);
-    }
+    for (Ppn pt : pt_pages)
+        mc_->placePage(pt);
+    for (Ppn f : touched_frames)
+        mc_->placePage(f);
+    for (Ppn f : region_frames)
+        mc_->placePage(f);
 }
 
 // The access supply: per-core rings refilled in blocks through
@@ -605,12 +569,10 @@ void
 System::dumpAllStats(StatDump &dump) const
 {
     for (unsigned c = 0; c < cfg_.cores; ++c) {
-        tlbs_[c]->dumpStats(dump,
-                            "core" + std::to_string(c) + ".tlb");
-        walkers_[c]->dumpStats(dump,
-                               "core" + std::to_string(c) + ".walker");
-        cteBuffers_[c]->dumpStats(
-            dump, "core" + std::to_string(c) + ".cte_buffer");
+        const std::string core = "core" + std::to_string(c);
+        tlbs_[c]->dumpStats(dump, core + ".tlb");
+        walkers_[c]->dumpStats(dump, core + ".walker");
+        mc_->dumpCoreStats(dump, c, core);
     }
     hierarchy_->dumpStats(dump, "hier");
     dram_->dumpStats(dump, "dram");

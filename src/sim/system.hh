@@ -19,13 +19,10 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
-#include "compresso/compresso_mc.hh"
 #include "dram/dram_system.hh"
 #include "mc/mem_controller.hh"
 #include "sim/sim_config.hh"
 #include "sim/sim_result.hh"
-#include "tmcc/cte_buffer.hh"
-#include "tmcc/os_mc.hh"
 #include "vm/page_table.hh"
 #include "vm/phys_mem.hh"
 #include "vm/tlb.hh"
@@ -55,13 +52,8 @@ class System
     SimResult measure();
 
     // Component access for tests and benches.
-    PhysMem &physMem() { return *physMem_; }
     PageTable &pageTable() { return *pageTable_; }
-    Hierarchy &hierarchy() { return *hierarchy_; }
-    DramSystem &dram() { return *dram_; }
     MemController &mc() { return *mc_; }
-    ProfileLibrary &profiles() { return profiles_; }
-    Tlb &tlb(unsigned core) { return *tlbs_[core]; }
     const SimConfig &config() const { return cfg_; }
     std::uint64_t footprintBytes() const { return footprintBytes_; }
 
@@ -86,7 +78,10 @@ class System
     void buildWorkloads();
     /** Size memories, build tables, estimate usage. */
     void buildMemories();
-    /** Arch-specific MC + per-core structures. */
+    /**
+     * The MC factory (the one place that switches on the arch) plus
+     * the per-core TLBs and walkers.
+     */
     void buildMcAndCores();
     void mapAddressSpace();
     void warmPlacement();
@@ -154,8 +149,6 @@ class System
     /** SMARTS-style interval sampling: k detailed windows + CI. */
     SimResult measureSampled();
 
-    void collectPtbCtes(unsigned core, Addr ptb_addr);
-
     /**
      * Dump every component's counters plus the measured-window
      * pipeline counters ("sys.*") and latency histograms.  Used for
@@ -187,16 +180,10 @@ class System
     ProfileLibrary profiles_;
 
     std::unique_ptr<MemController> mc_;
-    OsInspiredMc *osMc_ = nullptr;       //!< set when arch is OS-based
-    CompressoMc *compressoMc_ = nullptr; //!< set when arch is Compresso
-    /** The OS MC embeds CTEs in PTBs (TMCC, +ML1); copied from the
-     * OsMcConfig it was built with. */
-    bool embedCtes_ = false;
 
     std::vector<std::unique_ptr<Workload>> workloads_;
     std::vector<std::unique_ptr<Tlb>> tlbs_;
     std::vector<std::unique_ptr<Walker>> walkers_;
-    std::vector<std::unique_ptr<CteBuffer>> cteBuffers_;
     std::vector<CoreState> cores_;
     std::vector<FfFilter> ffFilter_;
 

@@ -33,6 +33,9 @@ OsInspiredMc::OsInspiredMc(DramSystem &dram, const PageInfoProvider &info,
     // front so the hot path never resizes.
     cteTable_.resize(phys_mem.totalPages());
     ml2Location_.resize(phys_mem.totalPages());
+
+    if (cfg.embedCtes)
+        cteBuffers_.assign(cfg.cores, CteBuffer(cfg.cteBufferEntries));
 }
 
 PageCte &
@@ -108,30 +111,64 @@ OsInspiredMc::placePage(Ppn ppn)
 McReadResponse
 OsInspiredMc::read(const McReadRequest &req)
 {
-    reads_.inc();
     const Ppn ppn = pageNumber(req.paddr);
-    PageCte &c = cte(ppn);
+    CteBuffer *buffer =
+        cteBuffers_.empty() ? nullptr : &cteBuffers_[req.core];
 
+    // L2 consults the CTE buffer on the demand miss and piggybacks a
+    // hit's embedded CTE on the request (§V-A3).
+    std::optional<std::uint64_t> embedded;
+    if (buffer != nullptr && !req.background) {
+        const CteBuffer::Entry *e = buffer->lookup(ppn);
+        if (e != nullptr && e->hasCte)
+            embedded = e->cte;
+    }
+
+    reads_.inc();
+    PageCte &c = cte(ppn);
+    McReadResponse resp;
     if (req.background) {
         // Prefetch fill: CTE-cache pressure without DRAM contention.
-        McReadResponse resp;
         resp.cteCacheHit = cteCache_.lookup(ppn);
         if (!resp.cteCacheHit)
             cteCache_.insert(ppn);
         resp.hitMl2 = c.level == PageLevel::ML2;
         resp.complete = req.when;
-        resp.hasCorrectCte = true;
-        resp.correctCte = c.truncated(codec_.truncatedCteBits());
-        return resp;
-    }
-
-    if (c.level == PageLevel::ML1) {
+    } else if (c.level == PageLevel::ML1) {
         ml1Reads_.inc();
         recency_.touch(ppn);
-        return readMl1(req, c);
+        resp = readMl1(req, c, embedded);
+    } else {
+        ml2Reads_.inc();
+        resp = readMl2(req, ppn, c);
     }
-    ml2Reads_.inc();
-    return readMl2(req, ppn, c);
+
+    // The response carries the correct CTE back to the buffer; a stale
+    // entry names the PTB to patch lazily (§V-A3).
+    if (buffer != nullptr) {
+        const std::uint64_t correct =
+            c.truncated(codec_.truncatedCteBits());
+        resp.stalePtb = buffer->updateOnResponse(ppn, correct);
+        if (resp.stalePtb != invalidAddr)
+            lazyUpdatePtb(resp.stalePtb, ppn, correct);
+    }
+    return resp;
+}
+
+bool
+OsInspiredMc::walkerFetched(unsigned core, Addr ptb_addr)
+{
+    if (cteBuffers_.empty())
+        return false;
+    const PtbView view = ptbView(ptb_addr);
+    if (!view.compressed)
+        return false;
+    CteBuffer &buffer = cteBuffers_[core];
+    for (unsigned i = 0; i < ptesPerPtb; ++i)
+        if (view.present[i])
+            buffer.insert(view.ppns[i], view.hasCte[i], view.cte[i],
+                          ptb_addr);
+    return true;
 }
 
 void
@@ -151,14 +188,13 @@ OsInspiredMc::functionalTouch(Ppn ppn, bool /*is_write*/, Tick now)
 }
 
 McReadResponse
-OsInspiredMc::readMl1(const McReadRequest &req, PageCte &c)
+OsInspiredMc::readMl1(const McReadRequest &req, PageCte &c,
+                      std::optional<std::uint64_t> embedded)
 {
     McReadResponse resp;
     const Ppn ppn = pageNumber(req.paddr);
     const Tick t0 = req.when + nsToTicks(cfg_.mcProcNs);
     const Addr data_addr = ml1BlockAddr(c, req.paddr);
-    resp.hasCorrectCte = true;
-    resp.correctCte = c.truncated(codec_.truncatedCteBits());
 
     if (cteCache_.lookup(ppn)) {
         resp.cteCacheHit = true;
@@ -167,7 +203,7 @@ OsInspiredMc::readMl1(const McReadRequest &req, PageCte &c)
     }
 
     // CTE cache miss.
-    if (cfg_.embedCtes && req.hasEmbeddedCte) {
+    if (embedded) {
         // Speculative parallel access (Fig. 11): use the embedded CTE
         // to fetch data while the real CTE is verified from DRAM.  A
         // bit flip in the embedded field is indistinguishable from a
@@ -175,7 +211,7 @@ OsInspiredMc::readMl1(const McReadRequest &req, PageCte &c)
         // mismatch path re-accesses serially, so corruption here costs
         // latency, never correctness.
         const Addr spec_frame = injector_.corruptCte(
-            req.embeddedCte, codec_.truncatedCteBits());
+            *embedded, codec_.truncatedCteBits());
         const Addr spec_addr =
             (spec_frame << pageShift) + (req.paddr & (pageSize - 1));
         cteDramFetches_.inc();
@@ -183,7 +219,7 @@ OsInspiredMc::readMl1(const McReadRequest &req, PageCte &c)
         const Tick spec_done = dram_.read(spec_addr, t0);
         cteCache_.insert(ppn);
 
-        if (spec_frame == resp.correctCte) {
+        if (spec_frame == c.truncated(codec_.truncatedCteBits())) {
             parallelAccesses_.inc();
             resp.parallelAccess = true;
             resp.complete = std::max(cte_ready, spec_done);
@@ -317,9 +353,6 @@ OsInspiredMc::readMl2(const McReadRequest &req, Ppn ppn, PageCte &c)
                      ticksToNs(first_beat),
                      ticksToNs(resp.complete - first_beat));
     }
-
-    resp.hasCorrectCte = true;
-    resp.correctCte = c.truncated(codec_.truncatedCteBits());
     return resp;
 }
 
@@ -612,6 +645,14 @@ OsInspiredMc::dumpStats(StatDump &dump, const std::string &prefix) const
     recency_.dumpStats(dump, prefix + ".recency");
     ml1Free_.dumpStats(dump, prefix + ".ml1_free");
     ml2Free_.dumpStats(dump, prefix + ".ml2_free");
+}
+
+void
+OsInspiredMc::dumpCoreStats(StatDump &dump, unsigned core,
+                            const std::string &prefix) const
+{
+    if (core < cteBuffers_.size())
+        cteBuffers_[core].dumpStats(dump, prefix + ".cte_buffer");
 }
 
 } // namespace tmcc

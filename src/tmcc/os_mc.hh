@@ -12,10 +12,11 @@
  *     8-entry 32KB buffer (§VI).
  *
  *   TMCC optimization A (embedCtes): compressed PTBs carry truncated
- *   CTEs; requests arriving with an embedded CTE trigger a speculative
- *   DRAM data access in parallel with the CTE verification fetch
- *   (Fig. 8/11); mismatches re-access serially and PTBs are lazily
- *   updated.
+ *   CTEs, which every walker fetch harvests into that core's CTE
+ *   buffer (one per core, owned here); a read whose page hits the
+ *   buffer triggers a speculative DRAM data access in parallel with
+ *   the CTE verification fetch (Fig. 8/11); mismatches re-access
+ *   serially, and the read lazily updates the stale PTB.
  *
  *   TMCC optimization B (fastDeflate): ML2 uses the memory-specialized
  *   ASIC Deflate timing; the barebone design pays IBM-class latency.
@@ -38,6 +39,7 @@
 #include "mc/mem_controller.hh"
 #include "mc/page_profile.hh"
 #include "mc/recency_list.hh"
+#include "tmcc/cte_buffer.hh"
 #include "tmcc/ptb_codec.hh"
 #include "vm/phys_mem.hh"
 
@@ -81,10 +83,14 @@ struct OsMcConfig
     PtbCodecConfig ptb; //!< truncation geometry (§V-A5)
 
     FaultConfig faults; //!< bit-flip injection (off by default)
+
+    // Derived from SimConfig by System's factory, like embedCtes.
+    unsigned cores = 1;             //!< one CTE buffer each (embedCtes)
+    unsigned cteBufferEntries = 64; //!< per-core CTE Buffer (§V-A6)
 };
 
 /** The OS-inspired / TMCC memory controller. */
-class OsInspiredMc : public MemController
+class OsInspiredMc final : public MemController
 {
   public:
     OsInspiredMc(DramSystem &dram, const PageInfoProvider &info,
@@ -95,15 +101,26 @@ class OsInspiredMc : public MemController
      * first; ML1 fills until the free list would hit its low watermark,
      * the rest compress into ML2.
      */
-    void placePage(Ppn ppn);
+    void placePage(Ppn ppn) override;
+    bool placesByHeat() const override { return true; }
+    bool hasCtes() const override { return true; }
 
+    /**
+     * With embedCtes, a demand read first looks its page up in
+     * `req.core`'s CTE buffer and speculates on a hit; every read then
+     * refreshes the buffer entry with the correct CTE and lazily
+     * updates a stale PTB (returned as McReadResponse::stalePtb).
+     */
     McReadResponse read(const McReadRequest &req) override;
     void writeback(Addr paddr, Tick when, bool line_compressed) override;
     void functionalTouch(Ppn ppn, bool is_write, Tick now) override;
 
+    /** Harvest a compressed PTB's embedded CTEs into `core`'s buffer. */
+    bool walkerFetched(unsigned core, Addr ptb_addr) override;
+
     std::uint64_t dramUsedBytes() const override;
 
-    // --- PTB / embedded-CTE interface used by the pipeline ---
+    // --- PTB / embedded-CTE internals, public for tests and tools ---
 
     /** Embedded-CTE view of one PTB fetched by the walker. */
     struct PtbView
@@ -134,13 +151,10 @@ class OsInspiredMc : public MemController
 
     CteCache &cteCache() { return cteCache_; }
     RecencyList &recency() { return recency_; }
-    const Ml1FreeList &ml1FreeList() const { return ml1Free_; }
     const PtbCodec &ptbCodec() const { return codec_; }
 
-    std::uint64_t ml2Accesses() const { return ml2Reads_.value(); }
-
-    /** Bytes moved by background migrations/evictions. */
-    std::uint64_t backgroundBytes() const { return backgroundBytes_; }
+    /** Core `core`'s CTE buffer (embedCtes only). */
+    CteBuffer &cteBuffer(unsigned core) { return cteBuffers_.at(core); }
 
     /** Times the usage target had to be overrun (incompressible data
      * exceeding the budget; the design then simply saves less). */
@@ -151,6 +165,8 @@ class OsInspiredMc : public MemController
 
     void dumpStats(StatDump &dump,
                    const std::string &prefix) const override;
+    void dumpCoreStats(StatDump &dump, unsigned core,
+                       const std::string &prefix) const override;
 
   private:
     PageCte &cte(Ppn ppn);
@@ -158,8 +174,9 @@ class OsInspiredMc : public MemController
     Addr cteDramAddr(Ppn ppn) const;
     Addr ml1BlockAddr(const PageCte &c, Addr paddr) const;
 
-    /** Serve a read that hits ML1. */
-    McReadResponse readMl1(const McReadRequest &req, PageCte &c);
+    /** Serve a read that hits ML1, speculating on an embedded CTE. */
+    McReadResponse readMl1(const McReadRequest &req, PageCte &c,
+                           std::optional<std::uint64_t> embedded);
 
     /** Serve a read that hits ML2: decompress + background migration. */
     McReadResponse readMl2(const McReadRequest &req, Ppn ppn, PageCte &c);
@@ -197,6 +214,7 @@ class OsInspiredMc : public MemController
     Ml1FreeList ml1Free_;
     Ml2FreeLists ml2Free_;
     RecencyList recency_;
+    std::vector<CteBuffer> cteBuffers_; //!< per core; empty unless embedCtes
 
     /** Grow the Ppn-indexed tables to cover `ppn`. */
     void ensureTables(Ppn ppn)

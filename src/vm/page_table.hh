@@ -64,12 +64,6 @@ class PageTable : public Stated
     /** Update the leaf PTE's accessed/dirty bits like a real walker. */
     void setAccessedDirty(Addr vaddr, bool dirty);
 
-    /** Physical address of the root (CR3) page. */
-    Addr rootAddr() const { return rootPpn_ << pageShift; }
-    Ppn rootPpn() const { return rootPpn_; }
-
-    std::uint64_t mappedPages() const { return mapped_.value(); }
-
     /**
      * Iterate every PTB (64B block of 8 PTEs) at a given level that has
      * at least one present entry; `fn(const std::uint64_t *ptes)`.

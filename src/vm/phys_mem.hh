@@ -66,7 +66,6 @@ class PhysMem : public Stated
     void writeQword(Addr paddr, std::uint64_t value);
 
     std::uint64_t totalPages() const { return totalPages_; }
-    std::uint64_t allocatedPages() const { return allocated_.value(); }
 
     /** One past the highest frame the bump allocator has handed out
      * (alignment holes from huge allocations included). */

@@ -279,14 +279,6 @@ ProfileLibrary::assignPage(Ppn ppn, unsigned mix_id)
     pageAssign_[ppn] = {mix_id, part};
 }
 
-void
-ProfileLibrary::assignRange(Ppn first, std::uint64_t count,
-                            unsigned mix_id)
-{
-    for (std::uint64_t i = 0; i < count; ++i)
-        assignPage(first + i, mix_id);
-}
-
 const PageProfile &
 ProfileLibrary::profile(Ppn ppn) const
 {

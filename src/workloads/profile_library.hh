@@ -69,9 +69,6 @@ class ProfileLibrary : public PageInfoProvider
     /** Assign a physical page to a mix (profile picked by PPN hash). */
     void assignPage(Ppn ppn, unsigned mix_id);
 
-    /** Assign a contiguous PPN range to a mix. */
-    void assignRange(Ppn first, std::uint64_t count, unsigned mix_id);
-
     const PageProfile &profile(Ppn ppn) const override;
 
     /** Aggregate ratios of a mix (weight-averaged; for Fig. 15). */

@@ -52,16 +52,16 @@ class CompressoTest : public ::testing::Test
 
 TEST_F(CompressoTest, RegistrationAllocatesChunks)
 {
-    mc_->registerPage(5);
+    mc_->placePage(5);
     // 2800B -> 6 chunks -> 3072B.
     EXPECT_EQ(mc_->dramUsedBytes(), 6u * 512u);
-    mc_->registerPage(5); // idempotent
+    mc_->placePage(5); // idempotent
     EXPECT_EQ(mc_->dramUsedBytes(), 6u * 512u);
 }
 
 TEST_F(CompressoTest, UnregisteredPageFarAboveAutoRegisters)
 {
-    mc_->registerPage(5);
+    mc_->placePage(5);
     // The page table is indexed by Ppn: touching a page far above every
     // registered one grows it and registers the page on the way.
     constexpr Ppn far = 100000;
@@ -75,16 +75,16 @@ TEST_F(CompressoTest, UnregisteredPageFarAboveAutoRegisters)
               (2u * 6u + static_cast<unsigned>(d.get("mc.repacks"))) *
                   512u);
     const std::uint64_t used = mc_->dramUsedBytes();
-    mc_->registerPage(far); // already registered
-    mc_->registerPage(5);
+    mc_->placePage(far); // already registered
+    mc_->placePage(5);
     EXPECT_EQ(mc_->dramUsedBytes(), used);
-    mc_->registerPage(6); // below the grown end, still unregistered
+    mc_->placePage(6); // below the grown end, still unregistered
     EXPECT_EQ(mc_->dramUsedBytes(), used + 6u * 512u);
 }
 
 TEST_F(CompressoTest, CteHitIsSingleAccess)
 {
-    mc_->registerPage(5);
+    mc_->placePage(5);
     mc_->cteCache().insert(5);
     const McReadResponse r = mc_->read(readReq(5));
     EXPECT_TRUE(r.cteCacheHit);
@@ -93,7 +93,7 @@ TEST_F(CompressoTest, CteHitIsSingleAccess)
 
 TEST_F(CompressoTest, CteMissSerializesMetadataThenData)
 {
-    mc_->registerPage(5);
+    mc_->placePage(5);
     const McReadResponse r = mc_->read(readReq(5));
     EXPECT_FALSE(r.cteCacheHit);
     EXPECT_TRUE(r.serializedNoCte);
@@ -103,19 +103,9 @@ TEST_F(CompressoTest, CteMissSerializesMetadataThenData)
     EXPECT_TRUE(r2.cteCacheHit);
 }
 
-TEST_F(CompressoTest, NeverProducesEmbeddedCteMachinery)
-{
-    mc_->registerPage(5);
-    McReadRequest req = readReq(5);
-    req.hasEmbeddedCte = true; // Compresso ignores it
-    req.embeddedCte = 99;
-    const McReadResponse r = mc_->read(req);
-    EXPECT_FALSE(r.parallelAccess);
-}
-
 TEST_F(CompressoTest, WritebacksTriggerRepacksOverTime)
 {
-    mc_->registerPage(5);
+    mc_->placePage(5);
     for (int i = 0; i < 200; ++i)
         mc_->writeback((5ULL << pageShift) | (i % 64) * 64,
                        1000 + i * 100, false);
@@ -132,7 +122,7 @@ TEST_F(CompressoTest, LlcVictimModeChangesMissPath)
     CompressoConfig cfg;
     cfg.cteVictimInLlc = true;
     CompressoMc mc(dram_, info_, cfg);
-    mc.registerPage(7);
+    mc.placePage(7);
     // First miss: victim miss -> DRAM fetch delayed by the LLC probe.
     const McReadResponse r1 = mc.read(readReq(7));
     EXPECT_FALSE(r1.cteCacheHit);
@@ -145,7 +135,7 @@ TEST_F(CompressoTest, BlocksOfPageLandInItsChunks)
 {
     // Different blocks of one page must map inside the page's packed
     // allocation (distinct addresses, bounded span).
-    mc_->registerPage(9);
+    mc_->placePage(9);
     const McReadResponse a = mc_->read(readReq(9));
     (void)a;
     // No crash + bounded usage is the observable contract here.
@@ -154,7 +144,7 @@ TEST_F(CompressoTest, BlocksOfPageLandInItsChunks)
 
 TEST_F(CompressoTest, BackgroundReadOnlyTouchesCte)
 {
-    mc_->registerPage(5);
+    mc_->placePage(5);
     McReadRequest req = readReq(5);
     req.background = true;
     const McReadResponse r = mc_->read(req);

@@ -37,6 +37,32 @@ TEST(System, NoCompressionRuns)
     EXPECT_EQ(r.cteMisses + r.cteHits, 0u); // no CTE machinery
 }
 
+TEST(SystemTest, CteBufferStatsOnlyWhereTheArchHasOne)
+{
+    // Only the archs that embed CTEs in PTBs (TMCC, barebone+ml1)
+    // have per-core CTE buffers, so only they report them.
+    for (Arch arch : {Arch::NoCompression, Arch::Compresso,
+                      Arch::Barebone, Arch::BarebonePlusMl1,
+                      Arch::BarebonePlusMl2, Arch::Tmcc}) {
+        const SimConfig cfg = tinyConfig(arch);
+        const SimResult r = System(cfg).run();
+        const bool has =
+            arch == Arch::Tmcc || arch == Arch::BarebonePlusMl1;
+        for (unsigned c = 0; c < cfg.cores; ++c) {
+            const std::string prefix =
+                "core" + std::to_string(c) + ".cte_buffer.";
+            for (const char *key :
+                 {"inserts", "hits", "misses", "stale_updates"})
+                EXPECT_EQ(r.stats.has(prefix + key), has)
+                    << archName(arch) << ": " << prefix << key;
+        }
+        if (has) {
+            EXPECT_GT(r.stats.get("core0.cte_buffer.inserts"), 0.0)
+                << archName(arch);
+        }
+    }
+}
+
 TEST(System, CompressoSavesMemoryAndPaysLatency)
 {
     System base(tinyConfig(Arch::NoCompression));

@@ -61,19 +61,24 @@ TEST_P(OsMcFuzz, LocationAndFrameConservation)
             McReadRequest req;
             req.paddr = paddr;
             req.when = t;
-            if (rng.chance(0.3)) {
-                req.hasEmbeddedCte = true;
+            const bool embedded = rng.chance(0.3);
+            if (embedded) {
                 // Sometimes correct, sometimes garbage (stale).
-                req.embeddedCte = rng.chance(0.5)
-                                      ? mc.truncatedCte(ppn)
-                                      : rng.below(1 << 20);
+                const std::uint64_t cte = rng.chance(0.5)
+                                              ? mc.truncatedCte(ppn)
+                                              : rng.below(1 << 20);
+                mc.cteBuffer(0).insert(ppn, true, cte, invalidAddr);
             }
             const McReadResponse resp = mc.read(req);
             ASSERT_GE(resp.complete, req.when);
-            ASSERT_TRUE(resp.hasCorrectCte);
-            // The piggybacked CTE always matches the page's location
-            // AFTER the access (ML2 hits migrate the page).
-            ASSERT_EQ(resp.correctCte, mc.truncatedCte(ppn));
+            // A buffered CTE always matches the page's location AFTER
+            // the access (ML2 hits migrate the page).
+            const CteBuffer::Entry *e = mc.cteBuffer(0).lookup(ppn);
+            ASSERT_TRUE(e != nullptr || !embedded);
+            if (e != nullptr) {
+                ASSERT_TRUE(e->hasCte);
+                ASSERT_EQ(e->cte, mc.truncatedCte(ppn));
+            }
         }
     }
 

@@ -54,6 +54,39 @@ class OsMcTest : public ::testing::Test
         return req;
     }
 
+    /**
+     * Map vpns 0..7 to ppns 100..107 and place those pages in `mc`;
+     * returns the address of the leaf PTB holding the eight PTEs.
+     */
+    Addr
+    mapLeafPtb(OsInspiredMc &mc)
+    {
+        PteFlags f;
+        f.accessed = true;
+        f.dirty = true;
+        for (Vpn v = 0; v < ptesPerPtb; ++v)
+            table_.map(v, 100 + v, f);
+        for (Ppn p = 100; p < 100 + ptesPerPtb; ++p)
+            mc.placePage(p);
+        return table_.walk(0).steps.back().ptbAddr;
+    }
+
+    /**
+     * Push page `p` into ML2: make it the coldest ML1 page, then place
+     * enough new pages to force evictions (needs an unbounded
+     * ml1TargetPages).
+     */
+    void
+    evictToMl2(OsInspiredMc &mc, Ppn p)
+    {
+        mc.recency().remove(p);
+        mc.recency().insertCold(p);
+        const std::uint64_t frames = cfg_.dramBudgetBytes / pageSize;
+        for (Ppn q = 10000; q < 10000 + frames + 512; ++q)
+            mc.placePage(q);
+        ASSERT_TRUE(mc.inMl2(p));
+    }
+
     DramSystem dram_;
     PhysMem phys_;
     PageTable table_;
@@ -104,10 +137,8 @@ TEST_F(OsMcTest, EmbeddedCteEnablesParallelAccess)
     ASSERT_TRUE(rs.serializedNoCte);
 
     mc_->placePage(1);
-    McReadRequest req = readReq(1);
-    req.hasEmbeddedCte = true;
-    req.embeddedCte = mc_->truncatedCte(1);
-    const McReadResponse r = mc_->read(req);
+    mc_->cteBuffer(0).insert(1, true, mc_->truncatedCte(1), invalidAddr);
+    const McReadResponse r = mc_->read(readReq(1));
     EXPECT_TRUE(r.parallelAccess);
     EXPECT_FALSE(r.embeddedMismatch);
     // Parallel access completes no later than the serial path and
@@ -118,15 +149,16 @@ TEST_F(OsMcTest, EmbeddedCteEnablesParallelAccess)
 TEST_F(OsMcTest, StaleEmbeddedCteReaccessesSerially)
 {
     mc_->placePage(1);
-    McReadRequest req = readReq(1);
-    req.hasEmbeddedCte = true;
-    req.embeddedCte = mc_->truncatedCte(1) + 7; // wrong frame
-    const McReadResponse r = mc_->read(req);
+    mc_->cteBuffer(0).insert(1, true, mc_->truncatedCte(1) + 7, // wrong
+                             invalidAddr);
+    const McReadResponse r = mc_->read(readReq(1));
     EXPECT_TRUE(r.embeddedMismatch);
     EXPECT_GT(ticksToNs(r.complete - 1000), 55.0);
-    // The piggybacked CTE is the correct one.
-    EXPECT_TRUE(r.hasCorrectCte);
-    EXPECT_EQ(r.correctCte, mc_->truncatedCte(1));
+    // The response put the correct CTE back into the buffer.
+    const CteBuffer::Entry *e = mc_->cteBuffer(0).lookup(1);
+    ASSERT_NE(e, nullptr);
+    EXPECT_TRUE(e->hasCte);
+    EXPECT_EQ(e->cte, mc_->truncatedCte(1));
 }
 
 TEST_F(OsMcTest, Ml2ReadDecompressesAndMigrates)
@@ -199,17 +231,7 @@ TEST_F(OsMcTest, EvictionMovesColdPagesToMl2)
 
 TEST_F(OsMcTest, PtbViewEmbedsCurrentCtes)
 {
-    PteFlags f;
-    f.accessed = true;
-    f.dirty = true;
-    for (Vpn v = 0; v < ptesPerPtb; ++v)
-        table_.map(v, 100 + v, f);
-    for (Ppn p = 100; p < 100 + ptesPerPtb; ++p)
-        mc_->placePage(p);
-
-    const WalkResult w = table_.walk(0);
-    const Addr ptb = w.steps.back().ptbAddr;
-    const auto view = mc_->ptbView(ptb);
+    const auto view = mc_->ptbView(mapLeafPtb(*mc_));
     ASSERT_TRUE(view.compressed);
     for (unsigned i = 0; i < ptesPerPtb; ++i) {
         ASSERT_TRUE(view.present[i]);
@@ -224,29 +246,13 @@ TEST_F(OsMcTest, PtbViewGoesStaleAfterMigrationUntilLazyUpdate)
     cfg.ml1TargetPages = ~0ULL; // allow the free-list floor to drain
     mc_ = std::make_unique<OsInspiredMc>(dram_, info_, phys_, cfg);
 
-    PteFlags f;
-    f.accessed = true;
-    f.dirty = true;
-    for (Vpn v = 0; v < ptesPerPtb; ++v)
-        table_.map(v, 100 + v, f);
-    // Fill ML1 so an eviction can happen later.
-    for (Ppn p = 100; p < 100 + ptesPerPtb; ++p)
-        mc_->placePage(p);
-
-    const WalkResult w = table_.walk(0);
-    const Addr ptb = w.steps.back().ptbAddr;
+    const Addr ptb = mapLeafPtb(*mc_);
     const auto before = mc_->ptbView(ptb);
     ASSERT_TRUE(before.compressed);
     const std::uint64_t old_cte = before.cte[0];
 
     // Force page 100 into ML2 and back: its frame changes.
-    mc_->recency().remove(100);
-    mc_->recency().insertCold(100);
-    // Exhaust free frames (ML1 target lifted) to evict page 100.
-    const std::uint64_t frames = cfg_.dramBudgetBytes / pageSize;
-    for (Ppn p = 10000; p < 10000 + frames + 512; ++p)
-        mc_->placePage(p);
-    ASSERT_TRUE(mc_->inMl2(100));
+    evictToMl2(*mc_, 100);
     mc_->read(readReq(100, 50000)); // migrates back at a new frame
 
     const auto after = mc_->ptbView(ptb);
@@ -259,6 +265,85 @@ TEST_F(OsMcTest, PtbViewGoesStaleAfterMigrationUntilLazyUpdate)
     mc_->lazyUpdatePtb(ptb, 100, mc_->truncatedCte(100));
     const auto fixed = mc_->ptbView(ptb);
     EXPECT_EQ(fixed.cte[0], mc_->truncatedCte(100));
+}
+
+TEST_F(OsMcTest, WalkerFetchFillsOnlyThatCoresBuffer)
+{
+    OsMcConfig cfg = cfg_;
+    cfg.cores = 2;
+    OsInspiredMc mc(dram_, info_, phys_, cfg);
+    const Addr ptb = mapLeafPtb(mc);
+
+    EXPECT_TRUE(mc.walkerFetched(1, ptb));
+    for (Ppn p = 100; p < 100 + ptesPerPtb; ++p) {
+        const CteBuffer::Entry *e = mc.cteBuffer(1).lookup(p);
+        ASSERT_NE(e, nullptr);
+        EXPECT_TRUE(e->hasCte);
+        EXPECT_EQ(e->cte, mc.truncatedCte(p));
+        EXPECT_EQ(e->ptbAddr, ptb);
+        EXPECT_EQ(mc.cteBuffer(0).lookup(p), nullptr);
+    }
+}
+
+TEST_F(OsMcTest, WalkerFetchWithoutEmbeddingHarvestsNothing)
+{
+    OsMcConfig cfg = cfg_;
+    cfg.embedCtes = false;
+    OsInspiredMc mc(dram_, info_, phys_, cfg);
+    EXPECT_FALSE(mc.walkerFetched(0, mapLeafPtb(mc)));
+
+    StatDump d;
+    mc.dumpStats(d, "mc");
+    mc.dumpCoreStats(d, 0, "core0");
+    EXPECT_EQ(d.get("mc.ptb_compressed_fetches"), 0.0);
+    EXPECT_EQ(d.get("mc.ptb_incompressible_fetches"), 0.0);
+    EXPECT_FALSE(d.has("core0.cte_buffer.inserts"));
+}
+
+TEST_F(OsMcTest, HarvestedPageDemandReadIsParallel)
+{
+    mc_->walkerFetched(0, mapLeafPtb(*mc_));
+    const McReadResponse r = mc_->read(readReq(103));
+    EXPECT_FALSE(r.cteCacheHit);
+    EXPECT_TRUE(r.parallelAccess);
+    EXPECT_EQ(r.stalePtb, invalidAddr);
+}
+
+TEST_F(OsMcTest, BackgroundReadDoesNotProbeTheBuffer)
+{
+    mc_->walkerFetched(0, mapLeafPtb(*mc_));
+    StatDump before;
+    mc_->dumpCoreStats(before, 0, "core0");
+
+    McReadRequest req = readReq(103);
+    req.background = true;
+    mc_->read(req);
+
+    StatDump after;
+    mc_->dumpCoreStats(after, 0, "core0");
+    EXPECT_EQ(after.get("core0.cte_buffer.hits"),
+              before.get("core0.cte_buffer.hits"));
+    EXPECT_EQ(after.get("core0.cte_buffer.misses"),
+              before.get("core0.cte_buffer.misses"));
+}
+
+TEST_F(OsMcTest, ReadAfterMigrationLazilyUpdatesHarvestedPtb)
+{
+    OsMcConfig cfg = cfg_;
+    cfg.ml1TargetPages = ~0ULL; // allow the free-list floor to drain
+    mc_ = std::make_unique<OsInspiredMc>(dram_, info_, phys_, cfg);
+    const Addr ptb = mapLeafPtb(*mc_);
+    ASSERT_TRUE(mc_->walkerFetched(0, ptb));
+    const std::uint64_t old_cte = mc_->truncatedCte(100);
+
+    evictToMl2(*mc_, 100);
+    const McReadResponse r = mc_->read(readReq(100, 50000));
+    ASSERT_NE(mc_->truncatedCte(100), old_cte); // migrated: new frame
+    EXPECT_EQ(r.stalePtb, ptb);
+    EXPECT_EQ(mc_->ptbView(ptb).cte[0], mc_->truncatedCte(100));
+    const CteBuffer::Entry *e = mc_->cteBuffer(0).lookup(100);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->cte, mc_->truncatedCte(100));
 }
 
 TEST_F(OsMcTest, WritebackMaintainsPtbPairVector)
@@ -328,14 +413,16 @@ TEST_F(OsMcTest, CorruptEmbeddedCteCaughtByVerification)
     // read misses the CTE cache and takes the speculative path.
     for (Ppn p = 8; p <= 1600; p += 8) {
         mc.placePage(p);
-        McReadRequest req = readReq(p);
-        req.hasEmbeddedCte = true;
-        req.embeddedCte = mc.truncatedCte(p); // correct before the flip
-        const McReadResponse r = mc.read(req);
+        // Correct before the flip.
+        mc.cteBuffer(0).insert(p, true, mc.truncatedCte(p), invalidAddr);
+        const McReadResponse r = mc.read(readReq(p));
         // A flipped embedded CTE must surface as a verification
         // mismatch (slower re-access), never as wrong data.
         EXPECT_TRUE(r.parallelAccess || r.embeddedMismatch);
         mismatches += r.embeddedMismatch;
+        // The flip never reaches the buffer: the response wrote back
+        // the correct CTE.
+        EXPECT_EQ(mc.cteBuffer(0).lookup(p)->cte, mc.truncatedCte(p));
     }
     EXPECT_GT(mismatches, 0u);
 
@@ -350,17 +437,7 @@ TEST_F(OsMcTest, CorruptPtbImageFallsBackToUncompressed)
     cfg_.faults.ptbBitFlipRate = 5e-3; // most 64B images take a hit
     cfg_.faults.seed = 11;
     OsInspiredMc mc(dram_, info_, phys_, cfg_);
-
-    PteFlags f;
-    f.accessed = true;
-    f.dirty = true;
-    for (Vpn v = 0; v < ptesPerPtb; ++v)
-        table_.map(v, 100 + v, f);
-    for (Ppn p = 100; p < 100 + ptesPerPtb; ++p)
-        mc.placePage(p);
-
-    const WalkResult w = table_.walk(0);
-    const Addr ptb = w.steps.back().ptbAddr;
+    const Addr ptb = mapLeafPtb(mc);
 
     unsigned rejected = 0;
     for (int i = 0; i < 200; ++i) {
