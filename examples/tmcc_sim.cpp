@@ -61,16 +61,9 @@ sweepSet(const std::string &set)
             for (const Arch a : {Arch::Compresso, Arch::Tmcc})
                 entries.push_back(
                     {n + ":" + archName(a), n, true, a});
-    if (set == "memcloud")
-        // The multi-tenant scenario under each interesting MC: how much
-        // tenant-tail isolation each architecture preserves.
-        for (const Arch a :
-             {Arch::Barebone, Arch::Compresso, Arch::Tmcc})
-            entries.push_back({std::string("memcloud:") + archName(a),
-                               "memcloud", true, a});
     if (entries.empty())
-        fatal("--sweep wants large|small|bandwidth|all|fig17|memcloud, got '" +
-              set + "'");
+        fatal("--sweep wants large|small|bandwidth|all|fig17, got '" + set +
+              "'");
     return entries;
 }
 
@@ -145,7 +138,6 @@ main(int argc, char **argv)
     bool dump_all = false;
     bool scale_set = false;
     std::string sweep;
-    std::string tenant_flag; //!< last --tenant* flag seen (validation)
     unsigned jobs = 0;
 
     // Sharded-sweep knobs (docs/SWEEP.md).
@@ -164,15 +156,6 @@ main(int argc, char **argv)
     // Observability knobs.
     std::string trace_path;
     std::string stats_out;
-
-    // The tenant knobs record which flag was seen so a non-memcloud run
-    // can reject it below.
-    const auto tenant_knob = [&](cli::Setter set) -> cli::Setter {
-        return [&, set](auto &what, auto &v) {
-            set(what, v);
-            tenant_flag = what;
-        };
-    };
 
     // One row per flag: parsing, environment defaults and --help all
     // come from this table.
@@ -240,21 +223,10 @@ main(int argc, char **argv)
                          cfg.workload.c_str(), v[0].c_str());
              std::exit(0);
          }},
-        {"--tenants", "N",
-         "memcloud only: guest address spaces multiplexed on the host "
-         "(default 6)",
-         tenant_knob(cli::bind(cfg.tenants, 1, 1024))},
-        {"--tenant-churn", "R",
-         "memcloud only: per-burst probability the scheduled guest has "
-         "been replaced (default 0.001)",
-         tenant_knob(cli::bind(cfg.tenantChurn, 0.0, 1.0))},
-        {"--tenant-zipf", "A",
-         "memcloud only: tenant popularity Zipf alpha (default 1.1)",
-         tenant_knob(cli::bind(cfg.tenantZipf, cli::kPositive))},
         {"--sweep", "SET",
          "run every entry of SET in parallel, one row each: large|small|"
          "bandwidth|all under the configured arch, fig17 = large x "
-         "{compresso,tmcc}, memcloud = memcloud x {barebone,compresso,tmcc}",
+         "{compresso,tmcc}",
          cli::bind(sweep)},
         {"--jobs", "N",
          "worker threads for --sweep (default: TMCC_JOBS or all cores)",
@@ -307,13 +279,6 @@ main(int argc, char **argv)
                "of workloads, under any MC architecture and\n"
                "configuration.\n",
                flags, argc, argv);
-
-    // The tenant knobs only shape the memcloud engine; accepting them
-    // elsewhere would silently do nothing.
-    if (!tenant_flag.empty() && cfg.workload != "memcloud" &&
-        sweep != "memcloud")
-        fatal(tenant_flag +
-              " only applies to --workload=memcloud or --sweep=memcloud");
 
     // Resolve the dispatch mode up front so misuse fails fast.
     enum class Dispatch
@@ -378,9 +343,8 @@ main(int argc, char **argv)
             names.push_back(e.label);
             configs.push_back(c);
         }
-        const char *arch_label = sweep == "fig17" || sweep == "memcloud"
-                                     ? "per-entry"
-                                     : archName(cfg.arch);
+        const char *arch_label =
+            sweep == "fig17" ? "per-entry" : archName(cfg.arch);
 
         // One merged BENCH_sweep_<set>.json whichever executor runs
         // the grid, so sharded and in-process sweeps are byte-for-byte
@@ -472,14 +436,6 @@ main(int argc, char **argv)
             report.metric(names[i] + ".l3lat_ns", r.avgL3MissLatencyNs);
             report.metric(names[i] + ".bus_util",
                           r.readBusUtil + r.writeBusUtil);
-            // Memcloud: the per-tenant fault-latency tail is the whole
-            // point of the sweep — every dispatch mode must merge to
-            // the same per-tenant keys (the bench-smoke CI diffs them).
-            for (std::size_t t = 0; t < r.tenants.size(); ++t)
-                report.metric(names[i] + ".tenant" + std::to_string(t) +
-                                  ".ml2_fault_p99_ns",
-                              r.tenants[t].ml2FaultLatency.percentile(
-                                  0.99));
         }
         if (!stats_out.empty()) {
             std::vector<std::string> ok_names;
@@ -570,24 +526,6 @@ main(int argc, char **argv)
         for (const SampleMetric &m : r.sample.metrics)
             std::printf("  %-24s %12.5g +/- %.5g (95%% CI)\n",
                         m.name.c_str(), m.mean, m.ci95);
-    }
-
-    if (!r.tenants.empty()) {
-        std::printf("tenants             %zu guest address spaces "
-                    "(churn %.4g, zipf %.3g)\n",
-                    r.tenants.size(), cfg.tenantChurn, cfg.tenantZipf);
-        std::printf("  %-8s %12s %12s %10s %12s %12s\n", "tenant",
-                    "accesses", "ml2_faults", "mb", "fault_p50", "fault_p99");
-        for (std::size_t t = 0; t < r.tenants.size(); ++t) {
-            const TenantStat &ts = r.tenants[t];
-            std::printf(
-                "  %-8zu %12llu %12llu %10.1f %10.1fns %10.1fns\n", t,
-                static_cast<unsigned long long>(ts.accesses),
-                static_cast<unsigned long long>(ts.ml2Faults),
-                static_cast<double>(ts.footprintBytes) / (1 << 20),
-                ts.ml2FaultLatency.percentile(0.50),
-                ts.ml2FaultLatency.percentile(0.99));
-        }
     }
 
     if (!r.epochs.empty()) {

@@ -96,7 +96,7 @@ dumpHistogram(StatDump &dump, const std::string &prefix,
     for (std::size_t i = 0; i < h.buckets().size(); ++i) {
         if (h.buckets()[i] == 0)
             continue;
-        char key[16];
+        char key[32]; // fits any size_t, so the name is never cut
         std::snprintf(key, sizeof(key), ".bucket%03zu", i);
         dump.set(prefix + key, h.buckets()[i]);
     }

@@ -116,18 +116,8 @@ struct AccessEngine
                 const double lat_ns = ticksToNs(done - miss_start);
                 sys.l3MissLatency_.sample(lat_ns);
                 sys.result_.l3MissLatency.sample(lat_ns);
-                if (resp.hitMl2) {
+                if (resp.hitMl2)
                     sys.result_.ml2FaultLatency.sample(lat_ns);
-                    // Attribute the fault to the guest whose access is
-                    // in flight (memcloud; the vector is empty and the
-                    // guard never fires for single-tenant workloads).
-                    if (sys.curTenant_ < sys.result_.tenants.size()) {
-                        TenantStat &ts =
-                            sys.result_.tenants[sys.curTenant_];
-                        ++ts.ml2Faults;
-                        ts.ml2FaultLatency.sample(lat_ns);
-                    }
-                }
             }
             if constexpr (Tracing) {
                 if (Tracer *tr = Tracer::active())
@@ -252,9 +242,6 @@ struct AccessEngine
     step(System &sys, unsigned core, const MemAccess &a, bool measuring)
     {
         System::CoreState &cs = sys.cores_[core];
-        // memoryAccess only sees physical addresses, so the tenant of
-        // the access in flight travels via the System.
-        sys.curTenant_ = a.tenant;
         Tick t = cs.now + a.thinkCycles * sys.cpuPeriod_;
 
         Ppn ppn = 0;
@@ -311,8 +298,6 @@ struct AccessEngine
             ++sys.result_.accesses;
             if (a.isWrite)
                 ++sys.result_.storeAccesses;
-            if (a.tenant < sys.result_.tenants.size())
-                ++sys.result_.tenants[a.tenant].accesses;
         }
     }
 };

@@ -138,14 +138,11 @@ struct SimConfig
     std::uint64_t sampleWindowAccesses = 0;
     std::uint64_t sampleWarmAccesses = 0;
 
-    /**
-     * Multi-tenant knobs (`--tenants` / `--tenant-churn` /
-     * `--tenant-zipf`): only the "memcloud" workload reads them; every
-     * other engine ignores them entirely.  Defaults mirror TenantKnobs.
-     */
-    unsigned tenants = 6;       //!< guest address spaces multiplexed
-    double tenantChurn = 0.001; //!< per-burst guest respawn probability
-    double tenantZipf = 1.1;    //!< tenant popularity skew (Zipf alpha)
+    /** Inert: the simulator never reads them; perfbench/perfbench.cc is
+     * their only reader.  Not in forEachField, so not on the wire. */
+    unsigned tenants = 6;
+    double tenantChurn = 0.001;
+    double tenantZipf = 1.1;
 
     /**
      * The reach-scaled preset used by the benches: workload footprints
@@ -273,9 +270,6 @@ forEachField(Config &c, Visitor &&visit)
     visit("sampleWindows", c.sampleWindows);
     visit("sampleWindowAccesses", c.sampleWindowAccesses);
     visit("sampleWarmAccesses", c.sampleWarmAccesses);
-    visit("tenants", c.tenants);
-    visit("tenantChurn", c.tenantChurn);
-    visit("tenantZipf", c.tenantZipf);
 }
 
 /** Wire encoding of one table field: each member type has exactly one. */

@@ -59,19 +59,6 @@ struct EpochStat
     StatDump delta; //!< counter deltas vs. the previous epoch
 };
 
-/**
- * Per-tenant isolation stats (memcloud runs): what each guest address
- * space experienced during the measured window.  Empty for
- * single-tenant workloads.
- */
-struct TenantStat
-{
-    std::uint64_t accesses = 0;       //!< measured accesses by tenant
-    std::uint64_t ml2Faults = 0;      //!< demand ML2 faults by tenant
-    std::uint64_t footprintBytes = 0; //!< tenant region size
-    Histogram ml2FaultLatency{0.0, 20000.0, 100};
-};
-
 /** Measured outcomes of one run. */
 struct SimResult
 {
@@ -158,9 +145,6 @@ struct SimResult
 
     /** Interval-sampling CI summary (empty unless sampleWindows > 0). */
     SampleSummary sample;
-
-    /** Per-tenant isolation stats (empty unless workload=memcloud). */
-    std::vector<TenantStat> tenants;
 };
 
 } // namespace tmcc

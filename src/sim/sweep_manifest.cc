@@ -202,15 +202,6 @@ serializeSimResult(ByteWriter &w, const SimResult &res)
         w.f64(m.mean);
         w.f64(m.ci95);
     }
-
-    // v4 (ShardResultFile): per-tenant isolation stats.
-    w.u64(res.tenants.size());
-    for (const TenantStat &t : res.tenants) {
-        w.u64(t.accesses);
-        w.u64(t.ml2Faults);
-        w.u64(t.footprintBytes);
-        serializeHistogram(w, t.ml2FaultLatency);
-    }
 }
 
 Status
@@ -265,19 +256,6 @@ deserializeSimResult(ByteReader &r, SimResult &res)
         m.mean = r.f64();
         m.ci95 = r.f64();
         res.sample.metrics.push_back(std::move(m));
-    }
-
-    const std::uint64_t n_tenants = r.count(8 * 3);
-    res.tenants.clear();
-    res.tenants.reserve(n_tenants);
-    for (std::uint64_t i = 0; i < n_tenants && r.ok(); ++i) {
-        TenantStat t;
-        t.accesses = r.u64();
-        t.ml2Faults = r.u64();
-        t.footprintBytes = r.u64();
-        TMCC_RETURN_IF_ERROR(
-            deserializeHistogram(r, t.ml2FaultLatency));
-        res.tenants.push_back(std::move(t));
     }
 
     if (!r.ok())

@@ -54,13 +54,14 @@ std::string sweepGridKey(const std::vector<SimConfig> &grid);
 struct ShardSpec
 {
     // v2: SimConfig gained the kernel mode + sampling geometry.
-    // v3: SimConfig gained the multi-tenant knobs.
+    // v3: SimConfig gained the three multi-guest workload knobs.
     // v4: dropped the attempt and result path (the claim holds the
     //     attempt; results go to shard-NNN.result).
     // v5: SimConfig dropped the kernel mode.
     // v6: SimConfig is encoded by its field table, which leaves out the
     //     four OsMcConfig fields System derives from arch and budget.
-    static constexpr std::uint32_t formatVersion = 6;
+    // v7: SimConfig dropped the three multi-guest workload knobs.
+    static constexpr std::uint32_t formatVersion = 7;
 
     std::string gridKey;
     std::uint32_t shardId = 0;
@@ -79,10 +80,11 @@ struct ShardResultFile
     // v3: attempt + the worker's checkpoint-store traffic while
     //     running the shard, so merged BENCH reports carry sweep-wide
     //     checkpoint hit counts and lease reclaims are observable.
-    // v4: SimResult gained the per-tenant isolation stats.
+    // v4: SimResult gained the per-guest isolation stats.
     // v5: the checkpoint-store counters (and SimResult's
     //     restored-from-checkpoint byte) are gone with the store.
-    static constexpr std::uint32_t formatVersion = 5;
+    // v6: SimResult dropped the per-guest isolation stats.
+    static constexpr std::uint32_t formatVersion = 6;
 
     std::string gridKey;
     std::uint32_t shardId = 0;

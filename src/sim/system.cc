@@ -268,21 +268,9 @@ System::buildMcAndCores()
 void
 System::buildWorkloads()
 {
-    const TenantKnobs tenancy{cfg_.tenants, cfg_.tenantChurn,
-                              cfg_.tenantZipf};
     for (unsigned c = 0; c < cfg_.cores; ++c)
         workloads_.push_back(makeWorkload(cfg_.workload, c, cfg_.cores,
-                                          cfg_.scale, cfg_.seed,
-                                          tenancy));
-
-    // Memcloud: region t of the (shared) region list is tenant t's
-    // address space, so per-tenant footprints come straight off it.
-    if (cfg_.workload == "memcloud") {
-        result_.tenants.resize(cfg_.tenants);
-        const auto &regions = workloads_[0]->regions();
-        for (unsigned t = 0; t < cfg_.tenants; ++t)
-            result_.tenants[t].footprintBytes = regions[t].bytes;
-    }
+                                          cfg_.scale, cfg_.seed));
 }
 
 void
@@ -602,20 +590,6 @@ System::dumpAllStats(StatDump &dump) const
                   result_.pageWalkLatency);
     dumpHistogram(dump, "sys.ml2_fault_latency",
                   result_.ml2FaultLatency);
-
-    // Per-tenant isolation stats (memcloud runs only): footprint,
-    // demand counts, and the fault-latency tail each guest saw.
-    for (std::size_t t = 0; t < result_.tenants.size(); ++t) {
-        const TenantStat &ts = result_.tenants[t];
-        const std::string prefix = "sys.tenant" + std::to_string(t);
-        dump.set(prefix + ".accesses", ts.accesses);
-        dump.set(prefix + ".ml2_faults", ts.ml2Faults);
-        dump.set(prefix + ".footprint_bytes", ts.footprintBytes);
-        dump.set(prefix + ".ml2_fault_p50_ns",
-                 ts.ml2FaultLatency.percentile(0.50));
-        dump.set(prefix + ".ml2_fault_p99_ns",
-                 ts.ml2FaultLatency.percentile(0.99));
-    }
 }
 
 void

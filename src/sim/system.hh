@@ -192,9 +192,6 @@ class System
 
     // Measured-window accumulators.
     SimResult result_;
-    /** Tenant of the access in flight (set by AccessEngine::step so
-     * memoryAccess can attribute ML2 faults; 0 outside memcloud). */
-    std::uint16_t curTenant_ = 0;
     Average l3MissLatency_;
     Tick measureStart_ = 0;
     Tick busReadsAtStart_ = 0, busWritesAtStart_ = 0;

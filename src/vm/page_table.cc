@@ -8,7 +8,6 @@ namespace tmcc
 PageTable::PageTable(PhysMem &mem) : mem_(mem)
 {
     rootPpn_ = mem_.allocPageTablePage();
-    tablesAllocated_.inc();
 }
 
 Ppn
@@ -20,7 +19,6 @@ PageTable::tableFor(Addr vaddr, unsigned stop_level)
         const unsigned idx = pteIndex(vaddr, level);
         if (!ptePresent(page[idx])) {
             const Ppn child = mem_.allocPageTablePage();
-            tablesAllocated_.inc();
             PteFlags f;
             f.accessed = true; // intermediate entries get A set early
             page[idx] = makePte(child, f);
@@ -39,7 +37,6 @@ PageTable::map(Vpn vpn, Ppn ppn, const PteFlags &flags)
     const Ppn leaf_table = tableFor(vaddr, 1);
     PtPage &page = mem_.ptPage(leaf_table);
     page[pteIndex(vaddr, 1)] = makePte(ppn, flags);
-    mapped_.inc();
 }
 
 void
@@ -54,7 +51,6 @@ PageTable::mapHuge(Vpn vpn_base, Ppn ppn_base, const PteFlags &flags)
     PteFlags f = flags;
     f.pageSize = true;
     page[pteIndex(vaddr, 2)] = makePte(ppn_base, f);
-    mapped_.inc(hugePageSize / pageSize);
 }
 
 void
@@ -71,7 +67,6 @@ PageTable::unmap(Vpn vpn)
     }
     PtPage &page = mem_.ptPage(table);
     page[pteIndex(vaddr, 1)] = 0;
-    unmapped_.inc();
 }
 
 WalkResult
@@ -130,14 +125,6 @@ PageTable::setAccessedDirty(Addr vaddr, bool dirty)
         }
         table = ptePpn(pte);
     }
-}
-
-void
-PageTable::dumpStats(StatDump &dump, const std::string &prefix) const
-{
-    dump.set(prefix + ".mapped", mapped_.value());
-    dump.set(prefix + ".unmapped", unmapped_.value());
-    dump.set(prefix + ".tables", tablesAllocated_.value());
 }
 
 } // namespace tmcc

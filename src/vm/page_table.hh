@@ -14,7 +14,6 @@
 #include <cstdint>
 
 #include "common/small_vec.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "vm/phys_mem.hh"
 #include "vm/pte.hh"
@@ -44,7 +43,7 @@ struct WalkResult
 };
 
 /** The per-process 4-level page table. */
-class PageTable : public Stated
+class PageTable
 {
   public:
     explicit PageTable(PhysMem &mem);
@@ -76,9 +75,6 @@ class PageTable : public Stated
         forEachPtbImpl(rootPpn_, 4, level, std::forward<Fn>(fn));
     }
 
-    void dumpStats(StatDump &dump,
-                   const std::string &prefix) const override;
-
   private:
     template <typename Fn>
     void
@@ -109,7 +105,6 @@ class PageTable : public Stated
 
     PhysMem &mem_;
     Ppn rootPpn_;
-    Counter mapped_, unmapped_, tablesAllocated_;
 };
 
 } // namespace tmcc

@@ -15,7 +15,6 @@ PhysMem::PhysMem(std::uint64_t total_pages) : totalPages_(total_pages)
 Ppn
 PhysMem::allocFrame()
 {
-    allocated_.inc();
     if (!freeList_.empty()) {
         const Ppn ppn = freeList_.back();
         freeList_.pop_back();
@@ -37,14 +36,12 @@ PhysMem::allocHugeFrame()
     for (std::uint64_t p = nextFrame_; p < start; ++p)
         freeList_.push_back(p);
     nextFrame_ = start + frames;
-    allocated_.inc(frames);
     return start;
 }
 
 void
 PhysMem::freeFrame(Ppn ppn)
 {
-    freed_.inc();
     if (isPageTablePage(ppn)) {
         ptStore_[ppn].reset();
         ptOrder_.erase(std::find(ptOrder_.begin(), ptOrder_.end(), ppn));
@@ -92,15 +89,6 @@ PhysMem::writeQword(Addr paddr, std::uint64_t value)
     const Ppn ppn = pageNumber(paddr);
     const auto idx = (paddr & (pageSize - 1)) / pteSize;
     ptPage(ppn)[idx] = value;
-}
-
-void
-PhysMem::dumpStats(StatDump &dump, const std::string &prefix) const
-{
-    dump.set(prefix + ".total_pages", totalPages_);
-    dump.set(prefix + ".allocated", allocated_.value());
-    dump.set(prefix + ".freed", freed_.value());
-    dump.set(prefix + ".page_table_pages", ptOrder_.size());
 }
 
 } // namespace tmcc

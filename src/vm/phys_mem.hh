@@ -24,7 +24,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "vm/pte.hh"
 
@@ -35,7 +34,7 @@ namespace tmcc
 using PtPage = std::array<std::uint64_t, ptesPerTable>;
 
 /** Physical frame allocator + page-table page store. */
-class PhysMem : public Stated
+class PhysMem
 {
   public:
     explicit PhysMem(std::uint64_t total_pages);
@@ -81,9 +80,6 @@ class PhysMem : public Stated
             fn(ppn, *ptStore_[ppn]);
     }
 
-    void dumpStats(StatDump &dump,
-                   const std::string &prefix) const override;
-
   private:
     std::uint64_t totalPages_;
     std::uint64_t nextFrame_ = 1; //!< frame 0 reserved
@@ -91,8 +87,6 @@ class PhysMem : public Stated
     /** Indexed by Ppn; null where the frame is not a PT page. */
     std::vector<std::unique_ptr<PtPage>> ptStore_;
     std::vector<Ppn> ptOrder_; //!< registration order
-
-    Counter allocated_, freed_;
 };
 
 } // namespace tmcc

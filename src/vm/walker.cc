@@ -67,13 +67,6 @@ PageWalkCache::insert(unsigned level, Addr vaddr, Ppn table_ppn)
 }
 
 void
-PageWalkCache::flush()
-{
-    for (auto &e : entries_)
-        e.valid = false;
-}
-
-void
 PageWalkCache::dumpStats(StatDump &dump, const std::string &prefix) const
 {
     dump.set(prefix + ".hits", hits_.value());

@@ -38,8 +38,6 @@ class PageWalkCache : public Stated
 
     void insert(unsigned level, Addr vaddr, Ppn table_ppn);
 
-    void flush();
-
     void dumpStats(StatDump &dump,
                    const std::string &prefix) const override;
 

@@ -10,7 +10,6 @@
 
 #include "common/log.hh"
 #include "workloads/graph.hh"
-#include "workloads/multi_tenant.hh"
 #include "workloads/synthetic.hh"
 #include "workloads/trace.hh"
 
@@ -84,8 +83,7 @@ bandwidthWorkloadNames()
 
 std::unique_ptr<Workload>
 makeWorkload(const std::string &name, unsigned core, unsigned cores,
-             double scale, std::uint64_t seed,
-             const TenantKnobs &tenancy)
+             double scale, std::uint64_t seed, const TenantKnobs &)
 {
     // ---- recorded traces: "trace:<path>" (every core replays) ----
     if (name.rfind("trace:", 0) == 0)
@@ -109,17 +107,6 @@ makeWorkload(const std::string &name, unsigned core, unsigned cores,
     const auto scaled = [scale](double mib) {
         return static_cast<std::uint64_t>(mib * scale * MiB);
     };
-
-    // ---- multi-tenant memory cloud (shared address spaces) ----
-    if (name == "memcloud") {
-        MultiTenantParams mp;
-        mp.tenants = tenancy.tenants;
-        mp.churn = tenancy.churn;
-        mp.zipfAlpha = tenancy.zipf;
-        mp.tenantBytes = scaled(32.0);
-        return std::make_unique<MultiTenantWorkload>(mp, core, cores,
-                                                     seed);
-    }
 
     SyntheticParams p;
     p.name = name;

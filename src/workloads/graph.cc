@@ -176,43 +176,43 @@ void
 GraphWorkload::visitVertex(std::uint64_t u)
 {
     // CSR offset lookup (two adjacent 8B entries; one block usually).
-    pending_.push_back({offsetsBase_ + 8 * u, false, 3});
+    pending_.push_back({offsetsBase_ + 8 * u, false});
 
     const unsigned d = degree(u);
     const Addr edge_base = edgesBase_ + u * edgeBytesPerVertex_;
 
     for (unsigned i = 0; i < d; ++i) {
         if (i % 16 == 0) // sequential scan of the adjacency list
-            pending_.push_back({edge_base + i * 4, false, 1});
+            pending_.push_back({edge_base + i * 4, false});
 
         const std::uint64_t v = neighbor(u, i);
         switch (kernel_) {
           case GraphKernel::PageRank:
-            pending_.push_back({propABase_ + 8 * v, false, 2});
+            pending_.push_back({propABase_ + 8 * v, false});
             break;
           case GraphKernel::ConnectedComponents:
           case GraphKernel::GraphColoring:
-            pending_.push_back({propABase_ + 8 * v, false, 2});
+            pending_.push_back({propABase_ + 8 * v, false});
             // Label/color updates happen only when the propagation
             // actually changes the value.
             if (rng_.chance(0.1))
-                pending_.push_back({propBBase_ + 8 * v, true, 1});
+                pending_.push_back({propBBase_ + 8 * v, true});
             break;
           case GraphKernel::DegreeCentrality:
             break; // pure CSR scan: regular
           case GraphKernel::Bfs:
           case GraphKernel::Dfs:
-            pending_.push_back({visitedBase_ + v / 8, false, 2});
+            pending_.push_back({visitedBase_ + v / 8, false});
             if (rng_.chance(0.35)) {
-                pending_.push_back({visitedBase_ + v / 8, true, 1});
+                pending_.push_back({visitedBase_ + v / 8, true});
                 if (frontier_.size() < 4096)
                     frontier_.push_back(v);
             }
             break;
           case GraphKernel::ShortestPath:
-            pending_.push_back({propABase_ + 8 * v, false, 2});
+            pending_.push_back({propABase_ + 8 * v, false});
             if (rng_.chance(0.3)) {
-                pending_.push_back({propABase_ + 8 * v, true, 1});
+                pending_.push_back({propABase_ + 8 * v, true});
                 if (frontier_.size() < 4096)
                     frontier_.push_back(v);
             }
@@ -220,7 +220,7 @@ GraphWorkload::visitVertex(std::uint64_t u)
           case GraphKernel::KCore:
             // Degree decrements only when a neighbor was just removed.
             if (rng_.chance(0.12))
-                pending_.push_back({propABase_ + 4 * v, true, 1});
+                pending_.push_back({propABase_ + 4 * v, true});
             break;
           case GraphKernel::TriangleCount: {
             // Intersect adj(u) with adj(v).  Triangle counting walks
@@ -233,7 +233,7 @@ GraphWorkload::visitVertex(std::uint64_t u)
             const unsigned dv = std::min(degree(w), 32u);
             const Addr v_base = edgesBase_ + w * edgeBytesPerVertex_;
             for (unsigned b = 0; b * 16 < dv; ++b)
-                pending_.push_back({v_base + b * blockSize, false, 2});
+                pending_.push_back({v_base + b * blockSize, false});
             break;
           }
         }
@@ -245,10 +245,10 @@ GraphWorkload::visitVertex(std::uint64_t u)
       case GraphKernel::DegreeCentrality:
       case GraphKernel::GraphColoring:
       case GraphKernel::ConnectedComponents:
-        pending_.push_back({propBBase_ + 8 * u, true, 2});
+        pending_.push_back({propBBase_ + 8 * u, true});
         break;
       case GraphKernel::KCore:
-        pending_.push_back({propABase_ + 4 * u, false, 1});
+        pending_.push_back({propABase_ + 4 * u, false});
         break;
       default:
         break;

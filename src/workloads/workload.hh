@@ -28,10 +28,6 @@ struct MemAccess
 {
     Addr vaddr = 0;
     bool isWrite = false;
-    /** Guest address space this access belongs to (multi-tenant
-     * workloads; 0 for single-tenant engines).  Sits in the padding
-     * after isWrite, so adding it does not grow the struct. */
-    std::uint16_t tenant = 0;
     unsigned thinkCycles = 4; //!< CPU work before this access issues
 };
 
@@ -90,27 +86,26 @@ const std::vector<std::string> &smallWorkloadNames();
 /** Names of the bandwidth-intensive set (Fig. 22). */
 const std::vector<std::string> &bandwidthWorkloadNames();
 
-/**
- * Knobs of the multi-tenant "memcloud" workload; every other engine
- * ignores them.  Defaults match SimConfig's tenant knob defaults.
- */
+/** Inert: no engine reads it; perfbench/perfbench.cc is its only user. */
 struct TenantKnobs
 {
-    unsigned tenants = 6; //!< guest address spaces multiplexed
-    double churn = 0.001; //!< per-burst guest respawn probability
-    double zipf = 1.1;    //!< tenant popularity skew (Zipf alpha)
+    unsigned tenants = 6;
+    double churn = 0.001;
+    double zipf = 1.1;
 };
 
 /**
  * Instantiate the engine for `name` on core `core` of `cores`.
  * `scale` scales the footprint (1.0 = this repo's default scaled-down
- * footprints; the paper's full footprints would be ~100-200x).
+ * footprints; the paper's full footprints would be ~100-200x).  The
+ * unnamed TenantKnobs parameter is inert: perfbench/perfbench.cc is
+ * its only user.
  */
 std::unique_ptr<Workload> makeWorkload(const std::string &name,
                                        unsigned core, unsigned cores,
                                        double scale = 1.0,
                                        std::uint64_t seed = 1,
-                                       const TenantKnobs &tenancy = {});
+                                       const TenantKnobs & = {});
 
 } // namespace tmcc
 

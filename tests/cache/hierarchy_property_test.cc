@@ -83,16 +83,18 @@ TEST_P(HierarchyPropertyTest, InclusionAndExclusionInvariants)
         // Invariant 1: L2 is inclusive of L1.
         for (unsigned c = 0; c < 2; ++c) {
             for (Addr a = 0; a < 256 * blockSize; a += blockSize) {
-                if (h.l1(c).probe(a))
+                if (h.l1(c).probe(a)) {
                     ASSERT_TRUE(h.l2(c).probe(a))
                         << "L1 line not in inclusive L2";
+                }
             }
         }
         // Invariant 2: L3 is exclusive of both L2s.
         for (Addr a = 0; a < 256 * blockSize; a += blockSize) {
-            if (h.l3().probe(a))
+            if (h.l3().probe(a)) {
                 ASSERT_FALSE(h.l2(0).probe(a) || h.l2(1).probe(a))
                     << "line in both L2 and exclusive L3";
+            }
         }
     }
 }

@@ -88,9 +88,9 @@ TEST(CliNumberDeathTest, MessagesNameTheFlagAndTheRange)
     EXPECT_EXIT(cli::parseNumber<std::uint64_t>("--seed", "-1", 0, kU64Max),
                 ::testing::ExitedWithCode(1),
                 "--seed must be a non-negative integer");
-    EXPECT_EXIT(cli::parseNumber<unsigned>("--tenants", "0", 1, 1024),
+    EXPECT_EXIT(cli::parseNumber<unsigned>("--cores", "0", 1, 1024),
                 ::testing::ExitedWithCode(1),
-                "--tenants must be an integer in \\[1, 1024\\]");
+                "--cores must be an integer in \\[1, 1024\\]");
     EXPECT_EXIT(cli::parseNumber("--fault-ml2", "inf", 0.0, 1.0),
                 ::testing::ExitedWithCode(1),
                 "--fault-ml2 must be a rate in \\[0, 1\\]");

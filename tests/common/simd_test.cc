@@ -141,10 +141,12 @@ compare32AgainstOracle()
                 EXPECT_EQ(sa, va);
                 EXPECT_EQ(sb, vb);
                 EXPECT_EQ(sa, m);
-                if (key != simd::padKey && ways < 64)
+                if (key != simd::padKey && ways < 64) {
                     EXPECT_EQ(m >> ways, 0u);
-                if (key2 != simd::padKey && ways < 64)
+                }
+                if (key2 != simd::padKey && ways < 64) {
                     EXPECT_EQ(sb >> ways, 0u);
+                }
             }
         }
     }

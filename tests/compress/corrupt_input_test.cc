@@ -75,8 +75,9 @@ void
 expectErrorOrExact(const StatusOr<std::vector<std::uint8_t>> &got,
                    const std::vector<std::uint8_t> &original)
 {
-    if (got.ok())
+    if (got.ok()) {
         EXPECT_EQ(got.value(), original);
+    }
 }
 
 TEST(CorruptInput, MemDeflateMutatedPayloads)
@@ -326,8 +327,9 @@ TEST(CorruptInput, PtbImageMutations)
     for (unsigned i = 0; i < ptesPerPtb; ++i) {
         EXPECT_EQ(back.value().ppns[i], ptePpn(ptes[i]));
         EXPECT_EQ(back.value().hasCte[i], has_cte[i]);
-        if (has_cte[i])
+        if (has_cte[i]) {
             EXPECT_EQ(back.value().cte[i], cte[i]);
+        }
     }
 
     // Single-bit flips: the 8-bit CRC catches the overwhelming

@@ -17,8 +17,9 @@ TEST(PackageMerge, SingleSymbolGetsLengthOne)
     const auto lens = CanonicalCode::limitedLengths(freqs, 15);
     EXPECT_EQ(lens[3], 1u);
     for (unsigned s = 0; s < 10; ++s)
-        if (s != 3)
+        if (s != 3) {
             EXPECT_EQ(lens[s], 0u);
+        }
 }
 
 TEST(PackageMerge, UniformFreqsGiveBalancedTree)

@@ -72,8 +72,9 @@ TEST(Lz, MatchRespectsWindow)
 
     const auto tokens = lz.compress(in.data(), in.size());
     for (const auto &t : tokens)
-        if (t.isMatch)
+        if (t.isMatch) {
             EXPECT_LE(t.distance, cfg.windowSize);
+        }
     expectRoundTrip(lz, in);
 }
 
@@ -83,8 +84,9 @@ TEST(Lz, MaxMatchLengthRespected)
     std::vector<std::uint8_t> in(2048, 0x55);
     const auto tokens = lz.compress(in.data(), in.size());
     for (const auto &t : tokens)
-        if (t.isMatch)
+        if (t.isMatch) {
             EXPECT_LE(t.length, lz.config().maxMatch);
+        }
     expectRoundTrip(lz, in);
 }
 

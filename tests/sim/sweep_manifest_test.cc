@@ -149,14 +149,6 @@ fancyResult()
     res.sample.ffAccesses = 123'456;
     res.sample.metrics.push_back({"accesses_per_ns", 1.0 / 3.0, 0.01});
     res.sample.metrics.push_back({"tlb_miss_rate", 0.0625, 0.0});
-    TenantStat t0;
-    t0.accesses = 123'456;
-    t0.ml2Faults = 789;
-    t0.footprintBytes = 32ULL << 20;
-    t0.ml2FaultLatency.sample(100.0 / 3.0);
-    t0.ml2FaultLatency.sample(25000.0); // overflow
-    res.tenants.push_back(std::move(t0));
-    res.tenants.push_back(TenantStat{});
     return res;
 }
 
@@ -216,21 +208,6 @@ expectResultEqual(const SimResult &a, const SimResult &b)
         EXPECT_EQ(a.sample.metrics[i].mean, b.sample.metrics[i].mean);
         EXPECT_EQ(a.sample.metrics[i].ci95, b.sample.metrics[i].ci95);
     }
-    ASSERT_EQ(a.tenants.size(), b.tenants.size());
-    for (std::size_t i = 0; i < a.tenants.size(); ++i) {
-        EXPECT_EQ(a.tenants[i].accesses, b.tenants[i].accesses);
-        EXPECT_EQ(a.tenants[i].ml2Faults, b.tenants[i].ml2Faults);
-        EXPECT_EQ(a.tenants[i].footprintBytes,
-                  b.tenants[i].footprintBytes);
-        EXPECT_EQ(a.tenants[i].ml2FaultLatency.buckets(),
-                  b.tenants[i].ml2FaultLatency.buckets());
-        EXPECT_EQ(a.tenants[i].ml2FaultLatency.overflow(),
-                  b.tenants[i].ml2FaultLatency.overflow());
-        EXPECT_EQ(a.tenants[i].ml2FaultLatency.sampleSum(),
-                  b.tenants[i].ml2FaultLatency.sampleSum());
-        EXPECT_EQ(a.tenants[i].ml2FaultLatency.count(),
-                  b.tenants[i].ml2FaultLatency.count());
-    }
 }
 
 TEST_F(SweepManifestTest, SimConfigRoundTripsEveryField)
@@ -255,20 +232,20 @@ TEST_F(SweepManifestTest, SimConfigRoundTripsEveryField)
 
         EXPECT_NE(sweepGridKey({cfg}), base_grid);
     });
-    EXPECT_EQ(n, 79u);
+    EXPECT_EQ(n, 76u);
 }
 
 TEST_F(SweepManifestTest, SimConfigWireBytesArePinned)
 {
-    // CRC-32 of the ShardSpec v6 SimConfig encoding.  A layout change
+    // CRC-32 of the ShardSpec v7 SimConfig encoding.  A layout change
     // must bump ShardSpec::formatVersion before re-pinning; a changed
     // default moves only the first digest.
     auto crc = [](const SimConfig &cfg) {
         const std::vector<std::uint8_t> bytes = configBytes(cfg);
         return crc32(bytes.data(), bytes.size());
     };
-    EXPECT_EQ(crc(SimConfig::scaledDefault()), 0x09712a92u);
-    EXPECT_EQ(crc(perturbedConfig()), 0xde4e21c2u);
+    EXPECT_EQ(crc(SimConfig::scaledDefault()), 0x1dd89678u);
+    EXPECT_EQ(crc(perturbedConfig()), 0x24b80f8du);
 }
 
 TEST_F(SweepManifestTest, SimConfigRejectsBadArch)
@@ -473,11 +450,12 @@ TEST_F(SweepManifestTest, OldFormatVersionIsRejectedClearly)
     // Files from before a format change must be rejected by the
     // version gate with a clear message — not parsed as garbage.  A
     // v1-era result predates the sampling summary; a v4 result still
-    // carries the checkpoint counters that v5 dropped; a v5 spec still
-    // carries the four derived OsMcConfig fields that v6 dropped.
+    // carries the checkpoint counters that v5 dropped; a v5 result
+    // still carries the per-guest stats that v6 dropped; a v6 spec
+    // still carries the three workload knobs that v7 dropped.
     ShardResultFile file;
     file.gridKey = "k";
-    for (const std::uint32_t old : {1u, 4u}) {
+    for (const std::uint32_t old : {1u, 4u, 5u}) {
         ASSERT_TRUE(file.save(path("f")).ok());
         patchVersion(path("f"), old);
         const auto loaded = ShardResultFile::load(path("f"));
@@ -485,7 +463,7 @@ TEST_F(SweepManifestTest, OldFormatVersionIsRejectedClearly)
         EXPECT_EQ(loaded.status().code(), StatusCode::Corruption);
         EXPECT_NE(loaded.status().message().find(
                       "format version mismatch (file v" +
-                      std::to_string(old) + ", expected v5)"),
+                      std::to_string(old) + ", expected v6)"),
                   std::string::npos);
     }
 
@@ -494,12 +472,12 @@ TEST_F(SweepManifestTest, OldFormatVersionIsRejectedClearly)
     spec.configIndices = {0};
     spec.configs = {perturbedConfig()};
     ASSERT_TRUE(spec.save(path("s")).ok());
-    patchVersion(path("s"), 5);
+    patchVersion(path("s"), 6);
     const auto old_spec = ShardSpec::load(path("s"));
     ASSERT_FALSE(old_spec.ok());
     EXPECT_EQ(old_spec.status().code(), StatusCode::Corruption);
     EXPECT_NE(old_spec.status().message().find(
-                  "format version mismatch (file v5, expected v6)"),
+                  "format version mismatch (file v6, expected v7)"),
               std::string::npos);
 }
 

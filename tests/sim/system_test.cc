@@ -298,72 +298,5 @@ TEST(System, TracingDoesNotPerturbResults)
         EXPECT_DOUBLE_EQ(v, rt.stats.getRequired(name)) << name;
 }
 
-TEST(System, MemcloudReportsPerTenantStats)
-{
-    SimConfig cfg = tinyConfig(Arch::Tmcc, "memcloud");
-    cfg.tenants = 4;
-    System sys(cfg);
-    const SimResult r = sys.run();
-    ASSERT_EQ(r.tenants.size(), cfg.tenants);
-
-    // Per-tenant attribution covers the measured window exactly.
-    std::uint64_t tenantAccesses = 0, tenantFaults = 0;
-    for (const TenantStat &ts : r.tenants) {
-        tenantAccesses += ts.accesses;
-        tenantFaults += ts.ml2Faults;
-        EXPECT_GT(ts.footprintBytes, 0u);
-        EXPECT_EQ(ts.ml2FaultLatency.count() +
-                      ts.ml2FaultLatency.underflow() +
-                      ts.ml2FaultLatency.overflow(),
-                  ts.ml2Faults);
-    }
-    EXPECT_EQ(tenantAccesses, r.accesses);
-    EXPECT_EQ(tenantFaults,
-              r.ml2FaultLatency.count() + r.ml2FaultLatency.underflow() +
-                  r.ml2FaultLatency.overflow());
-    // The zipf scheduler must feed every guest (regression for the
-    // sampler's last-rank starvation).
-    for (std::size_t t = 0; t < r.tenants.size(); ++t)
-        EXPECT_GT(r.tenants[t].accesses, 0u) << "tenant " << t;
-
-    // Exported stats carry the per-tenant keys the benches consume.
-    for (std::size_t t = 0; t < r.tenants.size(); ++t) {
-        const std::string prefix = "sys.tenant" + std::to_string(t);
-        EXPECT_EQ(r.stats.getRequired(prefix + ".accesses"),
-                  static_cast<double>(r.tenants[t].accesses));
-        EXPECT_GE(r.stats.getRequired(prefix + ".ml2_fault_p99_ns"),
-                  r.stats.getRequired(prefix + ".ml2_fault_p50_ns"));
-    }
-}
-
-TEST(System, MemcloudSingleTenantWorkloadsStayTenantFree)
-{
-    // Non-memcloud runs must not grow tenant stats (the guard in the
-    // access path keys off the empty vector).
-    System sys(tinyConfig(Arch::Tmcc));
-    const SimResult r = sys.run();
-    EXPECT_TRUE(r.tenants.empty());
-    for (const auto &[name, v] : r.stats.all())
-        EXPECT_EQ(name.find("sys.tenant"), std::string::npos) << name;
-}
-
-TEST(System, MemcloudDeterministicAcrossRuns)
-{
-    SimConfig cfg = tinyConfig(Arch::Tmcc, "memcloud");
-    cfg.tenants = 3;
-    System a(cfg), b(cfg);
-    const SimResult ra = a.run();
-    const SimResult rb = b.run();
-    EXPECT_EQ(ra.accesses, rb.accesses);
-    EXPECT_EQ(ra.elapsed, rb.elapsed);
-    ASSERT_EQ(ra.tenants.size(), rb.tenants.size());
-    for (std::size_t t = 0; t < ra.tenants.size(); ++t) {
-        EXPECT_EQ(ra.tenants[t].accesses, rb.tenants[t].accesses);
-        EXPECT_EQ(ra.tenants[t].ml2Faults, rb.tenants[t].ml2Faults);
-        EXPECT_EQ(ra.tenants[t].ml2FaultLatency.sampleSum(),
-                  rb.tenants[t].ml2FaultLatency.sampleSum());
-    }
-}
-
 } // namespace
 } // namespace tmcc

@@ -449,9 +449,10 @@ TEST_F(OsMcTest, CorruptPtbImageFallsBackToUncompressed)
         // Accepted views carry in-range CTE values even when a CRC
         // escape let damage through.
         for (unsigned s = 0; s < ptesPerPtb; ++s)
-            if (view.hasCte[s])
+            if (view.hasCte[s]) {
                 EXPECT_LT(view.cte[s],
                           1ULL << mc.ptbCodec().truncatedCteBits());
+            }
     }
     EXPECT_GT(rejected, 0u);
 
