@@ -11,7 +11,10 @@
  * one-byte recency-rank row (rank 0 = most recently used).  Rows are
  * padded so the tag probe, the victim pick and the LRU update are each
  * a few native-width vector operations (common/simd.hh) that never read
- * past their set.  Tags are 32-bit block numbers up to simd::maxKey, so
+ * past their set.  The cache remembers its last access()/probe() — the
+ * set, the way holding the block and the set's free ways — so a fill,
+ * flag read or extract of that same block skips the second scan of the
+ * tag row.  Tags are 32-bit block numbers up to simd::maxKey, so
  * the cache holds addresses just under 2^38 (256 GiB); inserting a
  * higher one panics and looking one up misses.  The hot methods are inline so the access
  * path's member templates (cache/hierarchy.hh) fold them in.  Every
@@ -56,16 +59,14 @@ class Cache : public Stated
     bool
     access(Addr addr, bool is_write)
     {
-        const std::uint64_t blk = blockNumber(addr);
-        const std::size_t set = setIndex(blk);
-        const unsigned way = findWay(set, blk);
-        if (way == noWay) {
+        const SetProbe p = last_ = locate(blockNumber(addr));
+        if (p.way == noWay) {
             misses_.inc();
             return false;
         }
         hits_.inc();
-        touchRank(set, way);
-        flags_[set * wstride_ + way] |= is_write ? Dirty : 0;
+        touchRank(p.set, p.way);
+        flags_[p.set * wstride_ + p.way] |= is_write ? Dirty : 0;
         return true;
     }
 
@@ -73,8 +74,8 @@ class Cache : public Stated
     bool
     probe(Addr addr) const
     {
-        const std::uint64_t blk = blockNumber(addr);
-        return findWay(setIndex(blk), blk) != noWay;
+        last_ = locate(blockNumber(addr));
+        return last_.way != noWay;
     }
 
     /**
@@ -86,20 +87,15 @@ class Cache : public Stated
     insert(const CacheLine &line)
     {
         const std::uint32_t tag = keyOf(line.addr);
-        const std::size_t set = setIndex(tag);
+        // The fill of a block just looked up reuses that lookup's scan;
+        // anything else takes one pass over the set now.
+        const SetProbe p = last_.blk == tag ? last_ : locate(tag);
+        const std::size_t set = p.set;
         const std::size_t base = set * wstride_;
 
-        // One pass over the set: resident-way match, else the victim
-        // in exactly the order the historical scalar scan evaluated it
-        // (results depend on it): first invalid way among 1..N-1, else
-        // way 0 when invalid, else the LRU way.
-        std::uint64_t match, inv;
-        Probe::eqMask2(&tags_[base], wstride_, tag, simd::invalidKey,
-                       match, inv);
-
         // Refresh in place if already resident.
-        if (match) {
-            const unsigned way = simd::firstWay(match);
+        if (p.way != noWay) {
+            const unsigned way = p.way;
             touchRank(set, way);
             std::uint8_t &f = flags_[base + way];
             f = static_cast<std::uint8_t>(
@@ -108,6 +104,10 @@ class Cache : public Stated
             return std::nullopt;
         }
 
+        // The victim, in exactly the order the historical scalar scan
+        // evaluated it (results depend on it): first invalid way among
+        // 1..N-1, else way 0 when invalid, else the LRU way.
+        const std::uint64_t inv = p.free;
         unsigned way;
         if (inv) {
             const std::uint64_t above0 = inv & ~1ULL;
@@ -171,12 +171,9 @@ class Cache : public Stated
     std::optional<CacheLine>
     extract(Addr addr)
     {
-        const std::uint64_t blk = blockNumber(addr);
-        const std::size_t set = setIndex(blk);
-        const unsigned way = findWay(set, blk);
-        if (way == noWay)
+        const std::size_t w = find(addr);
+        if (w == npos)
             return std::nullopt;
-        const std::size_t w = set * wstride_ + way;
         const CacheLine line = lineAt(w);
         clear(w);
         return line;
@@ -264,6 +261,7 @@ class Cache : public Stated
   private:
     static constexpr std::size_t npos = ~static_cast<std::size_t>(0);
     static constexpr unsigned noWay = ~0u;
+    static constexpr std::uint64_t noBlk = ~std::uint64_t{0};
 
     // Way metadata flag bits (flags_ bytes).
     enum : std::uint8_t
@@ -297,33 +295,63 @@ class Cache : public Stated
     [[noreturn]] void keyOutOfRange(Addr addr) const;
 
     /**
-     * Way of `set` holding block `blk`, or noWay.  Invalid and padding
-     * ways hold the reserved keys above simd::maxKey, and a block past
-     * the key range is reported absent before the compare (its low 32
-     * bits could name a resident block), so the scan is one whole-set
-     * vector compare — the single hottest operation in the simulator.
-     * Tags are unique per set (insert/touch refresh in place), so
-     * "first match" is "the match".
+     * Where block `blk` is: its set, the way holding it (noWay on a
+     * miss) and, on a miss, the set's free ways — all a fill needs.
      */
-    unsigned
-    findWay(std::size_t set, std::uint64_t blk) const
+    struct SetProbe
+    {
+        std::uint64_t blk = noBlk; //!< noBlk: describes nothing
+        std::size_t set = 0;
+        std::uint64_t free = 0;
+        unsigned way = noWay;
+    };
+
+    /**
+     * Scan the set of block `blk`.  Invalid and padding ways hold the
+     * reserved keys above simd::maxKey, and a block past the key range
+     * is reported absent before the compare (its low 32 bits could
+     * name a resident block), so the lookup is one whole-set vector
+     * compare — the single hottest operation in the simulator.  Only a
+     * miss, which a fill may follow, also compares for free ways.  Tags
+     * are unique per set (insert/touch refresh in place), so "first
+     * match" is "the match".
+     */
+    SetProbe
+    locate(std::uint64_t blk) const
     {
         if (blk > simd::maxKey) [[unlikely]]
-            return noWay;
+            return SetProbe{};
+        const std::size_t set = setIndex(blk);
+        const std::uint32_t *row = &tags_[set * wstride_];
         const std::uint64_t m =
-            Probe::eqMask(&tags_[set * wstride_], wstride_,
-                          static_cast<std::uint32_t>(blk));
-        return m ? simd::firstWay(m) : noWay;
+            Probe::eqMask(row, wstride_, static_cast<std::uint32_t>(blk));
+        if (m)
+            return SetProbe{blk, set, 0, simd::firstWay(m)};
+        return SetProbe{blk, set,
+                        Probe::eqMask(row, wstride_, simd::invalidKey),
+                        noWay};
     }
 
-    /** Flat index of the way holding `addr`, or npos. */
+    /**
+     * Flat index of the way holding `addr`, or npos.  Reads last_ when
+     * it names the block; otherwise scans without replacing last_, so
+     * a victim's back-invalidation does not cost the fill that follows
+     * its lookup.
+     */
     std::size_t
     find(Addr addr) const
     {
         const std::uint64_t blk = blockNumber(addr);
-        const std::size_t set = setIndex(blk);
-        const unsigned way = findWay(set, blk);
-        return way == noWay ? npos : set * wstride_ + way;
+        const SetProbe p = blk == last_.blk ? last_ : locate(blk);
+        return p.way == noWay ? npos : p.set * wstride_ + p.way;
+    }
+
+    /** Flat way `w` took a new tag: drop last_ if it describes its set. */
+    void
+    tagsChanged(std::size_t w)
+    {
+        if (w - last_.set * wstride_ < wstride_)
+            last_.blk = noBlk;
     }
 
     /** Make `way` of `set` the most recently used. */
@@ -360,6 +388,7 @@ class Cache : public Stated
     {
         const std::size_t w = set * wstride_ + way;
         tags_[w] = tag;
+        tagsChanged(w);
         flags_[w] = static_cast<std::uint8_t>(
             Valid | (line.dirty ? Dirty : 0) |
             (line.compressed ? Compressed : 0));
@@ -372,6 +401,7 @@ class Cache : public Stated
     {
         flags_[w] &= static_cast<std::uint8_t>(~(Valid | Dirty));
         tags_[w] = simd::invalidKey;
+        tagsChanged(w);
     }
 
     std::string name_;
@@ -388,6 +418,13 @@ class Cache : public Stated
     std::vector<std::uint32_t> tags_;
     std::vector<std::uint8_t> flags_;
     std::vector<std::uint8_t> ranks_;
+
+    /**
+     * The last access() or probe().  Only tag writes to its set (fill,
+     * clear) make it stale; ranks and flags are read live, so recency
+     * updates and dirty/compressed marks leave it valid.
+     */
+    mutable SetProbe last_;
 
     Counter hits_, misses_, evictions_, dirtyEvictions_;
 };

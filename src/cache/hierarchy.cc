@@ -38,20 +38,6 @@ Hierarchy::Hierarchy(const HierarchyConfig &cfg, unsigned cores)
     l3_ = std::make_unique<Cache>("l3", cfg.l3Bytes, cfg.l3Assoc);
 }
 
-void
-Hierarchy::notePrefetched(Addr addr)
-{
-    if (prefetched_.size() > 64 * 1024)
-        prefetched_.clear(); // bounded bookkeeping
-    prefetched_.insert(blockAlign(addr));
-}
-
-bool
-Hierarchy::consumePrefetched(Addr addr)
-{
-    return prefetched_.erase(blockAlign(addr)) != 0;
-}
-
 bool
 Hierarchy::l2CompressedCopy(unsigned core, Addr addr) const
 {

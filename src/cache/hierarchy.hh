@@ -30,8 +30,8 @@
 #include <vector>
 
 #include "cache/cache.hh"
+#include "cache/prefetch_bitmap.hh"
 #include "cache/prefetcher.hh"
-#include "common/flat_set.hh"
 #include "common/small_vec.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -420,8 +420,19 @@ class Hierarchy : public Stated
             writebacks.push_back(*l3_victim);
     }
 
-    void notePrefetched(Addr addr);
-    bool consumePrefetched(Addr addr);
+    void
+    notePrefetched(Addr addr)
+    {
+        if (prefetched_.size() > 64 * 1024)
+            prefetched_.clear(); // bounded bookkeeping
+        prefetched_.note(blockNumber(addr));
+    }
+
+    bool
+    consumePrefetched(Addr addr)
+    {
+        return prefetched_.consume(blockNumber(addr));
+    }
 
     HierarchyConfig cfg_;
     std::vector<std::unique_ptr<Cache>> l1_;
@@ -434,9 +445,7 @@ class Hierarchy : public Stated
     std::vector<std::unique_ptr<StridePrefetcher>> strideL2_;
 
     /** Outstanding prefetched blocks awaiting first demand use. */
-    // Block-aligned sentinel keys only; invalidAddr is never
-    // block-aligned, so it is safe as the empty-slot marker.
-    FlatHashSet<Addr, invalidAddr> prefetched_;
+    PrefetchBitmap prefetched_;
 
     Counter demandAccesses_, walkerAccesses_, l3Misses_;
 };

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 
 #include "common/log.hh"
 #include "compress/block_compressor.hh"
@@ -276,16 +277,17 @@ ProfileLibrary::assignPage(Ppn ppn, unsigned mix_id)
             break;
         roll -= m.weights[part];
     }
+    if (ppn >= pageAssign_.size())
+        pageAssign_.resize(ppn + 1, {unassigned, 0});
     pageAssign_[ppn] = {mix_id, part};
 }
 
 const PageProfile &
 ProfileLibrary::profile(Ppn ppn) const
 {
-    auto it = pageAssign_.find(ppn);
-    if (it == pageAssign_.end())
+    if (ppn >= pageAssign_.size() || pageAssign_[ppn].first == unassigned)
         return defaultProfile_;
-    const auto [mix, part] = it->second;
+    const auto [mix, part] = pageAssign_[ppn];
     return mixes_[mix].profiles[part];
 }
 

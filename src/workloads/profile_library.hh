@@ -8,7 +8,7 @@
 #ifndef TMCC_WORKLOADS_PROFILE_LIBRARY_HH
 #define TMCC_WORKLOADS_PROFILE_LIBRARY_HH
 
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mc/page_profile.hh"
@@ -95,7 +95,10 @@ class ProfileLibrary : public PageInfoProvider
     unsigned samplesPerPart_;
     std::uint64_t seed_;
     std::vector<MeasuredMix> mixes_;
-    std::unordered_map<Ppn, std::pair<unsigned, unsigned>> pageAssign_;
+    /** (mix, part) per frame, indexed by Ppn (frames are allocated
+     * densely from 1); mix is `unassigned` for a frame never assigned. */
+    static constexpr unsigned unassigned = ~0u;
+    std::vector<std::pair<unsigned, unsigned>> pageAssign_;
     PageProfile defaultProfile_;
 };
 

@@ -131,6 +131,28 @@ TEST_P(HierarchyPropertyTest, DirtyDataIsNeverSilentlyDropped)
     }
 }
 
+TEST(HierarchyFill, BackInvalidationInTheFillSetReprobesL1)
+{
+    // A fill reuses the L1 set its lookup scanned unless that set's
+    // tags changed in between.  Here the L2 victim's L1 copy sits in
+    // the very L1 set being filled, and its back-invalidation frees a
+    // way there: the fill must take that way, not evict the LRU line
+    // a stale "set is full" probe would pick.
+    HierarchyConfig cfg = tinyConfig(); // L1: 4 sets x 2, L2: 8 sets x 4
+    cfg.prefetchers = false;
+    Hierarchy h(cfg, 1);
+    const auto blk = [](Addr n) { return n * blockSize; };
+    auto no_wb = [](const CacheLine &) {};
+    issue(h, 0, blk(4), false, false, false, no_wb); // L1 set 0, LRU
+    issue(h, 0, blk(0), false, false, false, no_wb); // L1 set 0, L2 set 0
+    for (Addr n : {8, 16, 24}) // walker fills: L2 set 0 only, 0 is LRU
+        issue(h, 0, blk(n), false, true, false, no_wb);
+    issue(h, 0, blk(32), false, false, false, no_wb); // evicts 0 from L2
+    EXPECT_FALSE(h.l1(0).probe(blk(0)));
+    EXPECT_TRUE(h.l1(0).probe(blk(4)));
+    EXPECT_TRUE(h.l1(0).probe(blk(32)));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, HierarchyPropertyTest,
                          ::testing::Range(0, 12));
 
