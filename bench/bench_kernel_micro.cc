@@ -39,6 +39,20 @@ struct Scramble
     }
 };
 
+/**
+ * Index mask for `n` probe targets.  Every count here is a power of two
+ * so the timed loop picks its target with an AND, not a 64-bit divide
+ * that would cost more than the probe it times.
+ */
+std::uint64_t
+indexMask(std::uint64_t n)
+{
+    panicIf(n == 0 || (n & (n - 1)) != 0,
+            "probe count " + std::to_string(n) +
+                " is not a power of two");
+    return n - 1;
+}
+
 template <class Fn>
 double
 nsPerOp(std::uint64_t iters, Fn &&fn)
@@ -67,13 +81,14 @@ probeCache(BenchReport &report, const char *tag, std::size_t bytes,
 {
     Cache c(tag, bytes, assoc);
     const std::uint64_t blocks = bytes / blockSize;
+    const std::uint64_t mask = indexMask(blocks);
     for (std::uint64_t b = 0; b < blocks; ++b)
         c.insert({b * blockSize, false, false});
     const double hit = nsPerOp(iters, [&](std::uint64_t r) {
-        return c.access((r % blocks) * blockSize, false) ? 1 : 0;
+        return c.access((r & mask) * blockSize, false) ? 1 : 0;
     });
     const double miss = nsPerOp(iters, [&](std::uint64_t r) {
-        return c.access((blocks + r % blocks) * blockSize, false) ? 1
+        return c.access((blocks + (r & mask)) * blockSize, false) ? 1
                                                                   : 0;
     });
     std::printf("%-14s %8.1f %8.1f\n", tag, hit, miss);
@@ -97,13 +112,14 @@ probeStructures(BenchReport &report, std::uint64_t iters)
         CteCache cte(64 * 1024, 8, 8);
         const std::uint64_t pages =
             cte.numSets() * cte.associativity() * cte.pagesPerBlock();
+        const std::uint64_t mask = indexMask(pages);
         for (std::uint64_t p = 0; p < pages; p += cte.pagesPerBlock())
             cte.insert(p);
         const double hit = nsPerOp(iters, [&](std::uint64_t r) {
-            return cte.lookup(r % pages) ? 1 : 0;
+            return cte.lookup(r & mask) ? 1 : 0;
         });
         const double miss = nsPerOp(iters, [&](std::uint64_t r) {
-            return cte.lookup(pages + r % pages) ? 1 : 0;
+            return cte.lookup(pages + (r & mask)) ? 1 : 0;
         });
         std::printf("%-14s %8.1f %8.1f\n", "cte", hit, miss);
         report.metric("host.probe.cte.hit_ns", hit);
@@ -112,15 +128,16 @@ probeStructures(BenchReport &report, std::uint64_t iters)
     {
         Tlb tlb(2048, 8);
         const std::uint64_t vpns = 2048;
+        const std::uint64_t mask = indexMask(vpns);
         for (std::uint64_t v = 0; v < vpns; ++v)
             tlb.insert(v, v);
         Ppn ppn = 0;
         const double hit = nsPerOp(iters, [&](std::uint64_t r) {
-            return tlb.lookup((r % vpns) * pageSize, ppn) ? 1 : 0;
+            return tlb.lookup((r & mask) * pageSize, ppn) ? 1 : 0;
         });
         const double miss = nsPerOp(iters, [&](std::uint64_t r) {
-            return tlb.lookup((vpns + r % vpns) * pageSize, ppn) ? 1
-                                                                 : 0;
+            return tlb.lookup((vpns + (r & mask)) * pageSize, ppn) ? 1
+                                                                   : 0;
         });
         std::printf("%-14s %8.1f %8.1f\n", "tlb", hit, miss);
         report.metric("host.probe.tlb.hit_ns", hit);

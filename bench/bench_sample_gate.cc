@@ -9,8 +9,9 @@
  *
  * The absolute floor keeps near-zero metrics (e.g. bus utilization of
  * a tiny quick-scale run) from failing on noise the relative bound
- * cannot absorb.  CI runs this under TMCC_QUICK=1; the same binary
- * gates full-scale runs.
+ * cannot absorb.  CI runs it twice, under TMCC_QUICK=1 and at full
+ * scale; the simulated values do not depend on the host, so both
+ * runs are deterministic.
  */
 
 #include <cmath>

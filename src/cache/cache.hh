@@ -125,48 +125,6 @@ class Cache : public Stated
         return evicted;
     }
 
-    /**
-     * Functional find-or-replace in a single pass over the set: the
-     * fast-forward path of interval sampling keeps this cache warm
-     * without paying the split access()+insert() bookkeeping.  On hit
-     * the LRU refreshes and the dirty bit accumulates; on miss the
-     * line replaces the victim (free way first, else LRU) and the
-     * evicted line lands in `evicted` (addr == invalidAddr if none).
-     * Returns hit.  Counts hits/misses/evictions like the split path.
-     */
-    bool
-    touch(const CacheLine &line, CacheLine &evicted)
-    {
-        const std::uint32_t tag = keyOf(line.addr);
-        const std::size_t set = setIndex(tag);
-        const std::size_t base = set * wstride_;
-        std::uint64_t match, inv;
-        Probe::eqMask2(&tags_[base], wstride_, tag, simd::invalidKey,
-                       match, inv);
-        if (match) {
-            const unsigned way = simd::firstWay(match);
-            hits_.inc();
-            touchRank(set, way);
-            flags_[base + way] |= line.dirty ? Dirty : 0;
-            evicted.addr = invalidAddr;
-            return true;
-        }
-        // Victim: the first free way, else the LRU way (the historical
-        // scan took the earliest way minimizing invalid ? 0 : stamp).
-        const unsigned way =
-            inv ? simd::firstWay(inv)
-                : Probe::rankOldest(&ranks_[set * rstride_], assoc_);
-        misses_.inc();
-        if (inv) {
-            evicted.addr = invalidAddr;
-        } else {
-            evicted = lineAt(base + way);
-            countEviction(evicted);
-        }
-        fill(set, way, tag, line);
-        return false;
-    }
-
     /** Remove a line (for exclusive-hierarchy promotion); returns it. */
     std::optional<CacheLine>
     extract(Addr addr)
@@ -313,7 +271,7 @@ class Cache : public Stated
      * name a resident block), so the lookup is one whole-set vector
      * compare — the single hottest operation in the simulator.  Only a
      * miss, which a fill may follow, also compares for free ways.  Tags
-     * are unique per set (insert/touch refresh in place), so "first
+     * are unique per set (insert refreshes in place), so "first
      * match" is "the match".
      */
     SetProbe

@@ -20,7 +20,10 @@
  * outcome/sink type.  The simulator instantiates them with the
  * fixed-capacity SmallOutcome / SmallVec sinks, so the whole path
  * inlines without allocation; the constructor rejects any geometry
- * whose worst-case fan-out would overflow those sinks.
+ * whose worst-case fan-out would overflow those sinks.  Detailed
+ * windows and the functional fast-forward between sampled windows
+ * both go through these three paths (sim/access_path.hh), so there is
+ * one copy of the hierarchy's state updates.
  */
 
 #ifndef TMCC_CACHE_HIERARCHY_HH
@@ -82,12 +85,6 @@ struct SmallOutcome
 
     /** Prefetch proposals raised by this access (demand path only). */
     SmallVec<Addr, 8> prefetches;
-};
-
-/** Writeback sink that drops the lines (functional fast-forward). */
-struct DiscardWb
-{
-    void push_back(const CacheLine &) {}
 };
 
 /** The full multi-core cache hierarchy. */
@@ -208,103 +205,6 @@ class Hierarchy : public Stated
         return true; // caller fetches from memory, then calls fill()
     }
 
-    /**
-     * Timing-free demand probe + fill for functional fast-forward
-     * (interval sampling): updates residency/LRU/dirty state exactly
-     * like a demand access but skips the prefetchers and drops any
-     * writeback (no MC timing to bill it to).  Returns true when the
-     * block had to come from memory, so the caller can functionally
-     * touch the MC's translation/placement state.
-     */
-    bool
-    functionalAccess(unsigned core, Addr addr, bool is_write,
-                     bool from_walker = false)
-    {
-        // SMARTS-style functional warming, mirroring accessT's state
-        // updates level by level (L1 probe + prefetcher observation,
-        // L2 find-or-fill, L3 promotion/spill with back-invalidation
-        // and snooping, L1 fill, then same-page prefetch fills) minus
-        // timing and writeback traffic.  Warming L1 keeps the L2
-        // access stream faithful — L1 hits must not refresh L2 LRU;
-        // warming prefetch fills keeps the L2/L3 replacement pressure
-        // and dirty-line density honest.  Walker fetches enter at L2,
-        // like accessT: keeping PTB/PTE lines resident across
-        // fast-forward is what keeps in-window page-walk latencies
-        // honest.  Returns true when the block (or one of its
-        // prefetch fills) had to come from memory, so the caller can
-        // functionally touch the MC state of the page.
-        const Addr block = blockAlign(addr);
-        if (from_walker)
-            walkerAccesses_.inc();
-        else
-            demandAccesses_.inc();
-
-        if (consumePrefetched(block)) {
-            nextLineL1_[core]->markUseful();
-            nextLineL2_[core]->markUseful();
-        }
-
-        decltype(SmallOutcome::prefetches) proposals;
-        bool l1_hit = false;
-        if (!from_walker) {
-            // Probe and fill L1 in one pass (accessT probes first and
-            // fills after the L2/L3 work; fusing reorders only the
-            // fill, which no later step of this access observes).
-            CacheLine l1_evicted;
-            l1_hit = l1_[core]->touch(CacheLine{block, is_write, false},
-                                      l1_evicted);
-            if (l1_evicted.addr != invalidAddr && l1_evicted.dirty)
-                l2_[core]->markDirty(l1_evicted.addr);
-            if (cfg_.prefetchers) {
-                nextLineL1_[core]->observeT(block, !l1_hit, proposals);
-                strideL1_[core]->observeT(block, !l1_hit, proposals);
-            }
-        }
-
-        bool mem_miss = false;
-        if (from_walker || !l1_hit) {
-            CacheLine l2_evicted;
-            // Demand L2 copies gain dirtiness only via L1 victim
-            // fold-down (accessT dirties L2 only for walker writes).
-            const bool l2_hit = l2_[core]->touch(
-                CacheLine{block, is_write && from_walker, false},
-                l2_evicted);
-            if (cfg_.prefetchers && !from_walker) {
-                nextLineL2_[core]->observeT(block, !l2_hit, proposals);
-                strideL2_[core]->observeT(block, !l2_hit, proposals);
-            }
-            if (!l2_hit) {
-                // The L2 fill above doubles as the promotion of any
-                // L3 copy; exclusivity means the L3 copy is
-                // extracted.  Do this before spilling the L2 victim,
-                // which could land in (and evict from) the very same
-                // L3 set.
-                const auto l3_line = l3_->extract(block);
-                if (l3_line) {
-                    // The promoted copy keeps its bits.
-                    if (l3_line->dirty)
-                        l2_[core]->markDirty(block);
-                    if (l3_line->compressed)
-                        l2_[core]->setCompressed(block, true);
-                } else {
-                    l3Misses_.inc();
-                    mem_miss = true;
-                }
-                spillL2VictimF(core, l2_evicted);
-            }
-        }
-
-        // Prefetch proposals: same-page background fills, mirroring
-        // the detailed path's page filter and fill order.
-        for (const Addr pf : proposals) {
-            if (pageNumber(pf) != pageNumber(addr))
-                continue;
-            if (functionalPrefetch(core, pf))
-                mem_miss = true;
-        }
-        return mem_miss;
-    }
-
     /** Probe the compressed bit of the L2 copy (walker fast path). */
     bool l2CompressedCopy(unsigned core, Addr addr) const;
 
@@ -321,56 +221,6 @@ class Hierarchy : public Stated
                    const std::string &prefix) const override;
 
   private:
-    /**
-     * Functional-warming half of fillL2T's victim handling: L1
-     * back-invalidation with dirty fold-down, the snoop filter, and
-     * the spill into the exclusive L3.  L3 victims leave silently —
-     * functional warming does not model writeback traffic.
-     */
-    void
-    spillL2VictimF(unsigned core, CacheLine &victim)
-    {
-        if (victim.addr == invalidAddr)
-            return;
-        const auto l1_copy = l1_[core]->extract(victim.addr);
-        if (l1_copy && l1_copy->dirty)
-            victim.dirty = true;
-        for (unsigned other = 0; other < l2_.size(); ++other) {
-            if (other == core || !l2_[other]->probe(victim.addr))
-                continue;
-            if (victim.dirty)
-                l2_[other]->markDirty(victim.addr);
-            return;
-        }
-        CacheLine spill_evicted;
-        l3_->touch(victim, spill_evicted);
-    }
-
-    /**
-     * Functional-warming mirror of prefetchLookupT plus the detailed
-     * path's memory-fill: already-resident proposals are dropped, L3
-     * hits promote into L2 only, memory fetches fill L2 and L1.
-     * Returns true when the block had to come from memory.
-     */
-    bool
-    functionalPrefetch(unsigned core, Addr addr)
-    {
-        const Addr block = blockAlign(addr);
-        if (l1_[core]->probe(block) || l2_[core]->probe(block))
-            return false;
-        notePrefetched(block);
-        const auto l3_line = l3_->extract(block);
-        CacheLine l2_evicted;
-        l2_[core]->touch(l3_line ? *l3_line
-                                 : CacheLine{block, false, false},
-                         l2_evicted);
-        spillL2VictimF(core, l2_evicted);
-        if (l3_line)
-            return false;
-        fillL1(core, CacheLine{block, false, false});
-        return true;
-    }
-
     /** Insert into L1, folding the victim's dirtiness into L2. */
     void
     fillL1(unsigned core, const CacheLine &line)

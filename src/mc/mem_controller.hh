@@ -76,12 +76,14 @@ class MemController : public Stated
     virtual void drain(Tick when) { dram_.drainAll(when); }
 
     /**
-     * Timing-free touch for functional fast-forward (interval
-     * sampling): a demand block in page `ppn` missed the LLC while no
-     * timing is simulated.  Architectures with translation/placement
-     * state keep it warm here — CTE-cache residency, recency, ML2→ML1
-     * migration — without DRAM timing, demand counters or stall
-     * bookkeeping.  Default: stateless architectures need nothing.
+     * The timing-free read() of functional fast-forward (interval
+     * sampling): the access engine calls it, in read()'s place, for
+     * every block of page `ppn` fetched from memory — demand, page
+     * walk and prefetch alike.  Architectures with translation or
+     * placement state keep it warm here — CTE-cache residency,
+     * recency, ML2→ML1 migration — without DRAM timing, demand
+     * counters or stall bookkeeping.  Default: stateless architectures
+     * need nothing.
      */
     virtual void functionalTouch(Ppn /*ppn*/, bool /*is_write*/,
                                  Tick /*now*/)

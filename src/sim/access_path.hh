@@ -5,17 +5,24 @@
  * prefetch issue — in one engine.  Everything architecture-specific
  * happens behind the MemController hooks it calls.
  *
- * AccessEngine<Tracing> calls the hierarchy's inline member templates
- * with fixed-capacity SmallVec sinks, so an access allocates nothing.
- * Its one parameter is a compile-time switch: with Tracing false the
- * trace hooks compile away entirely; System selects the Tracing=true
- * instantiation only while a Tracer is active.  Both instantiations
- * execute the same simulator statements in the same order, so tracing
- * never perturbs a run (tests/sim/golden_fingerprint_test.cc pins the
- * traced run to the untraced digest).
+ * AccessEngine<Tracing, Functional> calls the hierarchy's inline member
+ * templates with fixed-capacity SmallVec sinks, so an access allocates
+ * nothing.  Both parameters are compile-time switches:
  *
- * System::ffStep — the functional fast-forward step used between
- * sampled windows — also lives here.
+ *  - Tracing: with it false the trace hooks compile away entirely;
+ *    System selects the Tracing=true instantiation only while a Tracer
+ *    is active.  Both instantiations execute the same simulator
+ *    statements in the same order, so tracing never perturbs a run
+ *    (tests/sim/golden_fingerprint_test.cc pins the traced run to the
+ *    untraced digest).
+ *  - Functional: the fast-forward between sampled windows.  Memory
+ *    fetches call MemController::functionalTouch in place of read;
+ *    writebacks to the MC, the walker's PTB harvest (walkerFetched) and
+ *    the core-timing tail are skipped.  Every other state update — TLB,
+ *    walk, L1/L2/L3 access and fill, prefetch, accessed/dirty bits —
+ *    runs the same statements as the detailed path, so fast-forward
+ *    warms caches and TLBs exactly as a detailed warm-up would
+ *    (tests/sim/fast_forward_test.cc).
  */
 
 #ifndef TMCC_SIM_ACCESS_PATH_HH
@@ -29,7 +36,7 @@
 namespace tmcc
 {
 
-template <bool Tracing>
+template <bool Tracing, bool Functional>
 struct AccessEngine
 {
     static void
@@ -75,6 +82,24 @@ struct AccessEngine
         }
     }
 
+    /**
+     * Hand dirty L3 victims to the MC, counting them as LLC writebacks
+     * when `count`.  Fast-forward drops them: it has no timing to bill
+     * them to.
+     */
+    template <class Lines>
+    static void
+    writeback(System &sys, const Lines &wbs, Tick when, bool count)
+    {
+        if constexpr (!Functional) {
+            for (const CacheLine &wb : wbs) {
+                sys.mc_->writeback(wb.addr, when, wb.compressed);
+                if (count)
+                    ++sys.result_.llcWritebacks;
+            }
+        }
+    }
+
     static Tick
     memoryAccess(System &sys, unsigned core, Addr paddr, bool is_write,
                  bool from_walker, Tick start, bool after_tlb_miss,
@@ -106,6 +131,13 @@ struct AccessEngine
             req.paddr = paddr;
             req.when = start + l1 + l2 + l3 + noc;
             req.fromWalker = from_walker;
+            if constexpr (Functional) {
+                sys.mc_->functionalTouch(pageNumber(paddr), is_write,
+                                         req.when);
+                sys.hierarchy_->fillT<SmallOutcome>(core, paddr, is_write,
+                                                    false, from_walker);
+                break;
+            }
             const McReadResponse resp = sys.mc_->read(req);
             // Fig. 18 convention: the 53ns no-compression miss latency
             // is one NoC traversal plus the DRAM access; the return
@@ -132,26 +164,22 @@ struct AccessEngine
                 sys.hierarchy_->fillT<SmallOutcome>(
                     core, paddr, is_write, resp.fillCompressedPtb,
                     from_walker);
-            for (const CacheLine &wb : fill.memWritebacks) {
-                sys.mc_->writeback(wb.addr, done, wb.compressed);
-                if (measuring)
-                    ++sys.result_.llcWritebacks;
-            }
+            writeback(sys, fill.memWritebacks, done, measuring);
             break;
           }
         }
 
         // Writebacks surfaced by promotions/evictions on the hit path.
-        for (const CacheLine &wb : out.memWritebacks) {
-            sys.mc_->writeback(wb.addr, done, wb.compressed);
-            if (measuring)
-                ++sys.result_.llcWritebacks;
-        }
+        writeback(sys, out.memWritebacks, done, measuring);
 
         // Walker fetch of a PTB: the MC may harvest its embedded CTEs
         // and have L2 mark the line as a compressed PTB.
-        if (from_walker && sys.mc_->walkerFetched(core, blockAlign(paddr)))
-            sys.hierarchy_->l2(core).setCompressed(blockAlign(paddr), true);
+        if constexpr (!Functional) {
+            if (from_walker &&
+                sys.mc_->walkerFetched(core, blockAlign(paddr)))
+                sys.hierarchy_->l2(core).setCompressed(blockAlign(paddr),
+                                                       true);
+        }
 
         // Prefetch proposals: background fills that stay in the page.
         for (Addr pf : out.prefetches) {
@@ -164,17 +192,21 @@ struct AccessEngine
                 req.paddr = pf;
                 req.when = start + l1 + l2 + l3 + noc;
                 req.background = true;
-                const McReadResponse resp = sys.mc_->read(req);
-                handleMcResponse(sys, core, resp, false, false);
+                Tick complete = req.when;
+                if constexpr (Functional) {
+                    sys.mc_->functionalTouch(pageNumber(pf), false,
+                                             req.when);
+                } else {
+                    const McReadResponse resp = sys.mc_->read(req);
+                    handleMcResponse(sys, core, resp, false, false);
+                    complete = resp.complete;
+                }
                 const SmallOutcome fill =
                     sys.hierarchy_->fillT<SmallOutcome>(core, pf, false,
                                                         false, false);
-                for (const CacheLine &wb : fill.memWritebacks)
-                    sys.mc_->writeback(wb.addr, resp.complete,
-                                       wb.compressed);
+                writeback(sys, fill.memWritebacks, complete, false);
             }
-            for (const CacheLine &wb : wbs)
-                sys.mc_->writeback(wb.addr, done, wb.compressed);
+            writeback(sys, wbs, done, false);
         }
 
         return done;
@@ -270,6 +302,8 @@ struct AccessEngine
             (ppn << pageShift) | (a.vaddr & (pageSize - 1));
         const Tick done = memoryAccess(sys, core, paddr, a.isWrite,
                                        false, t, tlb_miss, measuring);
+        if constexpr (Functional)
+            return; // fast-forward keeps no core timing
 
         // Stores retire through a finite store buffer: the core does
         // not wait for the fill unless every buffer slot is still in
@@ -301,94 +335,6 @@ struct AccessEngine
         }
     }
 };
-
-/**
- * One functional fast-forward access: translation state (TLB, PWC,
- * accessed/dirty bits), cache residency and the MC's placement /
- * CTE-cache state advance; no timing, no latency histograms, no
- * demand counters, no prefetch issue.
- */
-inline void
-System::ffStep(unsigned core, const MemAccess &a)
-{
-    // MRU block filter: a consecutive same-block run is an L1-hit run
-    // in the detailed model — no state below L1 changes and L1's
-    // relative LRU order is already correct, so only the first access
-    // (and the first write) of the run does any work.  Same block
-    // implies same page, so the TLB's relative LRU order is unchanged
-    // too.
-    FfFilter &filt = ffFilter_[core];
-    const Addr vblock = blockAlign(a.vaddr);
-    if (vblock == filt.vblock) {
-        if (a.isWrite && !filt.dirty) {
-            hierarchy_->l1(core).markDirty(filt.pblock);
-            filt.dirty = true;
-        }
-        return;
-    }
-
-    Ppn ppn = 0;
-    if (!tlbs_[core]->lookup(a.vaddr, ppn)) {
-        const WalkPlan plan = walkers_[core]->plan(a.vaddr);
-        panicIf(!plan.valid,
-                "page fault: unmapped address in workload");
-        // Touch the walk's PTB fetches through the hierarchy (walker
-        // path: enters at L2) so the page-table working set stays
-        // resident across fast-forward, exactly as the detailed walk
-        // keeps it.  Nested mode warms the host-translated addresses
-        // below instead.
-        if (!cfg_.nestedPaging)
-            for (const WalkStep &step : plan.fetches)
-                hierarchy_->functionalAccess(core, step.ptbAddr,
-                                             false, true);
-        if (cfg_.nestedPaging) {
-            // Keep the host PWC and the PTB working set in the caches
-            // as warm as the detailed 2D walk would: plan the host
-            // walk of each guest PTB fetch (touching the host PTBs
-            // and the host-translated guest PTB line), then of the
-            // final guest frame.
-            for (const WalkStep &step : plan.fetches) {
-                const WalkPlan host =
-                    hostWalkers_[core]->plan(step.ptbAddr);
-                panicIf(!host.valid, "host page fault in nested walk");
-                for (const WalkStep &hs : host.fetches)
-                    hierarchy_->functionalAccess(core, hs.ptbAddr,
-                                                 false, true);
-                const Addr host_ptb =
-                    (host.ppn << pageShift) |
-                    (step.ptbAddr & (pageSize - 1));
-                hierarchy_->functionalAccess(core, host_ptb, false,
-                                             true);
-            }
-            const WalkPlan host =
-                hostWalkers_[core]->plan(plan.ppn << pageShift);
-            panicIf(!host.valid, "host page fault in nested walk");
-            for (const WalkStep &hs : host.fetches)
-                hierarchy_->functionalAccess(core, hs.ptbAddr, false,
-                                             true);
-            ppn = host.ppn;
-            tlbs_[core]->insert(pageNumber(a.vaddr), ppn);
-        } else if (plan.huge) {
-            const Ppn base =
-                plan.ppn & ~((hugePageSize / pageSize) - 1);
-            tlbs_[core]->insertHuge(
-                pageNumber(a.vaddr) & ~((hugePageSize / pageSize) - 1),
-                base);
-            ppn = plan.ppn;
-        } else {
-            ppn = plan.ppn;
-            tlbs_[core]->insert(pageNumber(a.vaddr), plan.ppn);
-        }
-        pageTable_->setAccessedDirty(a.vaddr, a.isWrite);
-    }
-    const Addr paddr = (ppn << pageShift) | (a.vaddr & (pageSize - 1));
-    filt.vblock = vblock;
-    filt.pblock = blockAlign(paddr);
-    filt.dirty = a.isWrite;
-    if (hierarchy_->functionalAccess(core, paddr, a.isWrite))
-        mc_->functionalTouch(pageNumber(paddr), a.isWrite,
-                             cores_[core].now);
-}
 
 } // namespace tmcc
 

@@ -127,8 +127,8 @@ struct SimConfig
      * of simulating every measured access in detail, run
      * `sampleWindows` detailed windows of `sampleWindowAccesses`
      * accesses per core, each preceded by `sampleWarmAccesses` of
-     * detailed warm-up, and functionally fast-forward (translation +
-     * ML1/ML2 state updated, no timing) in between.  Headline metrics
+     * detailed warm-up, and functionally fast-forward (translation,
+     * cache and ML1/ML2 state updated, no timing) in between.  Headline metrics
      * are then reported as per-window mean + 95% CI in
      * SimResult::sample.  sampleWindows == 0 (default) disables
      * sampling: the run is exact and bit-identical to a build without

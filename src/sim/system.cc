@@ -255,7 +255,6 @@ System::buildMcAndCores()
     }
 
     cores_.assign(cfg_.cores, CoreState{});
-    ffFilter_.assign(cfg_.cores, FfFilter{});
     for (unsigned c = 0; c < cfg_.cores; ++c) {
         tlbs_.push_back(std::make_unique<Tlb>(cfg_.tlbEntries));
         walkers_.push_back(std::make_unique<Walker>(*pageTable_));
@@ -406,7 +405,8 @@ System::warmPlacement()
 // dispatch once per 64 accesses instead of once per access.  Rings only
 // move the *fetch* earlier within each core's own stream, which is
 // invisible because workload engines are per-core; processing always
-// interleaves cores round-robin (warm, fast-forward) or by local time
+// interleaves cores round-robin (warm and fast-forward: the access
+// engine's timed and functional instantiations) or by local time
 // (measured loop).  The stream position a phase leaves behind is what
 // the next phase starts from:
 //   - warm / fast-forward: the per-core access count is known up
@@ -468,11 +468,11 @@ System::runWarm(std::uint64_t per_core)
 {
     if (Tracer::active() != nullptr)
         roundRobin(per_core, [this](unsigned c, const MemAccess &a) {
-            AccessEngine<true>::step(*this, c, a, false);
+            AccessEngine<true, false>::step(*this, c, a, false);
         });
     else
         roundRobin(per_core, [this](unsigned c, const MemAccess &a) {
-            AccessEngine<false>::step(*this, c, a, false);
+            AccessEngine<false, false>::step(*this, c, a, false);
         });
 }
 
@@ -507,7 +507,8 @@ System::runMeasuredLoopT(std::uint64_t quota, std::size_t refill)
         }
         if (r.head + lookahead < r.count)
             prefetchAccess(tlb, l1, r.buf[r.head + lookahead]);
-        AccessEngine<Tracing>::step(*this, next, r.buf[r.head++], true);
+        AccessEngine<Tracing, false>::step(*this, next, r.buf[r.head++],
+                                           true);
         if constexpr (Epochs) {
             if (result_.accesses >= nextEpochAt_) {
                 snapshotEpoch(cores_[next].now);
@@ -543,13 +544,8 @@ System::runMeasuredLoop(std::uint64_t quota, bool use_ring)
 void
 System::fastForward(std::uint64_t per_core)
 {
-    if (per_core == 0)
-        return;
-    // Detailed windows between fast-forward legs may have evicted the
-    // blocks the MRU filters cache; start every leg cold.
-    ffFilter_.assign(cfg_.cores, FfFilter{});
     roundRobin(per_core, [this](unsigned c, const MemAccess &a) {
-        ffStep(c, a);
+        AccessEngine<false, true>::step(*this, c, a, false);
     });
 }
 
@@ -739,19 +735,27 @@ System::measureExact()
         result_.accesses > prevEpochAccesses_)
         snapshotEpoch(end);
 
-    result_.elapsed = end - measureStart_;
+    finishResult(
+        end - measureStart_,
+        static_cast<double>(dram_->busBusyReads() - busReadsAtStart_),
+        static_cast<double>(dram_->busBusyWrites() - busWritesAtStart_),
+        wall0);
+    return result_;
+}
+
+void
+System::finishResult(Tick elapsed, double bus_reads, double bus_writes,
+                     std::chrono::steady_clock::time_point wall0)
+{
+    result_.elapsed = elapsed;
     result_.footprintBytes = footprintBytes_;
     result_.dramUsedBytes = mc_->dramUsedBytes();
     result_.avgL3MissLatencyNs = l3MissLatency_.mean();
     const Tick window = result_.elapsed * cfg_.cores > 0
                             ? result_.elapsed
                             : Tick{1};
-    result_.readBusUtil =
-        static_cast<double>(dram_->busBusyReads() - busReadsAtStart_) /
-        static_cast<double>(window);
-    result_.writeBusUtil =
-        static_cast<double>(dram_->busBusyWrites() - busWritesAtStart_) /
-        static_cast<double>(window);
+    result_.readBusUtil = bus_reads / static_cast<double>(window);
+    result_.writeBusUtil = bus_writes / static_cast<double>(window);
 
     // Raw component counters plus sys.* pipeline counters.
     dumpAllStats(result_.stats);
@@ -763,8 +767,6 @@ System::measureExact()
                                  std::chrono::steady_clock::now() -
                                  wall0)
                                  .count();
-
-    return result_;
 }
 
 namespace
@@ -968,19 +970,7 @@ System::measureSampled()
             snapshotEpoch(wend);
     }
 
-    result_.elapsed = elapsed_total;
-    result_.footprintBytes = footprintBytes_;
-    result_.dramUsedBytes = mc_->dramUsedBytes();
-    result_.avgL3MissLatencyNs = l3MissLatency_.mean();
-    const Tick window = result_.elapsed * cfg_.cores > 0
-                            ? result_.elapsed
-                            : Tick{1};
-    result_.readBusUtil =
-        bus_reads_total / static_cast<double>(window);
-    result_.writeBusUtil =
-        bus_writes_total / static_cast<double>(window);
-
-    dumpAllStats(result_.stats);
+    finishResult(elapsed_total, bus_reads_total, bus_writes_total, wall0);
 
     // CI summary over the k windows for every headline metric.
     static const char *const names[10] = {
@@ -1006,13 +996,6 @@ System::measureSampled()
         result_.stats.set("sys.sample." + m.name + ".mean", m.mean);
         result_.stats.set("sys.sample." + m.name + ".ci95", m.ci95);
     }
-
-    result_.setupSeconds = setupSeconds_;
-    result_.measureSeconds = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() -
-                                 wall0)
-                                 .count();
-
     return result_;
 }
 

@@ -14,6 +14,7 @@
 #ifndef TMCC_SIM_SYSTEM_HH
 #define TMCC_SIM_SYSTEM_HH
 
+#include <chrono>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -33,7 +34,8 @@
 namespace tmcc
 {
 
-template <bool Tracing> struct AccessEngine;
+template <bool Tracing, bool Functional> struct AccessEngine;
+struct SystemTestPeer;
 
 /** One simulated machine + workload. */
 class System
@@ -94,7 +96,8 @@ class System
 
     // The per-access pipeline lives in AccessEngine
     // (sim/access_path.hh) and needs the private state.
-    template <bool Tracing> friend struct AccessEngine;
+    template <bool Tracing, bool Functional> friend struct AccessEngine;
+    friend struct SystemTestPeer; // tests/sim/fast_forward_test.cc
 
     /** Reject invalid --sample / --stats-interval combinations. */
     void validateRunConfig() const;
@@ -121,33 +124,28 @@ class System
     template <bool Tracing, bool Epochs>
     void runMeasuredLoopT(std::uint64_t quota, std::size_t refill);
 
-    /** Functionally fast-forward `per_core` accesses per core. */
-    void fastForward(std::uint64_t per_core);
-
-    /** One functional access (defined in sim/access_path.hh). */
-    void ffStep(unsigned core, const MemAccess &a);
-
     /**
-     * Per-core MRU block filter for the fast-forward path: a run of
-     * consecutive accesses to one block is an L1-hit run in the
-     * detailed model, where it touches no state below L1 and leaves
-     * L1's relative LRU order unchanged — so fast-forward can skip
-     * everything but the first access (and the first write, which
-     * must dirty the L1 copy).  Reset at every fast-forward leg:
-     * detailed windows in between may have evicted the cached block.
+     * Functionally fast-forward `per_core` accesses per core: the
+     * access engine's functional instantiation, so every translation
+     * and cache state update matches runWarm's, without timing.
      */
-    struct FfFilter
-    {
-        Addr vblock = invalidAddr; //!< virtual block of the last access
-        Addr pblock = invalidAddr; //!< its physical block
-        bool dirty = false;        //!< L1 copy already marked dirty
-    };
+    void fastForward(std::uint64_t per_core);
 
     /** The exact (non-sampled) measurement: warm + full window. */
     SimResult measureExact();
 
     /** SMARTS-style interval sampling: k detailed windows + CI. */
     SimResult measureSampled();
+
+    /**
+     * The closing bookkeeping both measurements share: whole-run
+     * figures for `elapsed` measured ticks in which the DRAM read and
+     * write buses were busy `bus_reads` and `bus_writes` ticks, the
+     * end-of-run StatDump, and the wall-clock phase times (measure
+     * time counted from `wall0`).
+     */
+    void finishResult(Tick elapsed, double bus_reads, double bus_writes,
+                      std::chrono::steady_clock::time_point wall0);
 
     /**
      * Dump every component's counters plus the measured-window
@@ -185,7 +183,6 @@ class System
     std::vector<std::unique_ptr<Tlb>> tlbs_;
     std::vector<std::unique_ptr<Walker>> walkers_;
     std::vector<CoreState> cores_;
-    std::vector<FfFilter> ffFilter_;
 
     std::uint64_t footprintBytes_ = 0;
     std::unordered_map<Addr, unsigned> regionMix_; //!< base -> mix id

@@ -140,36 +140,6 @@ class RefCache
                             line.compressed};
     }
 
-    bool
-    touch(const CacheLine &line, CacheLine &evicted)
-    {
-        const Addr tag = blockAlign(line.addr);
-        const std::size_t base = setOf(tag) * assoc_;
-        evicted.addr = invalidAddr;
-        for (unsigned w = 0; w < assoc_; ++w) {
-            Way &way = ways_[base + w];
-            if (way.valid && way.tag == tag) {
-                way.lru = ++clock_;
-                way.dirty |= line.dirty;
-                return true;
-            }
-        }
-        // Earliest way minimizing (invalid ? 0 : lru).
-        std::size_t victim = base;
-        std::uint64_t best = score(ways_[base]);
-        for (unsigned w = 1; w < assoc_; ++w)
-            if (score(ways_[base + w]) < best) {
-                best = score(ways_[base + w]);
-                victim = base + w;
-            }
-        if (ways_[victim].valid)
-            evicted = CacheLine{ways_[victim].tag, ways_[victim].dirty,
-                                ways_[victim].compressed};
-        ways_[victim] = Way{tag, ++clock_, true, line.dirty,
-                            line.compressed};
-        return false;
-    }
-
     void
     extract(Addr addr)
     {
@@ -202,12 +172,6 @@ class RefCache
     }
 
   private:
-    static std::uint64_t
-    score(const Way &w)
-    {
-        return w.valid ? w.lru : 0;
-    }
-
     std::size_t
     setOf(Addr addr) const
     {
@@ -270,7 +234,7 @@ driveCache(std::size_t sets, unsigned assoc)
         const Addr addr = (rng() % blocks) * blockSize + rng() % 64;
         const bool dirty = rng() % 2;
         const bool comp = rng() % 2;
-        switch (rng() % 8) {
+        switch (rng() % 6) {
         case 0:
         case 1:
             ASSERT_EQ(dut.access(addr, dirty),
@@ -290,18 +254,6 @@ driveCache(std::size_t sets, unsigned assoc)
             break;
         }
         case 4:
-        case 5: {
-            CacheLine dev, rev;
-            ASSERT_EQ(dut.touch({addr, dirty, comp}, dev),
-                      ref.touch({addr, dirty, comp}, rev));
-            ASSERT_EQ(dev.addr, rev.addr);
-            if (dev.addr != invalidAddr) {
-                ASSERT_EQ(dev.dirty, rev.dirty);
-                ASSERT_EQ(dev.compressed, rev.compressed);
-            }
-            break;
-        }
-        case 6:
             dut.invalidate(addr);
             ref.extract(addr);
             break;
@@ -802,10 +754,6 @@ TEST(ProbeKeyRangeDeathTest, CacheInsertPastTheKeyRangePanics)
     Cache c("l3", 4 * 16 * blockSize, 16);
     EXPECT_DEATH(c.insert({kCacheKeySpan, false, false}),
                  "l3: address 0x4000000000 is past the 32-bit");
-    CacheLine evicted;
-    EXPECT_DEATH(c.touch({kCacheKeySpan - blockSize, false, false},
-                         evicted),
-                 "l3: address 0x3fffffffc0 is past the 32-bit");
 }
 
 TEST(ProbeKeyRangeDeathTest, CteCacheInsertPastTheKeyRangePanics)

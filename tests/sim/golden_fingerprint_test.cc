@@ -88,17 +88,17 @@ constexpr GoldenCase goldenCases[] = {
     {"TmccHugePages", Arch::Tmcc, "pageRank", Variant::Huge,
      0x39385985u},
     {"SampledNoCompression", Arch::NoCompression, "pageRank",
-     Variant::Sampled, 0x4fcfaeeau},
+     Variant::Sampled, 0x4e5794f8u},
     {"SampledCompresso", Arch::Compresso, "pageRank", Variant::Sampled,
-     0x7a01c5d6u},
+     0xf83b782eu},
     {"SampledBarebone", Arch::Barebone, "pageRank", Variant::Sampled,
-     0x9c9eebf0u},
+     0xa6dda081u},
     {"SampledBarebonePlusMl1", Arch::BarebonePlusMl1, "pageRank",
-     Variant::Sampled, 0x213d98e0u},
+     Variant::Sampled, 0x50b88fb8u},
     {"SampledBarebonePlusMl2", Arch::BarebonePlusMl2, "pageRank",
-     Variant::Sampled, 0x73d964a6u},
+     Variant::Sampled, 0xa9a8d120u},
     {"SampledTmcc", Arch::Tmcc, "pageRank", Variant::Sampled,
-     0xb13d446eu},
+     0xb8555d26u},
     {"TmccPageRankTraced", Arch::Tmcc, "pageRank", Variant::Exact,
      tmccPageRank, true},
     {"TmccEpochsTraced", Arch::Tmcc, "pageRank", Variant::Epochs,
