@@ -31,6 +31,8 @@ main()
     for (const auto &n : smallWorkloadNames())
         all.push_back(n);
 
+    // Every workload's mix, measured in one codec pass.
+    std::vector<ContentMix> mixes;
     for (const auto &name : all) {
         auto wl = makeWorkload(name, 0, 4, 0.05, 1);
         // Weight each region's measured ratio by its size.
@@ -38,8 +40,13 @@ main()
         for (const auto &r : wl->regions())
             mix.parts.push_back(
                 {r.content, static_cast<double>(r.bytes)});
-        const unsigned id = lib.registerMix(mix);
-        const auto s = lib.summarize(id);
+        mixes.push_back(std::move(mix));
+    }
+    const std::vector<unsigned> ids = lib.registerMixes(mixes);
+
+    for (std::size_t w = 0; w < all.size(); ++w) {
+        const std::string &name = all[w];
+        const auto s = lib.summarize(ids[w]);
         blocks.push_back(s.blockRatio);
         deflates.push_back(s.deflateRatio);
         no_skips.push_back(s.deflateNoSkipRatio);

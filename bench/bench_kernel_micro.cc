@@ -5,12 +5,17 @@
  * cache and the TLB, on both the hit path (resident probe + LRU
  * refresh) and the miss path (whole-set compare that finds nothing).
  *
+ * Each figure is the fastest of several timed repetitions.
+ *
  * Not a paper figure.  The metrics live under the reserved `host.` key
  * namespace: machine-dependent trends, not exact-match numbers —
  * scripts/bench_diff.py classifies them accordingly.
  */
 
 #include "bench/bench_util.hh"
+
+#include <algorithm>
+#include <limits>
 
 #include "cache/cache.hh"
 #include "mc/cte_cache.hh"
@@ -53,21 +58,30 @@ indexMask(std::uint64_t n)
     return n - 1;
 }
 
+/**
+ * Timed repetitions per probe.  The fastest one is reported: host load
+ * only ever adds time, so the minimum is the steadiest estimate and
+ * resolves probe changes of 1-2 ns that a single timing cannot.
+ */
+constexpr unsigned repetitions = 7;
+
 template <class Fn>
 double
 nsPerOp(std::uint64_t iters, Fn &&fn)
 {
-    Scramble rng;
     std::uint64_t sink = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < iters; ++i)
-        sink += fn(rng.next());
-    const double sec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
+    double best = std::numeric_limits<double>::infinity();
+    for (unsigned r = 0; r < repetitions; ++r) {
+        Scramble rng;
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::uint64_t i = 0; i < iters; ++i)
+            sink += fn(rng.next());
+        best = std::min(best, std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count());
+    }
     g_probe_sink = sink;
-    return sec * 1e9 / static_cast<double>(iters);
+    return best * 1e9 / static_cast<double>(iters);
 }
 
 /**
@@ -152,7 +166,8 @@ main()
 {
     BenchReport report("kernel_micro");
     header("Probe-engine micro: ns per set probe, structure by structure",
-           "host-dependent trends only; ns/probe tracked PR-over-PR");
+           "host-dependent trends only; ns/probe, fastest of 7 "
+           "repetitions");
     probeStructures(report, quickEnabled() ? 300'000 : 3'000'000);
     return 0;
 }

@@ -49,6 +49,11 @@ namespace tmcc
 inline constexpr std::uint32_t dramTidBase = 64;
 inline constexpr std::uint32_t backgroundTid = 255;
 
+// On the host track (pid 0), the wall-clock setup phases of the System
+// with track p go to tid setupTidBase + p, clear of SimRunner's job
+// rows (tid = job index).
+inline constexpr std::uint32_t setupTidBase = 1u << 16;
+
 class Tracer
 {
   public:

@@ -1,11 +1,11 @@
 #include "sim/runner.hh"
 
 #include <atomic>
-#include <exception>
 #include <string>
 #include <thread>
 
 #include "common/cli.hh"
+#include "common/parallel.hh"
 #include "common/trace.hh"
 #include "sim/system.hh"
 
@@ -88,42 +88,12 @@ SimRunner::run(const std::vector<SimConfig> &configs) const
         }
     };
 
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, configs.size()));
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            run_one(i);
-        return results;
-    }
-
-    // Atomic-index dispatch: each worker claims the next unstarted
-    // config.  Results land by submission index, so the output order
-    // (and content -- every System is self-contained and seeded from
-    // its config alone) is identical to the serial loop.
-    std::atomic<std::size_t> next{0};
-    std::vector<std::exception_ptr> errors(configs.size());
-    auto work = [&] {
-        for (std::size_t i = next.fetch_add(1); i < configs.size();
-             i = next.fetch_add(1)) {
-            try {
-                run_one(i);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (unsigned w = 0; w + 1 < workers; ++w)
-        pool.emplace_back(work);
-    work();
-    for (auto &t : pool)
-        t.join();
-
-    for (const auto &err : errors)
-        if (err)
-            std::rethrow_exception(err);
+    // Results land by submission index, so the output order (and
+    // content -- every System is self-contained and seeded from its
+    // config alone) is identical to the serial loop.
+    parallelFor(
+        configs.size(), [&](std::size_t i, unsigned) { run_one(i); },
+        jobs_);
     return results;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * SimRunner: runs a batch of independent simulations on a worker-thread
- * pool.
+ * pool (common/parallel.hh's parallelFor).
  *
  * Every experiment harness in bench/ sweeps a grid of SimConfigs whose
  * runs share nothing (each System owns its DRAM, caches, workloads and
@@ -11,7 +11,9 @@
  * the batch serially.
  *
  * The worker count comes from the TMCC_JOBS environment variable when
- * set (a positive integer), else from std::thread::hardware_concurrency.
+ * set (a positive integer), else from std::thread::hardware_concurrency;
+ * either way no more workers run than the host has hardware threads.
+ * Each System's own setup threads run inline inside a worker.
  */
 
 #ifndef TMCC_SIM_RUNNER_HH
@@ -62,8 +64,8 @@ class SimRunner
     /**
      * Run every config and return the results in submission order.
      * Batches of one (or jobs() == 1) run inline on the caller's
-     * thread.  Exceptions from a worker are rethrown on the caller,
-     * earliest-submitted first.
+     * thread.  Every config runs even when some throw; the exception
+     * of the earliest-submitted one is then rethrown on the caller.
      */
     std::vector<SimResult> run(const std::vector<SimConfig> &configs) const;
 

@@ -4,11 +4,11 @@
 #include <array>
 #include <chrono>
 #include <string>
-#include <unordered_map>
 
 #include <cmath>
 
 #include "common/log.hh"
+#include "common/parallel.hh"
 #include "common/trace.hh"
 #include "sim/access_path.hh"
 
@@ -82,15 +82,43 @@ archByName(const std::string &name)
     fatal("unknown arch '" + name + "'");
 }
 
+namespace
+{
+
+/**
+ * Run one setup phase, and when tracing is on record it as a
+ * wall-clock span on the host track (pid 0), in the row of the
+ * System's own track `track`.
+ */
+template <class Fn>
+void
+tracedPhase(const char *name, std::uint32_t track, Fn &&fn)
+{
+    Tracer *tr = Tracer::active();
+    if (tr == nullptr) {
+        fn();
+        return;
+    }
+    const double t0 = tr->wallNs();
+    fn();
+    Tracer::PidScope host_scope(0);
+    tr->complete(name, "setup", setupTidBase + track, t0,
+                 tr->wallNs() - t0);
+}
+
+} // namespace
+
 System::System(const SimConfig &cfg) : cfg_(cfg)
 {
     const auto wall0 = std::chrono::steady_clock::now();
     cpuPeriod_ = nsToTicks(1.0 / cfg.cpuGhz);
 
+    claimTraceTrack();
     buildWorkloads();
     hierarchy_ = std::make_unique<Hierarchy>(cfg.hierarchy, cfg.cores);
     dram_ = std::make_unique<DramSystem>(cfg.dram, cfg.interleave);
-    buildMemories();
+    tracedPhase("setup.codecs", tracePid_, [this] { measureContent(); });
+    tracedPhase("setup.map", tracePid_, [this] { buildMemories(); });
     buildMcAndCores();
 
     // setup() adds its own span: setupSeconds_ covers both.
@@ -99,14 +127,36 @@ System::System(const SimConfig &cfg) : cfg_(cfg)
                         .count();
 }
 
-std::unordered_map<Addr, const WlRegion *>
+void
+System::claimTraceTrack()
+{
+    Tracer *tracer = Tracer::active();
+    if (tracer == nullptr || tracePid_ != 0)
+        return;
+    tracePid_ = tracer->allocTrack();
+    tracer->processName(tracePid_, std::string(archName(cfg_.arch)) +
+                                       ":" + cfg_.workload);
+}
+
+std::vector<const WlRegion *>
 System::regionMap() const
 {
-    // Regions may be shared across cores; dedupe by base address.
-    std::unordered_map<Addr, const WlRegion *> regions;
+    // Regions may be shared across cores; dedupe by base address,
+    // keeping the first core's copy.  The sorted order is the frame
+    // allocation order, so it must not depend on the host.
+    std::vector<const WlRegion *> regions;
     for (const auto &wl : workloads_)
         for (const auto &r : wl->regions())
-            regions.emplace(r.base, &r);
+            regions.push_back(&r);
+    std::stable_sort(regions.begin(), regions.end(),
+                     [](const WlRegion *a, const WlRegion *b) {
+                         return a->base < b->base;
+                     });
+    regions.erase(std::unique(regions.begin(), regions.end(),
+                              [](const WlRegion *a, const WlRegion *b) {
+                                  return a->base == b->base;
+                              }),
+                  regions.end());
     return regions;
 }
 
@@ -117,8 +167,7 @@ System::buildMemories()
     // hardware compression the OS may boot with more physical pages
     // than DRAM (§V-A5); the MC maps them onto DRAM.
     std::uint64_t footprint_pages = 0;
-    const auto regions = regionMap();
-    for (const auto &[base, r] : regions)
+    for (const WlRegion *r : regions_)
         footprint_pages += r->bytes / pageSize;
     footprintBytes_ = footprint_pages * pageSize;
 
@@ -153,20 +202,20 @@ System::buildMemories()
             const Ppn hppn = physMem_->allocFrame();
             hostTable_->map(gppn, hppn, hf);
         }
-        for (const auto &[base, r] : regions) {
-            const unsigned mix_id = regionMix_.at(base);
+        for (std::size_t k = 0; k < regions_.size(); ++k) {
+            const WlRegion *r = regions_[k];
             for (std::uint64_t i = 0; i < r->bytes / pageSize; ++i) {
                 const WalkResult w =
                     pageTable_->walk(r->base + i * pageSize);
                 if (w.valid)
-                    profiles_.assignPage(dataFrame(w.ppn), mix_id);
+                    profiles_.assignPage(dataFrame(w.ppn), regionMix_[k]);
             }
         }
     }
 
     // Estimate Compresso's DRAM usage from the profiles to support the
     // iso-savings configuration (Fig. 17).
-    for (const auto &[base, r] : regions) {
+    for (const WlRegion *r : regions_) {
         const std::uint64_t pages = r->bytes / pageSize;
         for (std::uint64_t i = 0; i < pages; ++i) {
             const Vpn vpn = pageNumber(r->base) + i;
@@ -270,28 +319,36 @@ System::buildWorkloads()
     for (unsigned c = 0; c < cfg_.cores; ++c)
         workloads_.push_back(makeWorkload(cfg_.workload, c, cfg_.cores,
                                           cfg_.scale, cfg_.seed));
+    regions_ = regionMap();
+}
+
+void
+System::measureContent()
+{
+    // One mix per distinct content spec, in region order, all measured
+    // in one codec pass.
+    std::vector<ContentMix> mixes;
+    regionMix_.clear();
+    for (const WlRegion *r : regions_) {
+        std::size_t m = 0;
+        while (m < mixes.size() && !(mixes[m].parts[0].spec == r->content))
+            ++m;
+        if (m == mixes.size())
+            mixes.push_back({{{r->content, 1.0}}});
+        regionMix_.push_back(static_cast<unsigned>(m));
+    }
+    const std::vector<unsigned> ids = profiles_.registerMixes(mixes);
+    for (unsigned &mix_id : regionMix_)
+        mix_id = ids[mix_id];
 }
 
 void
 System::mapAddressSpace()
 {
-    // One mix per distinct content spec.
-    std::vector<std::pair<ContentSpec, unsigned>> mixes;
-    auto mix_for = [&](const ContentSpec &spec) {
-        for (const auto &[s, id] : mixes)
-            if (s == spec)
-                return id;
-        ContentMix mix;
-        mix.parts.push_back({spec, 1.0});
-        const unsigned id = profiles_.registerMix(mix);
-        mixes.emplace_back(spec, id);
-        return id;
-    };
-
     Rng rng(cfg_.seed ^ 0xabcd);
-    for (const auto &[base, r] : regionMap()) {
-        const unsigned mix_id = mix_for(r->content);
-        regionMix_[base] = mix_id;
+    for (std::size_t k = 0; k < regions_.size(); ++k) {
+        const WlRegion *r = regions_[k];
+        const unsigned mix_id = regionMix_[k];
         const std::uint64_t pages = r->bytes / pageSize;
         if (cfg_.hugePages) {
             const std::uint64_t huge_pages =
@@ -335,6 +392,81 @@ System::mapAddressSpace()
     }
 }
 
+std::vector<Vpn>
+System::hotPages()
+{
+    // Dense page index over the sorted regions: region k's pages take
+    // slots start[k] .. start[k + 1] - 1.
+    std::vector<Vpn> first_vpn;
+    std::vector<std::uint64_t> start{0};
+    for (const WlRegion *r : regions_) {
+        first_vpn.push_back(pageNumber(r->base));
+        start.push_back(start.back() + r->bytes / pageSize);
+    }
+    const std::uint64_t pages = start.back();
+    const bool by_heat = mc_->placesByHeat();
+
+    // Each core's stream on a worker (engines are per-core and share
+    // no mutable state); each worker counts into its own array, so
+    // memory is bounded by the worker count, not the core count.
+    // Accesses outside every region would fault in a detailed run;
+    // they are not counted.
+    constexpr std::size_t batch = 256;
+    std::vector<std::vector<std::uint32_t>> counts(
+        by_heat ? parallelWorkers(cfg_.cores) : 0);
+    parallelFor(cfg_.cores, [&](std::size_t c, unsigned worker) {
+        std::vector<std::uint32_t> *mine = nullptr;
+        if (by_heat) {
+            mine = &counts[worker];
+            mine->resize(pages, 0);
+        }
+        std::array<MemAccess, batch> buf;
+        for (std::uint64_t done = 0; done < cfg_.placementAccesses;) {
+            const auto n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(batch,
+                                        cfg_.placementAccesses - done));
+            workloads_[c]->nextBatch(buf.data(), n);
+            done += n;
+            if (mine == nullptr)
+                continue;
+            for (std::size_t i = 0; i < n; ++i) {
+                const Vpn vpn = pageNumber(buf[i].vaddr);
+                const std::size_t k = static_cast<std::size_t>(
+                    std::upper_bound(first_vpn.begin(), first_vpn.end(),
+                                     vpn) -
+                    first_vpn.begin());
+                if (k > 0 && vpn - first_vpn[k - 1] < start[k] - start[k - 1])
+                    ++(*mine)[start[k - 1] + (vpn - first_vpn[k - 1])];
+            }
+        }
+    });
+    if (!by_heat)
+        return {};
+
+    std::vector<std::uint32_t> total(pages, 0);
+    for (const auto &mine : counts)
+        for (std::size_t i = 0; i < mine.size(); ++i)
+            total[i] += mine[i];
+
+    // Hottest first; equal counts in ascending VPN order, so the order
+    // is total and independent of the host.
+    std::vector<std::pair<std::uint32_t, Vpn>> order;
+    for (std::size_t k = 0; k < regions_.size(); ++k)
+        for (std::uint64_t i = start[k]; i < start[k + 1]; ++i)
+            if (total[i] > 0)
+                order.emplace_back(total[i], first_vpn[k] + (i - start[k]));
+    std::sort(order.begin(), order.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first != b.first ? a.first > b.first
+                                            : a.second < b.second;
+              });
+    std::vector<Vpn> hot;
+    hot.reserve(order.size());
+    for (const auto &[count, vpn] : order)
+        hot.push_back(vpn);
+    return hot;
+}
+
 void
 System::warmPlacement()
 {
@@ -342,19 +474,16 @@ System::warmPlacement()
     // counts order pages hottest-first for initial ML1/ML2 placement;
     // only an MC that places by heat needs them, but every arch draws
     // the accesses so the measured streams start at the same point.
-    const bool by_heat = mc_->placesByHeat();
-    std::unordered_map<Vpn, std::uint32_t> touches;
-    for (unsigned c = 0; c < cfg_.cores; ++c) {
-        for (std::uint64_t i = 0; i < cfg_.placementAccesses; ++i) {
-            const MemAccess a = workloads_[c]->next();
-            if (by_heat)
-                ++touches[pageNumber(a.vaddr)];
-        }
-    }
-
+    std::vector<Vpn> hot;
+    tracedPhase("setup.touch", tracePid_, [&] { hot = hotPages(); });
     if (!mc_->hasCtes())
         return;
+    tracedPhase("setup.place", tracePid_, [&] { placePages(hot); });
+}
 
+void
+System::placePages(const std::vector<Vpn> &hot)
+{
     // Page-table pages are the hottest of all (every walk touches
     // them): place first.
     std::vector<Ppn> pt_pages;
@@ -366,24 +495,14 @@ System::warmPlacement()
     // the full region scan — remaining (untouched) pages are the
     // coldest.
     std::vector<Ppn> touched_frames;
-    if (by_heat) {
-        std::vector<std::pair<std::uint32_t, Vpn>> order;
-        order.reserve(touches.size());
-        for (const auto &[vpn, count] : touches)
-            order.emplace_back(count, vpn);
-        std::sort(order.begin(), order.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first > b.first;
-                  });
-        touched_frames.reserve(order.size());
-        for (const auto &[count, vpn] : order) {
-            const WalkResult w = pageTable_->walk(vpn << pageShift);
-            if (w.valid)
-                touched_frames.push_back(dataFrame(w.ppn));
-        }
+    touched_frames.reserve(hot.size());
+    for (Vpn vpn : hot) {
+        const WalkResult w = pageTable_->walk(vpn << pageShift);
+        if (w.valid)
+            touched_frames.push_back(dataFrame(w.ppn));
     }
     std::vector<Ppn> region_frames;
-    for (const auto &[base, r] : regionMap()) {
+    for (const WlRegion *r : regions_) {
         for (std::uint64_t i = 0; i < r->bytes / pageSize; ++i) {
             const WalkResult w =
                 pageTable_->walk(r->base + i * pageSize);
@@ -630,13 +749,7 @@ System::setup()
     setupDone_ = true;
     const auto wall0 = std::chrono::steady_clock::now();
 
-    Tracer *tracer = Tracer::active();
-    if (tracer != nullptr && tracePid_ == 0) {
-        tracePid_ = tracer->allocTrack();
-        tracer->processName(tracePid_,
-                            std::string(archName(cfg_.arch)) + ":" +
-                                cfg_.workload);
-    }
+    claimTraceTrack();
     Tracer::PidScope pid_scope(tracePid_);
 
     warmPlacement();

@@ -4,8 +4,9 @@
  * walkers, the cache hierarchy, one of the MC architectures, and the
  * DRAM back end, driven by workload engines.
  *
- * The run proceeds in the paper's phases: map the address space, warm
- * placement (touch-count ordering stands in for the KVM fast-forward),
+ * The run proceeds in the paper's phases: measure the content codecs,
+ * map the address space, warm placement (touch-count ordering stands in
+ * for the KVM fast-forward),
  * ML1/ML2 + cache/TLB warm-up, then a measured window.  Every detailed
  * access runs through the one access engine (sim/access_path.hh), fed
  * from per-core 64-slot rings of workload accesses.
@@ -16,7 +17,6 @@
 
 #include <chrono>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -77,7 +77,13 @@ class System
         std::uint64_t compressiblePages = 0;
     };
 
+    /** The per-core engines and their deduped regions. */
     void buildWorkloads();
+    /**
+     * Measure every distinct region content spec in one codec pass
+     * (ProfileLibrary::registerMixes) and record each region's mix.
+     */
+    void measureContent();
     /** Size memories, build tables, estimate usage. */
     void buildMemories();
     /**
@@ -86,10 +92,31 @@ class System
      */
     void buildMcAndCores();
     void mapAddressSpace();
+
+    /**
+     * Initial ML1/ML2 placement: the touch-count run (hotPages), then,
+     * for an MC with CTEs, placePages.  Records the `setup.touch` and
+     * `setup.place` trace spans.
+     */
     void warmPlacement();
 
-    /** Workload regions deduped by base address. */
-    std::unordered_map<Addr, const WlRegion *> regionMap() const;
+    /**
+     * Draw `placementAccesses` per core, each core's stream on a
+     * parallelFor worker, and return the touched pages ordered by
+     * (touch count desc, VPN asc); empty when the MC does not place by
+     * heat.  Counts go to per-worker dense arrays indexed over the
+     * regions.
+     */
+    std::vector<Vpn> hotPages();
+
+    /** Page-table pages, then `hot`, then every region page, in order. */
+    void placePages(const std::vector<Vpn> &hot);
+
+    /** Workload regions deduped and sorted by base address. */
+    std::vector<const WlRegion *> regionMap() const;
+
+    /** Claim this System's trace track when tracing is on. */
+    void claimTraceTrack();
 
     /** Host frame backing a (possibly guest) page number. */
     Ppn dataFrame(Ppn ppn) const;
@@ -97,7 +124,7 @@ class System
     // The per-access pipeline lives in AccessEngine
     // (sim/access_path.hh) and needs the private state.
     template <bool Tracing, bool Functional> friend struct AccessEngine;
-    friend struct SystemTestPeer; // tests/sim/fast_forward_test.cc
+    friend struct SystemTestPeer; // tests/sim/system_test_peer.hh
 
     /** Reject invalid --sample / --stats-interval combinations. */
     void validateRunConfig() const;
@@ -185,7 +212,8 @@ class System
     std::vector<CoreState> cores_;
 
     std::uint64_t footprintBytes_ = 0;
-    std::unordered_map<Addr, unsigned> regionMix_; //!< base -> mix id
+    std::vector<const WlRegion *> regions_; //!< regionMap(), sorted
+    std::vector<unsigned> regionMix_;       //!< mix id per regions_ entry
 
     // Measured-window accumulators.
     SimResult result_;

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 
 #include "common/log.hh"
+#include "common/parallel.hh"
 #include "compress/block_compressor.hh"
 #include "compress/mem_deflate.hh"
 #include "compress/rfc_deflate.hh"
@@ -98,51 +99,96 @@ partCache()
     return c;
 }
 
-/** Run the real codecs over `key.samples` sample pages of the part. */
-PartMeasurement
-measurePart(const PartKey &key)
+/** One worker's codecs (every compress() call is const). */
+struct Codecs
 {
     BlockCompressor block;
     MemDeflate deflate;
-    MemDeflateConfig no_skip_cfg;
-    no_skip_cfg.dynamicHuffmanSkip = false;
-    MemDeflate deflate_no_skip(no_skip_cfg);
+    MemDeflate deflateNoSkip{[] {
+        MemDeflateConfig cfg;
+        cfg.dynamicHuffmanSkip = false;
+        return cfg;
+    }()};
     RfcDeflate rfc;
+};
 
-    // The part's own stream: a pure function of (spec, seed), so the
-    // measurement cannot depend on registration order.
-    Rng rng(key.seed ^ specHash(key.spec));
+/** The codec outputs of one sample page. */
+struct SampleSizes
+{
+    std::uint64_t block = 0, deflate = 0, noSkip = 0, rfc = 0;
+    std::uint64_t tokens = 0;
+    unsigned huffmanUsed = 0;
+};
 
-    std::uint64_t block_total = 0, deflate_total = 0;
-    std::uint64_t no_skip_total = 0, rfc_total = 0;
-    std::uint64_t tokens_total = 0;
-    unsigned huff_used = 0;
-    for (unsigned s = 0; s < key.samples; ++s) {
-        const auto page = generateContent(key.spec, rng);
-        block_total += block.compressPage(page.data());
-        const CompressedPage dp = deflate.compress(page.data(), page.size());
-        deflate_total += dp.sizeBytes();
-        tokens_total += dp.lzTokens;
-        huff_used += dp.huffmanUsed;
-        no_skip_total +=
-            deflate_no_skip.compress(page.data(), page.size()).sizeBytes();
-        rfc_total += rfc.compress(page.data(), page.size()).sizeBytes();
+/** Compressed sizes averaged over `samples` pages, capped at a page. */
+std::uint32_t
+meanBytes(std::uint64_t total, unsigned samples)
+{
+    return static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(pageSize, total / samples));
+}
+
+/**
+ * Run the real codecs over `samples` sample pages of every key, one
+ * (key, sample) page per task across the workers, and reduce the
+ * integer sums per key in sample order.
+ */
+std::vector<PartMeasurement>
+measureParts(const std::vector<PartKey> &keys, unsigned samples)
+{
+    // The sample pages first, serially: each part draws from its own
+    // stream, a pure function of (spec, seed), so no measurement can
+    // depend on registration order or on which worker compresses it.
+    std::vector<std::vector<std::uint8_t>> pages;
+    pages.reserve(keys.size() * samples);
+    for (const PartKey &key : keys) {
+        Rng rng(ProfileLibrary::partSeed(key.spec, key.seed));
+        for (unsigned s = 0; s < samples; ++s)
+            pages.push_back(generateContent(key.spec, rng));
     }
-    cachePages.fetch_add(key.samples, std::memory_order_relaxed);
 
-    PartMeasurement m;
-    m.profile.blockBytes = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(pageSize, block_total / key.samples));
-    m.profile.deflateBytes = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(pageSize, deflate_total / key.samples));
-    m.profile.rfcBytes = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(pageSize, rfc_total / key.samples));
-    m.profile.lzTokens =
-        static_cast<std::uint32_t>(tokens_total / key.samples);
-    m.profile.huffmanUsed = huff_used * 2 >= key.samples;
-    m.noSkipBytes = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(pageSize, no_skip_total / key.samples));
-    return m;
+    std::vector<SampleSizes> sizes(pages.size());
+    std::vector<std::unique_ptr<Codecs>> codecs(
+        parallelWorkers(pages.size()));
+    parallelFor(pages.size(), [&](std::size_t i, unsigned worker) {
+        if (!codecs[worker])
+            codecs[worker] = std::make_unique<Codecs>();
+        const Codecs &c = *codecs[worker];
+        const std::vector<std::uint8_t> &page = pages[i];
+        SampleSizes &out = sizes[i];
+        out.block = c.block.compressPage(page.data());
+        const CompressedPage dp = c.deflate.compress(page.data(),
+                                                     page.size());
+        out.deflate = dp.sizeBytes();
+        out.tokens = dp.lzTokens;
+        out.huffmanUsed = dp.huffmanUsed;
+        out.noSkip =
+            c.deflateNoSkip.compress(page.data(), page.size()).sizeBytes();
+        out.rfc = c.rfc.compress(page.data(), page.size()).sizeBytes();
+    });
+    cachePages.fetch_add(pages.size(), std::memory_order_relaxed);
+
+    std::vector<PartMeasurement> results(keys.size());
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+        SampleSizes sum;
+        for (unsigned s = 0; s < samples; ++s) {
+            const SampleSizes &x = sizes[k * samples + s];
+            sum.block += x.block;
+            sum.deflate += x.deflate;
+            sum.noSkip += x.noSkip;
+            sum.rfc += x.rfc;
+            sum.tokens += x.tokens;
+            sum.huffmanUsed += x.huffmanUsed;
+        }
+        PartMeasurement &m = results[k];
+        m.profile.blockBytes = meanBytes(sum.block, samples);
+        m.profile.deflateBytes = meanBytes(sum.deflate, samples);
+        m.profile.rfcBytes = meanBytes(sum.rfc, samples);
+        m.profile.lzTokens = static_cast<std::uint32_t>(sum.tokens / samples);
+        m.profile.huffmanUsed = sum.huffmanUsed * 2 >= samples;
+        m.noSkipBytes = meanBytes(sum.noSkip, samples);
+    }
+    return results;
 }
 
 } // namespace
@@ -163,79 +209,69 @@ ProfileLibrary::ProfileLibrary(unsigned samples_per_part,
 unsigned
 ProfileLibrary::registerMix(const ContentMix &mix)
 {
-    fatalIf(mix.parts.empty(), "content mix needs at least one part");
+    return registerMixes({mix}).front();
+}
+
+std::vector<unsigned>
+ProfileLibrary::registerMixes(const std::vector<ContentMix> &mixes)
+{
     fatalIf(samplesPerPart_ == 0, "samples per part must be positive");
+    for (const ContentMix &mix : mixes)
+        fatalIf(mix.parts.empty(), "content mix needs at least one part");
 
-    std::vector<PartKey> keys;
-    keys.reserve(mix.parts.size());
-    for (const auto &part : mix.parts)
-        keys.push_back({part.spec, samplesPerPart_, seed_});
-
-    // Find which parts are cold, deduplicating within the mix.
+    // Find which parts are cold, deduplicating across the whole pass.
+    // Repeats ride the first part's measurement, so they count as hits
+    // too: misses == unique cold measurements.
     std::vector<PartKey> missing;
     {
         std::lock_guard<std::mutex> lock(cacheMutex);
         const auto &c = partCache();
-        for (const auto &key : keys) {
-            bool queued = false;
-            for (const auto &m : missing)
-                queued = queued || m == key;
-            if (c.count(key) || queued) {
-                // Repeats within one mix ride the first part's
-                // measurement, so they count as hits too: misses ==
-                // unique cold measurements.
-                cacheHits.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                cacheMisses.fetch_add(1, std::memory_order_relaxed);
-                missing.push_back(key);
+        for (const ContentMix &mix : mixes) {
+            for (const auto &part : mix.parts) {
+                const PartKey key{part.spec, samplesPerPart_, seed_};
+                if (c.count(key) ||
+                    std::find(missing.begin(), missing.end(), key) !=
+                        missing.end()) {
+                    cacheHits.fetch_add(1, std::memory_order_relaxed);
+                } else {
+                    cacheMisses.fetch_add(1, std::memory_order_relaxed);
+                    missing.push_back(key);
+                }
             }
         }
     }
 
-    // Measure cold parts, in parallel when there are several (each
-    // worker builds its own codecs; parts are independent).
     if (!missing.empty()) {
-        std::vector<PartMeasurement> results(missing.size());
-        const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-            missing.size(),
-            std::max(1u, std::thread::hardware_concurrency())));
-        if (workers <= 1) {
-            for (std::size_t i = 0; i < missing.size(); ++i)
-                results[i] = measurePart(missing[i]);
-        } else {
-            std::atomic<std::size_t> next{0};
-            auto work = [&] {
-                for (std::size_t i = next.fetch_add(1);
-                     i < missing.size(); i = next.fetch_add(1))
-                    results[i] = measurePart(missing[i]);
-            };
-            std::vector<std::thread> pool;
-            pool.reserve(workers - 1);
-            for (unsigned w = 0; w + 1 < workers; ++w)
-                pool.emplace_back(work);
-            work();
-            for (auto &t : pool)
-                t.join();
-        }
+        const std::vector<PartMeasurement> results =
+            measureParts(missing, samplesPerPart_);
         std::lock_guard<std::mutex> lock(cacheMutex);
         for (std::size_t i = 0; i < missing.size(); ++i)
             partCache().emplace(missing[i], results[i]);
     }
 
-    MeasuredMix measured;
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        const auto &c = partCache();
-        for (std::size_t i = 0; i < mix.parts.size(); ++i) {
-            const PartMeasurement &m = c.at(keys[i]);
+    std::vector<unsigned> ids;
+    ids.reserve(mixes.size());
+    std::lock_guard<std::mutex> lock(cacheMutex);
+    const auto &c = partCache();
+    for (const ContentMix &mix : mixes) {
+        MeasuredMix measured;
+        for (const auto &part : mix.parts) {
+            const PartMeasurement &m =
+                c.at({part.spec, samplesPerPart_, seed_});
             measured.profiles.push_back(m.profile);
-            measured.weights.push_back(mix.parts[i].weight);
+            measured.weights.push_back(part.weight);
             measured.deflateNoSkipBytes.push_back(m.noSkipBytes);
         }
+        mixes_.push_back(std::move(measured));
+        ids.push_back(static_cast<unsigned>(mixes_.size() - 1));
     }
+    return ids;
+}
 
-    mixes_.push_back(std::move(measured));
-    return static_cast<unsigned>(mixes_.size() - 1);
+std::uint64_t
+ProfileLibrary::partSeed(const ContentSpec &spec, std::uint64_t seed)
+{
+    return seed ^ specHash(spec);
 }
 
 ProfileLibrary::CacheStats

@@ -31,17 +31,19 @@ struct ContentMix
 /**
  * Measures and serves per-page compressibility profiles.
  *
- * registerMix() samples `samplesPerPart` pages per family with the real
- * BlockCompressor / MemDeflate / RfcDeflate codecs and averages the
- * results into one PageProfile per part; pages are then assigned to
- * parts by weight (deterministic per PPN).
+ * registerMixes() samples `samplesPerPart` pages per family with the
+ * real BlockCompressor / MemDeflate / RfcDeflate codecs and averages
+ * the results into one PageProfile per part; pages are then assigned
+ * to parts by weight (deterministic per PPN).
  *
  * Measurements are memoized process-wide, keyed by (content spec,
  * samples, seed): a part's profile is a pure function of that key (each
  * part gets its own RNG stream derived from the key), so repeated
  * System constructions across an experiment grid stop re-compressing
- * identical sample pages.  The cache is thread-safe; cold parts of one
- * mix are measured in parallel.
+ * identical sample pages.  The cache is thread-safe.  All cold parts
+ * of one registerMixes() call are measured in one pass: their sample
+ * pages are generated serially, then compressed page by page across
+ * parallelFor workers, each with its own codecs.
  */
 class ProfileLibrary : public PageInfoProvider
 {
@@ -49,12 +51,20 @@ class ProfileLibrary : public PageInfoProvider
     explicit ProfileLibrary(unsigned samples_per_part = 12,
                             std::uint64_t seed = 0xfeed);
 
-    /** Measure a mix; returns its id. */
+    /**
+     * Measure several mixes in one codec pass; returns their ids, in
+     * order.
+     */
+    std::vector<unsigned> registerMixes(const std::vector<ContentMix> &mixes);
+
+    /** Measure one mix (a one-mix registerMixes()); returns its id. */
     unsigned registerMix(const ContentMix &mix);
 
     /** Counters for the process-wide measurement cache (stats hook for
-     * tests and benches). `pagesCompressed` counts every sample page
-     * run through the codecs; cache hits add none. */
+     * tests and benches).  A part of a registered mix is a miss when
+     * its (spec, samples, seed) is neither cached nor already queued
+     * in the same pass, else a hit; `pagesCompressed` counts every
+     * sample page run through the codecs (samples per miss). */
     struct CacheStats
     {
         std::uint64_t hits = 0;
@@ -65,6 +75,14 @@ class ProfileLibrary : public PageInfoProvider
 
     /** Drop all memoized measurements (tests). */
     static void clearCache();
+
+    /**
+     * Seed of a part's sample-page stream: a pure function of its spec
+     * and the library seed, so no measurement depends on registration
+     * order (and tests can regenerate the pages).
+     */
+    static std::uint64_t partSeed(const ContentSpec &spec,
+                                  std::uint64_t seed);
 
     /** Assign a physical page to a mix (profile picked by PPN hash). */
     void assignPage(Ppn ppn, unsigned mix_id);

@@ -20,34 +20,10 @@
 #include <ostream>
 #include <string>
 
-#include "sim/system.hh"
+#include "tests/sim/system_test_peer.hh"
 
 namespace tmcc
 {
-
-/** Reaches the two warm-up phases System keeps private. */
-struct SystemTestPeer
-{
-    static void
-    fastForward(System &sys, std::uint64_t per_core)
-    {
-        sys.fastForward(per_core);
-    }
-
-    static void
-    runWarm(System &sys, std::uint64_t per_core)
-    {
-        sys.runWarm(per_core);
-    }
-
-    static StatDump
-    stats(const System &sys)
-    {
-        StatDump dump;
-        sys.dumpAllStats(dump);
-        return dump;
-    }
-};
 
 namespace
 {

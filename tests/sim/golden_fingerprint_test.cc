@@ -56,49 +56,49 @@ struct GoldenCase
 
 // Tracing must not perturb the simulation: each traced case shares its
 // untraced digest.
-constexpr std::uint32_t tmccPageRank = 0xaa9cabf7u;
-constexpr std::uint32_t tmccEpochs = 0x937ae566u;
-constexpr std::uint32_t tmccNestedPaging = 0xa85ec13du;
+constexpr std::uint32_t tmccPageRank = 0xd7b64060u;
+constexpr std::uint32_t tmccEpochs = 0xd9e6a016u;
+constexpr std::uint32_t tmccNestedPaging = 0x976717feu;
 
 // mcf's footprint at this scale never reaches ML2, where TMCC and
 // barebone+ml1opt differ, so their digests coincide.
 constexpr GoldenCase goldenCases[] = {
     {"NoCompressionPageRank", Arch::NoCompression, "pageRank",
-     Variant::Exact, 0xad3ecf22u},
+     Variant::Exact, 0xe6cbbdbfu},
     {"CompressoPageRank", Arch::Compresso, "pageRank", Variant::Exact,
-     0xf3c54262u},
+     0x876df926u},
     {"BarebonePageRank", Arch::Barebone, "pageRank", Variant::Exact,
-     0x1a8977e1u},
+     0xa8ac8a26u},
     {"BarebonePlusMl1PageRank", Arch::BarebonePlusMl1, "pageRank",
-     Variant::Exact, 0x30fb7037u},
+     Variant::Exact, 0x7c644422u},
     {"BarebonePlusMl2PageRank", Arch::BarebonePlusMl2, "pageRank",
-     Variant::Exact, 0x470eb08du},
+     Variant::Exact, 0xa75018f4u},
     {"TmccPageRank", Arch::Tmcc, "pageRank", Variant::Exact,
      tmccPageRank},
-    {"TmccMcf", Arch::Tmcc, "mcf", Variant::Exact, 0xed9aa97au},
+    {"TmccMcf", Arch::Tmcc, "mcf", Variant::Exact, 0xf21c08c3u},
     {"BarebonePlusMl1Mcf", Arch::BarebonePlusMl1, "mcf", Variant::Exact,
-     0xed9aa97au},
+     0xf21c08c3u},
     {"CompressoMcf", Arch::Compresso, "mcf", Variant::Exact,
-     0x420f3fafu},
+     0x0723918bu},
     {"NoCompressionEpochs", Arch::NoCompression, "pageRank",
-     Variant::Epochs, 0xa3ed7a17u},
+     Variant::Epochs, 0x6cf9746du},
     {"TmccEpochs", Arch::Tmcc, "pageRank", Variant::Epochs, tmccEpochs},
     {"TmccNestedPaging", Arch::Tmcc, "pageRank", Variant::Nested,
      tmccNestedPaging},
     {"TmccHugePages", Arch::Tmcc, "pageRank", Variant::Huge,
-     0x39385985u},
+     0x3f573472u},
     {"SampledNoCompression", Arch::NoCompression, "pageRank",
-     Variant::Sampled, 0x4e5794f8u},
+     Variant::Sampled, 0xd5e44737u},
     {"SampledCompresso", Arch::Compresso, "pageRank", Variant::Sampled,
-     0xf83b782eu},
+     0x0bf825e4u},
     {"SampledBarebone", Arch::Barebone, "pageRank", Variant::Sampled,
-     0xa6dda081u},
+     0xa8619bd7u},
     {"SampledBarebonePlusMl1", Arch::BarebonePlusMl1, "pageRank",
-     Variant::Sampled, 0x50b88fb8u},
+     Variant::Sampled, 0x3b814e99u},
     {"SampledBarebonePlusMl2", Arch::BarebonePlusMl2, "pageRank",
-     Variant::Sampled, 0xa9a8d120u},
+     Variant::Sampled, 0x8035aeb4u},
     {"SampledTmcc", Arch::Tmcc, "pageRank", Variant::Sampled,
-     0xb8555d26u},
+     0xb6ecec9cu},
     {"TmccPageRankTraced", Arch::Tmcc, "pageRank", Variant::Exact,
      tmccPageRank, true},
     {"TmccEpochsTraced", Arch::Tmcc, "pageRank", Variant::Epochs,

@@ -1,12 +1,20 @@
 /** Integration tests: the assembled system end to end. */
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.hh"
+#include "common/serial.hh"
 #include "common/trace.hh"
+#include "sim/sweep_manifest.hh"
 #include "sim/system.hh"
+#include "tests/sim/system_test_peer.hh"
 
 namespace tmcc
 {
@@ -284,6 +292,19 @@ TEST(System, TracingDoesNotPerturbResults)
         EXPECT_TRUE(tracer.finish());
         EXPECT_GT(tracer.eventCount(), 0u);
     }
+    // Each setup phase left its wall-clock span.
+    std::string trace;
+    if (std::FILE *f = std::fopen(path.c_str(), "rb")) {
+        char buf[4096];
+        for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;)
+            trace.append(buf, n);
+        std::fclose(f);
+    }
+    for (const char *span :
+         {"setup.codecs", "setup.map", "setup.touch", "setup.place"})
+        EXPECT_NE(trace.find(std::string("\"") + span + "\""),
+                  std::string::npos)
+            << span;
     std::remove(path.c_str());
 
     EXPECT_EQ(rp.accesses, rt.accesses);
@@ -296,6 +317,77 @@ TEST(System, TracingDoesNotPerturbResults)
     ASSERT_EQ(rp.stats.all().size(), rt.stats.all().size());
     for (const auto &[name, v] : rp.stats.all())
         EXPECT_DOUBLE_EQ(v, rt.stats.getRequired(name)) << name;
+}
+
+TEST(System, WarmPlacementBreaksTiesByVpn)
+{
+    // Reference: the same per-core streams drawn serially and counted
+    // into an ordered map, then sorted by (count desc, VPN asc).
+    const SimConfig cfg = tinyConfig(Arch::Tmcc);
+    std::map<Vpn, std::uint32_t> touches;
+    for (unsigned c = 0; c < cfg.cores; ++c) {
+        auto wl = makeWorkload(cfg.workload, c, cfg.cores, cfg.scale,
+                               cfg.seed);
+        for (std::uint64_t i = 0; i < cfg.placementAccesses; ++i)
+            ++touches[pageNumber(wl->next().vaddr)];
+    }
+    std::vector<std::pair<std::uint32_t, Vpn>> order;
+    for (const auto &[vpn, count] : touches)
+        order.emplace_back(count, vpn);
+    std::stable_sort(order.begin(), order.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first > b.first;
+                     });
+    std::vector<Vpn> expected;
+    unsigned ties = 0;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        expected.push_back(order[i].second);
+        ties += i > 0 && order[i].first == order[i - 1].first;
+    }
+    ASSERT_GT(ties, 0u) << "no equal counts: the case tests nothing";
+
+    System sys(cfg);
+    EXPECT_EQ(SystemTestPeer::hotPages(sys), expected);
+}
+
+/** A result's bytes, wall-clock fields zeroed (as the goldens do). */
+std::vector<std::uint8_t>
+resultBytes(SimResult res)
+{
+    res.setupSeconds = 0.0;
+    res.measureSeconds = 0.0;
+    ByteWriter w;
+    serializeSimResult(w, res);
+    return w.buffer();
+}
+
+TEST(System, SetupIndependentOfWorkerCount)
+{
+    // Cold setup (codec pass and touch-count run) on as many workers
+    // as the host has, then on one: pages, placement and every
+    // counter of the run must match.
+    const SimConfig cfg = tinyConfig(Arch::Tmcc);
+    ProfileLibrary::clearCache();
+    System parallel(cfg);
+    const std::vector<Vpn> hot_parallel = SystemTestPeer::hotPages(parallel);
+    ProfileLibrary::clearCache();
+    const SimResult r_parallel = System(cfg).run();
+
+    std::vector<Vpn> hot_inline;
+    SimResult r_inline;
+    {
+        // Inside a worker every nested parallelFor runs inline.
+        detail::ParallelWorkerScope one_worker;
+        ASSERT_EQ(parallelWorkers(cfg.cores), 1u);
+        ProfileLibrary::clearCache();
+        System single(cfg);
+        hot_inline = SystemTestPeer::hotPages(single);
+        ProfileLibrary::clearCache();
+        r_inline = System(cfg).run();
+    }
+    EXPECT_FALSE(hot_parallel.empty());
+    EXPECT_EQ(hot_parallel, hot_inline);
+    EXPECT_EQ(resultBytes(r_parallel), resultBytes(r_inline));
 }
 
 } // namespace

@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "compress/block_compressor.hh"
+#include "compress/mem_deflate.hh"
+#include "compress/rfc_deflate.hh"
 #include "workloads/profile_library.hh"
 
 namespace tmcc
@@ -147,6 +152,88 @@ TEST(ProfileCache, DuplicatePartsWithinOneMixMeasuredOnce)
     EXPECT_EQ(s.hits, 1u);
     EXPECT_EQ(s.pagesCompressed, 6u);
     expectSameProfile(lib.partProfiles(id)[0], lib.partProfiles(id)[1]);
+}
+
+/** The profile of one part, measured serially in the test. */
+struct Reference
+{
+    PageProfile profile;
+    std::uint32_t noSkipBytes = 0;
+};
+
+Reference
+serialReference(const ContentSpec &spec, unsigned samples,
+                std::uint64_t seed)
+{
+    BlockCompressor block;
+    MemDeflate deflate;
+    MemDeflateConfig no_skip_cfg;
+    no_skip_cfg.dynamicHuffmanSkip = false;
+    MemDeflate no_skip(no_skip_cfg);
+    RfcDeflate rfc;
+    Rng rng(ProfileLibrary::partSeed(spec, seed));
+    std::uint64_t b = 0, d = 0, n = 0, r = 0, tokens = 0;
+    unsigned huff = 0;
+    for (unsigned s = 0; s < samples; ++s) {
+        const auto page = generateContent(spec, rng);
+        b += block.compressPage(page.data());
+        const CompressedPage dp = deflate.compress(page.data(), page.size());
+        d += dp.sizeBytes();
+        tokens += dp.lzTokens;
+        huff += dp.huffmanUsed;
+        n += no_skip.compress(page.data(), page.size()).sizeBytes();
+        r += rfc.compress(page.data(), page.size()).sizeBytes();
+    }
+    const auto mean = [&](std::uint64_t total) {
+        return static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(pageSize, total / samples));
+    };
+    Reference ref;
+    ref.profile.blockBytes = mean(b);
+    ref.profile.deflateBytes = mean(d);
+    ref.profile.rfcBytes = mean(r);
+    ref.profile.lzTokens = static_cast<std::uint32_t>(tokens / samples);
+    ref.profile.huffmanUsed = huff * 2 >= samples;
+    ref.noSkipBytes = mean(n);
+    return ref;
+}
+
+TEST(ProfileCache, BatchMatchesSerialMeasurement)
+{
+    // Four distinct specs over three mixes, one of them repeated: one
+    // page-parallel pass must measure each spec once and match the
+    // serial reference field by field.
+    ProfileLibrary::clearCache();
+    constexpr unsigned samples = 6;
+    const std::vector<ContentMix> mixes = {mixA(), mixB(), mixA()};
+    ProfileLibrary lib(samples);
+    const std::vector<unsigned> ids = lib.registerMixes(mixes);
+    ASSERT_EQ(ids.size(), mixes.size());
+
+    const auto s = ProfileLibrary::cacheStats();
+    EXPECT_EQ(s.misses, 4u); // the distinct specs
+    EXPECT_EQ(s.hits, 2u);   // the repeated mixA's two parts
+    EXPECT_EQ(s.pagesCompressed, 4u * samples);
+
+    for (std::size_t m = 0; m < mixes.size(); ++m) {
+        const auto &profiles = lib.partProfiles(ids[m]);
+        ASSERT_EQ(profiles.size(), mixes[m].parts.size());
+        for (std::size_t p = 0; p < profiles.size(); ++p) {
+            SCOPED_TRACE("mix " + std::to_string(m) + " part " +
+                         std::to_string(p));
+            const Reference ref =
+                serialReference(mixes[m].parts[p].spec, samples, 0xfeed);
+            expectSameProfile(profiles[p], ref.profile);
+        }
+    }
+    // The no-skip sizes surface through the Fig. 15 summary.
+    const auto sum = lib.summarize(ids[1]);
+    const Reference r0 =
+        serialReference(mixB().parts[0].spec, samples, 0xfeed);
+    const Reference r1 =
+        serialReference(mixB().parts[1].spec, samples, 0xfeed);
+    EXPECT_DOUBLE_EQ(sum.deflateNoSkipRatio,
+                     pageSize * 2.0 / (r0.noSkipBytes + r1.noSkipBytes));
 }
 
 TEST(ProfileCache, ClearCacheResetsStats)
