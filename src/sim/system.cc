@@ -40,16 +40,6 @@ SimConfig::scaledDefault()
     return cfg;
 }
 
-Ppn
-System::dataFrame(Ppn ppn) const
-{
-    if (!cfg_.nestedPaging)
-        return ppn;
-    const WalkResult w = hostTable_->walk(ppn << pageShift);
-    panicIf(!w.valid, "unmapped guest frame in nested mode");
-    return w.ppn;
-}
-
 const char *
 archName(Arch arch)
 {
@@ -166,9 +156,7 @@ System::buildMemories()
     // Physical memory: footprint + page tables + allocator slack.  With
     // hardware compression the OS may boot with more physical pages
     // than DRAM (§V-A5); the MC maps them onto DRAM.
-    std::uint64_t footprint_pages = 0;
-    for (const WlRegion *r : regions_)
-        footprint_pages += r->bytes / pageSize;
+    const std::uint64_t footprint_pages = regionStart_.back();
     footprintBytes_ = footprint_pages * pageSize;
 
     if (cfg_.nestedPaging) {
@@ -190,56 +178,25 @@ System::buildMemories()
 
     if (cfg_.nestedPaging) {
         // Host-map every guest frame (guest PT pages included), then
-        // attach content profiles to the *host* frames, which are what
+        // move the frame table to the *host* frames, which are what
         // the MC architectures see.
         PteFlags hf;
         hf.accessed = true;
         hf.dirty = true;
         // Bound by the bump-allocator high-water mark, not the
         // allocation count: huge-page alignment leaves holes below it.
-        for (Ppn gppn = 1; gppn < guestPhysMem_->highWaterFrame();
-             ++gppn) {
-            const Ppn hppn = physMem_->allocFrame();
-            hostTable_->map(gppn, hppn, hf);
+        std::vector<Ppn> host_frame(guestPhysMem_->highWaterFrame());
+        for (Ppn gppn = 1; gppn < host_frame.size(); ++gppn) {
+            host_frame[gppn] = physMem_->allocFrame();
+            hostTable_->map(gppn, host_frame[gppn], hf);
         }
-        for (std::size_t k = 0; k < regions_.size(); ++k) {
-            const WlRegion *r = regions_[k];
-            for (std::uint64_t i = 0; i < r->bytes / pageSize; ++i) {
-                const WalkResult w =
-                    pageTable_->walk(r->base + i * pageSize);
-                if (w.valid)
-                    profiles_.assignPage(dataFrame(w.ppn), regionMix_[k]);
-            }
-        }
+        for (Ppn &frame : frames_)
+            frame = host_frame[frame];
     }
 
-    // Estimate Compresso's DRAM usage from the profiles to support the
-    // iso-savings configuration (Fig. 17).
-    for (const WlRegion *r : regions_) {
-        const std::uint64_t pages = r->bytes / pageSize;
-        for (std::uint64_t i = 0; i < pages; ++i) {
-            const Vpn vpn = pageNumber(r->base) + i;
-            const WalkResult w = pageTable_->walk(vpn << pageShift);
-            if (!w.valid)
-                continue;
-            const Ppn frame = dataFrame(w.ppn);
-            const PageProfile &prof = profiles_.profile(frame);
-            const std::uint64_t chunks =
-                std::max<std::uint64_t>(1, (prof.blockBytes + 511) / 512);
-            estimates_.compressoUsage += chunks * 512;
-            // ML2 cost of this page: its sub-chunk class size, or a
-            // full frame if it cannot compress at all.
-            const unsigned cls =
-                Ml2FreeLists::classFor(prof.deflateBytes);
-            if (prof.deflateIncompressible() ||
-                cls >= subChunkClasses.size()) {
-                ++estimates_.incompressiblePages;
-            } else {
-                estimates_.ml2CostTotal += subChunkClasses[cls].bytes;
-                ++estimates_.compressiblePages;
-            }
-        }
-    }
+    for (std::size_t k = 0; k < regions_.size(); ++k)
+        for (std::uint64_t i = regionStart_[k]; i < regionStart_[k + 1]; ++i)
+            profiles_.assignPage(frames_[i], regionMix_[k]);
 }
 
 void
@@ -262,6 +219,24 @@ System::buildMcAndCores()
                          cfg_.arch == Arch::BarebonePlusMl2;
         oc.cores = cfg_.cores;
         oc.cteBufferEntries = cfg_.cteBufferEntries;
+        // Estimate Compresso's DRAM usage and each page's ML2 cost (its
+        // sub-chunk class size) from the region pages' profiles.
+        std::uint64_t compresso_usage = 0, ml2_cost_total = 0;
+        std::uint64_t incompressible = 0, compressible = 0;
+        for (Ppn frame : frames_) {
+            const PageProfile &prof = profiles_.profile(frame);
+            compresso_usage +=
+                std::max<std::uint64_t>(1, (prof.blockBytes + 511) / 512) *
+                512;
+            const unsigned cls = Ml2FreeLists::classFor(prof.deflateBytes);
+            if (prof.deflateIncompressible() ||
+                cls >= subChunkClasses.size()) {
+                ++incompressible;
+            } else {
+                ml2_cost_total += subChunkClasses[cls].bytes;
+                ++compressible;
+            }
+        }
         // Target total usage: either an explicit fraction of the
         // footprint (Table IV sweeps) or Compresso's usage (Fig. 17's
         // iso-savings comparison).
@@ -269,31 +244,26 @@ System::buildMcAndCores()
             cfg_.dramBudgetFraction > 0.0
                 ? static_cast<std::uint64_t>(cfg_.dramBudgetFraction *
                                              footprintBytes_)
-                : estimates_.compressoUsage;
+                : compresso_usage;
         // Usage decomposes as (I + ml1)*4K + (Fc - ml1)*avgMl2Cost,
         // where I pages are incompressible (pinned to ML1) and Fc are
         // compressible; solve for the compressible ML1 share.
         const double avg_ml2 =
-            estimates_.compressiblePages
-                ? static_cast<double>(estimates_.ml2CostTotal) /
-                      static_cast<double>(estimates_.compressiblePages)
-                : static_cast<double>(pageSize);
+            compressible ? static_cast<double>(ml2_cost_total) /
+                               static_cast<double>(compressible)
+                         : static_cast<double>(pageSize);
         double ml1_pages =
             (static_cast<double>(target_usage) -
-             static_cast<double>(estimates_.incompressiblePages) *
-                 pageSize -
-             static_cast<double>(estimates_.compressiblePages) *
-                 avg_ml2) /
+             static_cast<double>(incompressible) * pageSize -
+             static_cast<double>(compressible) * avg_ml2) /
             (static_cast<double>(pageSize) - avg_ml2);
-        ml1_pages = std::clamp(
-            ml1_pages, 0.0,
-            static_cast<double>(estimates_.compressiblePages));
+        ml1_pages =
+            std::clamp(ml1_pages, 0.0, static_cast<double>(compressible));
         // The seeded frame pool must fund ML1 pages AND the chunks ML2
         // carves out of the ML1 free list, i.e. the whole target usage,
         // plus page tables and the free-list floor (kept free).
         oc.ml1TargetPages = static_cast<std::uint64_t>(ml1_pages) +
-                            estimates_.incompressiblePages +
-                            physMem_->pageTablePages();
+                            incompressible + physMem_->pageTablePages();
         oc.dramBudgetBytes = target_usage +
                              physMem_->pageTablePages() * pageSize +
                              (oc.freeListLow + 512) * pageSize;
@@ -320,6 +290,9 @@ System::buildWorkloads()
         workloads_.push_back(makeWorkload(cfg_.workload, c, cfg_.cores,
                                           cfg_.scale, cfg_.seed));
     regions_ = regionMap();
+    regionStart_.assign(1, 0);
+    for (const WlRegion *r : regions_)
+        regionStart_.push_back(regionStart_.back() + r->bytes / pageSize);
 }
 
 void
@@ -345,37 +318,33 @@ System::measureContent()
 void
 System::mapAddressSpace()
 {
+    // Nested mode maps guest frames here; buildMemories moves the frame
+    // table to host frames once they exist.
+    PhysMem &pm = cfg_.nestedPaging ? *guestPhysMem_ : *physMem_;
+    frames_.reserve(regionStart_.back());
     Rng rng(cfg_.seed ^ 0xabcd);
-    for (std::size_t k = 0; k < regions_.size(); ++k) {
-        const WlRegion *r = regions_[k];
-        const unsigned mix_id = regionMix_[k];
+    for (const WlRegion *r : regions_) {
         const std::uint64_t pages = r->bytes / pageSize;
         if (cfg_.hugePages) {
+            constexpr std::uint64_t span = hugePageSize / pageSize;
             const std::uint64_t huge_pages =
                 (r->bytes + hugePageSize - 1) / hugePageSize;
             for (std::uint64_t h = 0; h < huge_pages; ++h) {
-                const Vpn vpn_base = pageNumber(r->base) +
-                                     h * (hugePageSize / pageSize);
-                PhysMem &pm =
-                    cfg_.nestedPaging ? *guestPhysMem_ : *physMem_;
                 const Ppn ppn_base = pm.allocHugeFrame();
                 PteFlags f;
                 f.accessed = true;
                 f.dirty = true;
-                pageTable_->mapHuge(vpn_base, ppn_base, f);
-                // Nested mode: host frames do not exist yet; profiles
-                // attach to host frames after the host mapping.
-                if (!cfg_.nestedPaging)
-                    for (std::uint64_t i = 0;
-                         i < hugePageSize / pageSize; ++i)
-                        profiles_.assignPage(ppn_base + i, mix_id);
+                pageTable_->mapHuge(pageNumber(r->base) + h * span,
+                                    ppn_base, f);
+                // Frames past the region's last page back no region
+                // page: they get no profile and no placement.
+                for (std::uint64_t i = h * span;
+                     i < std::min(pages, (h + 1) * span); ++i)
+                    frames_.push_back(ppn_base + (i - h * span));
             }
             continue;
         }
         for (std::uint64_t i = 0; i < pages; ++i) {
-            const Vpn vpn = pageNumber(r->base) + i;
-            PhysMem &pm =
-                cfg_.nestedPaging ? *guestPhysMem_ : *physMem_;
             const Ppn ppn = pm.allocFrame();
             PteFlags f;
             f.accessed = true;
@@ -383,26 +352,19 @@ System::mapAddressSpace()
             // been written; a tiny fraction of stragglers makes the
             // Fig. 6 status-bit uniformity realistic rather than exact.
             f.dirty = !rng.chance(0.0006);
-            pageTable_->map(vpn, ppn, f);
-            if (!cfg_.nestedPaging)
-                profiles_.assignPage(ppn, mix_id);
-            // Nested mode: host frames do not exist yet; profiles are
-            // attached after the host mapping (see the constructor).
+            pageTable_->map(pageNumber(r->base) + i, ppn, f);
+            frames_.push_back(ppn);
         }
     }
 }
 
-std::vector<Vpn>
+std::vector<std::uint64_t>
 System::hotPages()
 {
-    // Dense page index over the sorted regions: region k's pages take
-    // slots start[k] .. start[k + 1] - 1.
     std::vector<Vpn> first_vpn;
-    std::vector<std::uint64_t> start{0};
-    for (const WlRegion *r : regions_) {
+    for (const WlRegion *r : regions_)
         first_vpn.push_back(pageNumber(r->base));
-        start.push_back(start.back() + r->bytes / pageSize);
-    }
+    const std::vector<std::uint64_t> &start = regionStart_;
     const std::uint64_t pages = start.back();
     const bool by_heat = mc_->placesByHeat();
 
@@ -448,22 +410,17 @@ System::hotPages()
         for (std::size_t i = 0; i < mine.size(); ++i)
             total[i] += mine[i];
 
-    // Hottest first; equal counts in ascending VPN order, so the order
-    // is total and independent of the host.
-    std::vector<std::pair<std::uint32_t, Vpn>> order;
-    for (std::size_t k = 0; k < regions_.size(); ++k)
-        for (std::uint64_t i = start[k]; i < start[k + 1]; ++i)
-            if (total[i] > 0)
-                order.emplace_back(total[i], first_vpn[k] + (i - start[k]));
-    std::sort(order.begin(), order.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first != b.first ? a.first > b.first
-                                            : a.second < b.second;
+    // Hottest first; equal counts in ascending index order, which is
+    // ascending VPN order over the sorted, disjoint regions, so the
+    // order is total and independent of the host.
+    std::vector<std::uint64_t> hot;
+    for (std::uint64_t i = 0; i < pages; ++i)
+        if (total[i] > 0)
+            hot.push_back(i);
+    std::sort(hot.begin(), hot.end(),
+              [&](std::uint64_t a, std::uint64_t b) {
+                  return total[a] != total[b] ? total[a] > total[b] : a < b;
               });
-    std::vector<Vpn> hot;
-    hot.reserve(order.size());
-    for (const auto &[count, vpn] : order)
-        hot.push_back(vpn);
     return hot;
 }
 
@@ -474,7 +431,7 @@ System::warmPlacement()
     // counts order pages hottest-first for initial ML1/ML2 placement;
     // only an MC that places by heat needs them, but every arch draws
     // the accesses so the measured streams start at the same point.
-    std::vector<Vpn> hot;
+    std::vector<std::uint64_t> hot;
     tracedPhase("setup.touch", tracePid_, [&] { hot = hotPages(); });
     if (!mc_->hasCtes())
         return;
@@ -482,40 +439,16 @@ System::warmPlacement()
 }
 
 void
-System::placePages(const std::vector<Vpn> &hot)
+System::placePages(const std::vector<std::uint64_t> &hot)
 {
     // Page-table pages are the hottest of all (every walk touches
-    // them): place first.
-    std::vector<Ppn> pt_pages;
+    // them): place first.  Then the touched pages hottest-first, then
+    // every region page in order: the untouched ones are the coldest.
     physMem_->forEachPtPage(
-        [&](Ppn ppn, const PtPage &) { pt_pages.push_back(ppn); });
-
-    // Resolve the placement sequences up front (walks are read-only,
-    // so this reorders nothing): the touched pages hottest-first, then
-    // the full region scan — remaining (untouched) pages are the
-    // coldest.
-    std::vector<Ppn> touched_frames;
-    touched_frames.reserve(hot.size());
-    for (Vpn vpn : hot) {
-        const WalkResult w = pageTable_->walk(vpn << pageShift);
-        if (w.valid)
-            touched_frames.push_back(dataFrame(w.ppn));
-    }
-    std::vector<Ppn> region_frames;
-    for (const WlRegion *r : regions_) {
-        for (std::uint64_t i = 0; i < r->bytes / pageSize; ++i) {
-            const WalkResult w =
-                pageTable_->walk(r->base + i * pageSize);
-            if (w.valid)
-                region_frames.push_back(dataFrame(w.ppn));
-        }
-    }
-
-    for (Ppn pt : pt_pages)
-        mc_->placePage(pt);
-    for (Ppn f : touched_frames)
-        mc_->placePage(f);
-    for (Ppn f : region_frames)
+        [&](Ppn ppn, const PtPage &) { mc_->placePage(ppn); });
+    for (std::uint64_t i : hot)
+        mc_->placePage(frames_[i]);
+    for (Ppn f : frames_)
         mc_->placePage(f);
 }
 
@@ -753,6 +686,7 @@ System::setup()
     Tracer::PidScope pid_scope(tracePid_);
 
     warmPlacement();
+    frames_ = std::vector<Ppn>();
 
     setupSeconds_ += std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - wall0)
@@ -762,8 +696,6 @@ System::setup()
 SimResult
 System::run()
 {
-    if (!setupDone_)
-        setup();
     return measure();
 }
 

@@ -5,11 +5,13 @@
  * DRAM back end, driven by workload engines.
  *
  * The run proceeds in the paper's phases: measure the content codecs,
- * map the address space, warm placement (touch-count ordering stands in
- * for the KVM fast-forward),
- * ML1/ML2 + cache/TLB warm-up, then a measured window.  Every detailed
- * access runs through the one access engine (sim/access_path.hh), fed
- * from per-core 64-slot rings of workload accesses.
+ * map the address space (each region page once, recording its data
+ * frame in a dense frame table), warm placement (touch-count ordering
+ * stands in for the KVM fast-forward; pages are placed straight from
+ * the frame table), ML1/ML2 + cache/TLB warm-up, then a measured
+ * window.  Every detailed access runs through the one access engine
+ * (sim/access_path.hh), fed from per-core 64-slot rings of workload
+ * accesses.
  */
 
 #ifndef TMCC_SIM_SYSTEM_HH
@@ -47,7 +49,10 @@ class System
     /** Run all phases; returns the measured-window results. */
     SimResult run();
 
-    /** Phase 1: the fast-forward stand-in (touch-count placement). */
+    /**
+     * Phase 1: the fast-forward stand-in (touch-count placement); then
+     * releases the frame table, which only setup reads.
+     */
     void setup();
 
     /** Phase 2: warm window + measured window (runs setup if needed). */
@@ -68,29 +73,24 @@ class System
         std::vector<Tick> storeSlots = std::vector<Tick>(16, 0);
     };
 
-    /** The Compresso-usage estimate (drives the OS-MC budget). */
-    struct SetupEstimates
-    {
-        std::uint64_t compressoUsage = 0;
-        std::uint64_t ml2CostTotal = 0;
-        std::uint64_t incompressiblePages = 0;
-        std::uint64_t compressiblePages = 0;
-    };
-
-    /** The per-core engines and their deduped regions. */
+    /** The per-core engines, their deduped regions and page index. */
     void buildWorkloads();
     /**
      * Measure every distinct region content spec in one codec pass
      * (ProfileLibrary::registerMixes) and record each region's mix.
      */
     void measureContent();
-    /** Size memories, build tables, estimate usage. */
+    /**
+     * Size memories, build the page tables and the frame table (host
+     * frames in nested mode), and attach each region page's profile.
+     */
     void buildMemories();
     /**
      * The MC factory (the one place that switches on the arch) plus
      * the per-core TLBs and walkers.
      */
     void buildMcAndCores();
+    /** Map every region page once, appending its frame to frames_. */
     void mapAddressSpace();
 
     /**
@@ -102,24 +102,24 @@ class System
 
     /**
      * Draw `placementAccesses` per core, each core's stream on a
-     * parallelFor worker, and return the touched pages ordered by
-     * (touch count desc, VPN asc); empty when the MC does not place by
-     * heat.  Counts go to per-worker dense arrays indexed over the
-     * regions.
+     * parallelFor worker, and return the touched pages' region page
+     * indices ordered by (touch count desc, VPN asc); empty when the
+     * MC does not place by heat.  Counts go to per-worker dense arrays
+     * over the region page index.
      */
-    std::vector<Vpn> hotPages();
+    std::vector<std::uint64_t> hotPages();
 
-    /** Page-table pages, then `hot`, then every region page, in order. */
-    void placePages(const std::vector<Vpn> &hot);
+    /**
+     * Page-table pages, then the frames of `hot` (region page
+     * indices), then every region page's frame, in order.
+     */
+    void placePages(const std::vector<std::uint64_t> &hot);
 
     /** Workload regions deduped and sorted by base address. */
     std::vector<const WlRegion *> regionMap() const;
 
     /** Claim this System's trace track when tracing is on. */
     void claimTraceTrack();
-
-    /** Host frame backing a (possibly guest) page number. */
-    Ppn dataFrame(Ppn ppn) const;
 
     // The per-access pipeline lives in AccessEngine
     // (sim/access_path.hh) and needs the private state.
@@ -186,7 +186,6 @@ class System
 
     SimConfig cfg_;
     Tick cpuPeriod_;
-    SetupEstimates estimates_;
     bool setupDone_ = false;
     double setupSeconds_ = 0.0; //!< constructor + setup() wall time
     std::uint64_t tracePid_ = 0;
@@ -214,6 +213,18 @@ class System
     std::uint64_t footprintBytes_ = 0;
     std::vector<const WlRegion *> regions_; //!< regionMap(), sorted
     std::vector<unsigned> regionMix_;       //!< mix id per regions_ entry
+    /**
+     * Region page index: region k's pages take indices regionStart_[k]
+     * .. regionStart_[k + 1] - 1, in VPN order; the last entry is the
+     * page count.
+     */
+    std::vector<std::uint64_t> regionStart_;
+    /**
+     * The frame table: the data frame the MC sees (the host frame in
+     * nested mode) per region page index.  Filled where frames are
+     * allocated; released at the end of setup().
+     */
+    std::vector<Ppn> frames_;
 
     // Measured-window accumulators.
     SimResult result_;

@@ -1,5 +1,6 @@
 #include "workloads/trace.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -110,8 +111,24 @@ TraceWorkload::TraceWorkload(const std::string &path)
                     std::fread(r.name.data(), 1, name_len, f) !=
                         name_len,
                 "trace file truncated in region name");
+        fatalIf(r.base % pageSize != 0 || r.bytes % pageSize != 0,
+                "trace region '" + r.name + "' is not 4 KB-aligned");
         regions_.push_back(std::move(r));
     }
+    // The System maps every region page exactly once, so regions
+    // must be disjoint.
+    std::vector<const WlRegion *> by_base;
+    for (const WlRegion &r : regions_)
+        by_base.push_back(&r);
+    std::sort(by_base.begin(), by_base.end(),
+              [](const WlRegion *a, const WlRegion *b) {
+                  return a->base < b->base;
+              });
+    for (std::size_t i = 1; i < by_base.size(); ++i)
+        fatalIf(by_base[i]->base - by_base[i - 1]->base <
+                    by_base[i - 1]->bytes,
+                "trace regions '" + by_base[i - 1]->name + "' and '" +
+                    by_base[i]->name + "' overlap");
 
     const auto count = get<std::uint64_t>(f);
     fatalIf(count == 0, "trace file holds no accesses");

@@ -2,8 +2,9 @@
  * @file
  * Identity against history: checked-in digests of the full SimResult
  * for a fixed matrix of small runs — every architecture, exact and
- * sampled, plus epoch statistics, nested paging, huge pages, and traced
- * runs with and without epochs and nested paging.
+ * sampled, plus epoch statistics, nested paging (TMCC and Compresso),
+ * huge pages, nested paging with huge pages, and traced runs with and
+ * without epochs and nested paging.
  *
  * These digests were recorded from an earlier build and pin the
  * simulated behaviour itself: a host-side optimisation must leave
@@ -38,10 +39,11 @@ namespace
 enum class Variant
 {
     Exact,
-    Epochs,    //!< statsInterval = 5000
-    Nested,    //!< nested paging
-    Huge,      //!< 2MB pages
-    Sampled,   //!< --sample 4:2000:500
+    Epochs,     //!< statsInterval = 5000
+    Nested,     //!< nested paging
+    Huge,       //!< 2MB pages
+    NestedHuge, //!< nested paging with 2MB pages
+    Sampled,    //!< --sample 4:2000:500
 };
 
 struct GoldenCase
@@ -87,6 +89,10 @@ constexpr GoldenCase goldenCases[] = {
      tmccNestedPaging},
     {"TmccHugePages", Arch::Tmcc, "pageRank", Variant::Huge,
      0x3f573472u},
+    {"TmccNestedHugePages", Arch::Tmcc, "pageRank", Variant::NestedHuge,
+     0xe076ffa0u},
+    {"CompressoNestedPaging", Arch::Compresso, "pageRank",
+     Variant::Nested, 0x9ea3e13fu},
     {"SampledNoCompression", Arch::NoCompression, "pageRank",
      Variant::Sampled, 0xd5e44737u},
     {"SampledCompresso", Arch::Compresso, "pageRank", Variant::Sampled,
@@ -125,6 +131,10 @@ goldenConfig(const GoldenCase &c)
         cfg.nestedPaging = true;
         break;
       case Variant::Huge:
+        cfg.hugePages = true;
+        break;
+      case Variant::NestedHuge:
+        cfg.nestedPaging = true;
         cfg.hugePages = true;
         break;
       case Variant::Sampled:

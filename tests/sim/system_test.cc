@@ -350,6 +350,38 @@ TEST(System, WarmPlacementBreaksTiesByVpn)
     EXPECT_EQ(SystemTestPeer::hotPages(sys), expected);
 }
 
+TEST(System, SetupFramesMatchTheWalk)
+{
+    // The frame table is filled where frames are allocated; the page
+    // table walk (through the host table in nested mode) is the
+    // reference for every region page.
+    for (const auto &[nested, huge] :
+         {std::pair{false, false}, std::pair{false, true},
+          std::pair{true, false}, std::pair{true, true}}) {
+        SCOPED_TRACE(std::string(nested ? "nested" : "native") +
+                     (huge ? " 2MB" : " 4KB"));
+        SimConfig cfg = tinyConfig(Arch::Tmcc);
+        cfg.nestedPaging = nested;
+        cfg.hugePages = huge;
+        System sys(cfg);
+        const std::vector<Ppn> &frames = SystemTestPeer::frames(sys);
+        ASSERT_EQ(frames.size(), sys.footprintBytes() / pageSize);
+        for (std::uint64_t i = 0; i < frames.size(); ++i) {
+            const Vpn vpn = SystemTestPeer::vpnOf(sys, i);
+            WalkResult w = sys.pageTable().walk(vpn << pageShift);
+            ASSERT_TRUE(w.valid) << "vpn " << vpn;
+            ASSERT_EQ(w.huge, huge);
+            if (nested) {
+                w = SystemTestPeer::hostTable(sys).walk(w.ppn << pageShift);
+                ASSERT_TRUE(w.valid) << "vpn " << vpn;
+            }
+            ASSERT_EQ(frames[i], w.ppn) << "vpn " << vpn;
+        }
+        sys.setup();
+        EXPECT_TRUE(SystemTestPeer::frames(sys).empty());
+    }
+}
+
 /** A result's bytes, wall-clock fields zeroed (as the goldens do). */
 std::vector<std::uint8_t>
 resultBytes(SimResult res)

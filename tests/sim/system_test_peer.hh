@@ -8,6 +8,7 @@
 #ifndef TMCC_TESTS_SIM_SYSTEM_TEST_PEER_HH
 #define TMCC_TESTS_SIM_SYSTEM_TEST_PEER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -34,7 +35,35 @@ struct SystemTestPeer
     static std::vector<Vpn>
     hotPages(System &sys)
     {
-        return sys.hotPages();
+        std::vector<Vpn> vpns;
+        for (std::uint64_t i : sys.hotPages())
+            vpns.push_back(vpnOf(sys, i));
+        return vpns;
+    }
+
+    /** The VPN of region page index `i`. */
+    static Vpn
+    vpnOf(const System &sys, std::uint64_t i)
+    {
+        const std::vector<std::uint64_t> &start = sys.regionStart_;
+        const auto k = static_cast<std::size_t>(
+            std::upper_bound(start.begin(), start.end(), i) -
+            start.begin() - 1);
+        return pageNumber(sys.regions_[k]->base) + (i - start[k]);
+    }
+
+    /** The frame table, indexed by region page index. */
+    static const std::vector<Ppn> &
+    frames(const System &sys)
+    {
+        return sys.frames_;
+    }
+
+    /** Nested mode's guest-physical to host table. */
+    static const PageTable &
+    hostTable(const System &sys)
+    {
+        return *sys.hostTable_;
     }
 
     static StatDump

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -86,6 +88,63 @@ TEST_F(TraceTest, ThinkCyclesSaturateAt255)
     TraceWorkload replay(path_);
     for (int i = 0; i < 500; ++i)
         ASSERT_LE(replay.next().thinkCycles, 255u);
+}
+
+/** A one-access engine over the given regions. */
+class RegionsOnly : public Workload
+{
+  public:
+    explicit RegionsOnly(std::vector<WlRegion> regions)
+        : regions_(std::move(regions))
+    {}
+
+    const std::string &name() const override { return name_; }
+    const std::vector<WlRegion> &regions() const override
+    {
+        return regions_;
+    }
+    MemAccess next() override { return {regions_[0].base, false}; }
+
+  private:
+    std::string name_ = "regions-only";
+    std::vector<WlRegion> regions_;
+};
+
+WlRegion
+region(const char *name, Addr base, std::uint64_t bytes)
+{
+    WlRegion r;
+    r.name = name;
+    r.base = base;
+    r.bytes = bytes;
+    return r;
+}
+
+using TraceDeathTest = TraceTest;
+
+TEST_F(TraceDeathTest, RejectsOverlappingRegions)
+{
+    RegionsOnly source({region("hi", 0x40200000, 0x200000),
+                        region("lo", 0x40000000, 0x201000)});
+    TraceRecorder::record(source, path_, 1);
+    EXPECT_EXIT(TraceWorkload{path_}, ::testing::ExitedWithCode(1),
+                "trace regions 'lo' and 'hi' overlap");
+}
+
+TEST_F(TraceDeathTest, RejectsUnalignedBase)
+{
+    RegionsOnly source({region("odd", 0x40000800, 0x1000)});
+    TraceRecorder::record(source, path_, 1);
+    EXPECT_EXIT(TraceWorkload{path_}, ::testing::ExitedWithCode(1),
+                "trace region 'odd' is not 4 KB-aligned");
+}
+
+TEST_F(TraceDeathTest, RejectsUnalignedSize)
+{
+    RegionsOnly source({region("tail", 0x40000000, 0x1800)});
+    TraceRecorder::record(source, path_, 1);
+    EXPECT_EXIT(TraceWorkload{path_}, ::testing::ExitedWithCode(1),
+                "trace region 'tail' is not 4 KB-aligned");
 }
 
 } // namespace
