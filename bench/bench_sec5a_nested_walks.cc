@@ -52,6 +52,8 @@ main()
         std::printf("%-14s %12.1f %12.1f %12.1f %12.1f\n",
                     names[i].c_str(), fetches_per_walk * 4.0, comp, bare,
                     tmcc);
+        report.metric(names[i] + ".tmcc_vs_compresso", tm_vs_comp.back());
+        report.metric(names[i] + ".ptb_per_walk", fetches_per_walk * 4.0);
     }
     std::printf("TMCC vs Compresso under nesting (avg ratio): %.3f\n",
                 mean(tm_vs_comp));

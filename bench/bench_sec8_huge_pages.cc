@@ -47,6 +47,8 @@ main()
                          : 0.0;
         ratios.push_back(ratio);
         row(names[i], {ratio, par});
+        report.metric(names[i] + ".ratio", ratio);
+        report.metric(names[i] + ".parallel", par);
     }
     row("AVG", {mean(ratios), 0.0});
     report.metric("avg.ratio", mean(ratios));

@@ -29,7 +29,6 @@
 #include "common/json.hh"
 #include "common/log.hh"
 #include "sim/runner.hh"
-#include "sim/sweep_queue.hh"
 #include "sim/system.hh"
 
 namespace tmcc::bench
@@ -138,17 +137,6 @@ class BenchReport
                      phases.measureSeconds);
         std::fprintf(f, "  \"runs\": %llu,\n",
                      static_cast<unsigned long long>(phases.runs));
-        // Sweep dispatch counters (all zero unless this process ran
-        // a --dispatch=fork|queue sweep through QueueClient).
-        const QueueClient::Totals q = QueueClient::totals();
-        for (const auto &[key, n] :
-             {std::pair{"queue_sweeps", q.sweeps},
-              {"queue_merged_shards", q.mergedShards},
-              {"queue_reclaimed_shards", q.reclaimedShards},
-              {"queue_resumed_shards", q.resumedShards},
-              {"queue_failed_shards", q.failedShards}})
-            std::fprintf(f, "  \"%s\": %llu,\n", key,
-                         static_cast<unsigned long long>(n));
         std::fprintf(f, "  \"metrics\": {");
         for (std::size_t i = 0; i < metrics_.size(); ++i) {
             // Keys pass through jsonEscape (workload names can carry

@@ -18,12 +18,8 @@
 #include "common/json.hh"
 #include "common/trace.hh"
 #include "sim/runner.hh"
-#include "sim/sweep_daemon.hh"
-#include "sim/sweep_manifest.hh"
 #include "sim/system.hh"
 #include "workloads/trace.hh"
-
-#include <unistd.h>
 
 using namespace tmcc;
 
@@ -55,8 +51,8 @@ sweepSet(const std::string &set)
             entries.push_back({n, n});
     if (set == "fig17")
         // The paper's headline comparison: every large/irregular
-        // workload under Compresso and TMCC.  Labels carry the arch so
-        // serial and distributed runs report identical metric keys.
+        // workload under Compresso and TMCC.  Each workload appears
+        // twice, so labels carry the arch to keep metric keys unique.
         for (const auto &n : largeWorkloadNames())
             for (const Arch a : {Arch::Compresso, Arch::Tmcc})
                 entries.push_back(
@@ -67,25 +63,11 @@ sweepSet(const std::string &set)
     return entries;
 }
 
-/** The path workers re-exec: /proc/self/exe when resolvable (robust
- * against a relative argv[0] + chdir), else argv[0]. */
-std::string
-selfExePath(const char *argv0)
-{
-    char buf[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        return buf;
-    }
-    return argv0;
-}
-
 /** Epoch time series as JSON: one entry per run, one row per epoch. */
 void
 writeEpochStats(const std::string &path,
                 const std::vector<std::string> &names,
-                const std::vector<const SimResult *> &results)
+                const std::vector<SimResult> &results)
 {
     FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
@@ -94,7 +76,7 @@ writeEpochStats(const std::string &path,
     for (std::size_t i = 0; i < results.size(); ++i) {
         std::fprintf(f, "%s\n{\"workload\":\"%s\",\"epochs\":[",
                      i ? "," : "", jsonEscape(names[i]).c_str());
-        const auto &epochs = results[i]->epochs;
+        const auto &epochs = results[i].epochs;
         for (std::size_t e = 0; e < epochs.size(); ++e) {
             const EpochStat &ep = epochs[e];
             std::fprintf(
@@ -139,19 +121,6 @@ main(int argc, char **argv)
     bool scale_set = false;
     std::string sweep;
     unsigned jobs = 0;
-
-    // Sharded-sweep knobs (docs/SWEEP.md).
-    unsigned shards = 0;
-    bool shards_flag = false; //!< --shards given on the command line
-    std::string sweep_dir;
-    double shard_timeout = 0.0;
-    unsigned shard_attempts = 3;
-
-    // Queue-dispatch knobs (docs/SWEEP.md).
-    std::string dispatch;
-    std::string queue_dir = "tmcc-queue";
-    double queue_poll = 0.5;
-    double queue_timeout = 0.0;
 
     // Observability knobs.
     std::string trace_path;
@@ -231,83 +200,13 @@ main(int argc, char **argv)
         {"--jobs", "N",
          "worker threads for --sweep (default: TMCC_JOBS or all cores)",
          cli::bind(jobs, 1)},
-        {"--dispatch", "MODE",
-         "how --sweep runs (docs/SWEEP.md): thread (default, in-process), "
-         "fork (--shards local workers on a private queue in --sweep-dir) "
-         "or queue (a shared work queue served by tmcc_simd daemons)",
-         cli::bind(dispatch)},
-        {"--shards", "N",
-         "shard count (and local worker count) for fork/queue dispatch; "
-         "0 means hardware_concurrency clamped to [1,64]; --shards N "
-         "alone implies --dispatch=fork",
-         [&](auto &what, auto &v) {
-             shards = cli::parseNumber(what, v[0], 0u);
-             shards_flag = what == "--shards";
-         },
-         "TMCC_SHARDS"},
-        {"--queue-dir", "DIR",
-         "queue directory for --dispatch=queue, shared with the tmcc_simd "
-         "workers serving it (default tmcc-queue)",
-         cli::bind(queue_dir), "TMCC_QUEUE_DIR"},
-        {"--queue-poll", "SEC", "result-poll interval (default 0.5)",
-         cli::bind(queue_poll, cli::kPositive)},
-        {"--queue-timeout", "SEC",
-         "give up waiting for workers after SEC (default: wait forever)",
-         cli::bind(queue_timeout, cli::kPositive)},
-        {"--sweep-dir", "DIR",
-         "fork: the private queue directory; reuse it to resume an "
-         "interrupted sweep (default tmcc-sweep-<gridkey8>).  queue: the "
-         "sweep's subdirectory name in the queue directory",
-         cli::bind(sweep_dir)},
-        {"--shard-timeout", "SEC",
-         "per-attempt deadline; a claim past it is reclaimed (and a local "
-         "worker holding it killed) even while it heartbeats (default: "
-         "none)",
-         cli::bind(shard_timeout, cli::kPositive)},
-        {"--shard-attempts", "N",
-         "attempts per shard before it settles as failed (default 3)",
-         cli::bind(shard_attempts, 1)},
         {"--list", "", "list known workloads and exit",
          [](auto &, auto &) { listWorkloads(); std::exit(0); }},
-        // Local worker of a --dispatch=fork sweep: drain the private
-        // queue the parent spawned us on.
-        {sweepWorkerFlag, "DIR", "", [](auto &, auto &v) {
-             std::exit(SweepDaemon::localWorkerMain(v[0]));
-         }},
     };
     cli::parse("Usage: tmccsim [options]\n\nRun one workload, or a sweep "
                "of workloads, under any MC architecture and\n"
                "configuration.\n",
                flags, argc, argv);
-
-    // Resolve the dispatch mode up front so misuse fails fast.
-    enum class Dispatch
-    {
-        Thread,
-        Fork,
-        Queue,
-    };
-    Dispatch dmode = Dispatch::Thread;
-    if (dispatch.empty()) {
-        // Back-compat: --shards N alone has always meant the forked
-        // multi-process executor.
-        dmode = shards > 0 ? Dispatch::Fork : Dispatch::Thread;
-    } else if (dispatch == "thread") {
-        if (shards_flag && shards > 0)
-            fatal("--dispatch=thread does not shard; drop --shards or "
-                  "pick fork|queue");
-    } else if (dispatch == "fork") {
-        dmode = Dispatch::Fork;
-    } else if (dispatch == "queue") {
-        dmode = Dispatch::Queue;
-    } else {
-        fatal("--dispatch wants thread|fork|queue, got '" + dispatch + "'");
-    }
-    if (!dispatch.empty() && sweep.empty())
-        fatal("--dispatch only applies to --sweep");
-    if ((dmode == Dispatch::Fork || dmode == Dispatch::Queue) &&
-        shards == 0)
-        shards = defaultShardCount();
 
     std::unique_ptr<Tracer> tracer;
     if (!trace_path.empty()) {
@@ -346,85 +245,25 @@ main(int argc, char **argv)
         const char *arch_label =
             sweep == "fig17" ? "per-entry" : archName(cfg.arch);
 
-        // One merged BENCH_sweep_<set>.json whichever executor runs
-        // the grid, so sharded and in-process sweeps are byte-for-byte
-        // comparable (the queue-smoke CI job diffs exactly this).
         bench::BenchReport report("sweep_" + sweep);
+        SimRunner runner(jobs);
+        std::printf("sweeping %zu entries (%s) on %u threads, arch %s\n",
+                    configs.size(), sweep.c_str(), runner.jobs(),
+                    arch_label);
         std::vector<SimResult> results;
-        std::vector<bool> valid(configs.size(), true);
-        bool sweep_ok = true;
-
-        if (dmode != Dispatch::Thread) {
-            QueueOptions qo;
-            qo.shards = shards;
-            qo.workerJobs = jobs ? jobs : 1;
-            qo.maxAttempts = shard_attempts;
-            qo.attemptSeconds = shard_timeout;
-            qo.pollSeconds = queue_poll;
-            qo.timeoutSeconds = queue_timeout;
-            if (dmode == Dispatch::Fork) {
-                // A private queue under the sweep dir, holding only
-                // this sweep, served by local worker processes.
-                qo.queueDir = !sweep_dir.empty()
-                                  ? sweep_dir
-                                  : "tmcc-sweep-" +
-                                        sweepGridKey(configs).substr(0, 8);
-                qo.sweepName = "sweep";
-                qo.workerPath = selfExePath(argv[0]);
-                std::printf("sweeping %zu entries (%s) across %u worker "
-                            "processes, arch %s, sweep dir %s\n",
-                            configs.size(), sweep.c_str(), shards,
-                            arch_label, qo.queueDir.c_str());
-            } else {
-                qo.queueDir = queue_dir;
-                qo.sweepName = sweep_dir; // subdirectory name when set
-                std::printf("sweeping %zu entries (%s) via work queue %s "
-                            "(%u shards), arch %s\n",
-                            configs.size(), sweep.c_str(),
-                            queue_dir.c_str(), shards, arch_label);
-            }
-            QueueClient client(qo);
-            SweepOutcome outcome = client.run(configs);
-            results = std::move(outcome.results);
-            valid = outcome.resultValid;
-            sweep_ok = outcome.ok();
-            std::printf("[sweep] %u/%zu shards merged (%u resumed, %u "
-                        "retries, %u failed)\n",
-                        outcome.completedShards, outcome.shards.size(),
-                        outcome.resumedShards, outcome.retries,
-                        outcome.failedShards);
-            for (const auto &shard : outcome.shards)
-                if (shard.state != ShardState::Done)
-                    std::fprintf(stderr,
-                                 "[sweep] shard %u FAILED after %u "
-                                 "attempts: %s\n",
-                                 shard.id, shard.attempts,
-                                 shard.lastError.c_str());
-        } else {
-            SimRunner runner(jobs);
-            std::printf("sweeping %zu entries (%s) on %u threads, "
-                        "arch %s\n",
-                        configs.size(), sweep.c_str(), runner.jobs(),
-                        arch_label);
-            try {
-                results = runner.run(configs);
-            } catch (const std::exception &e) {
-                // A failed run must fail the sweep visibly: CI keys off
-                // the exit status, not logs.
-                std::fprintf(stderr, "sweep failed: %s\n", e.what());
-                flush_trace();
-                return 1;
-            }
+        try {
+            results = runner.run(configs);
+        } catch (const std::exception &e) {
+            // A failed run must fail the sweep visibly: CI keys off
+            // the exit status, not logs.
+            std::fprintf(stderr, "sweep failed: %s\n", e.what());
+            flush_trace();
+            return 1;
         }
 
         std::printf("%-14s %10s %10s %10s %10s\n", "workload",
                     "acc/us", "ratio", "l3lat_ns", "bus_util");
         for (std::size_t i = 0; i < names.size(); ++i) {
-            if (!valid[i]) {
-                std::printf("%-14s %10s\n", names[i].c_str(),
-                            "FAILED");
-                continue;
-            }
             const SimResult &r = results[i];
             std::printf("%-14s %10.1f %10.2f %10.1f %10.3f\n",
                         names[i].c_str(), r.accessesPerNs() * 1000.0,
@@ -438,24 +277,12 @@ main(int argc, char **argv)
                           r.readBusUtil + r.writeBusUtil);
         }
         if (!stats_out.empty()) {
-            std::vector<std::string> ok_names;
-            std::vector<const SimResult *> ptrs;
-            for (std::size_t i = 0; i < results.size(); ++i) {
-                if (!valid[i])
-                    continue;
-                ok_names.push_back(names[i]);
-                ptrs.push_back(&results[i]);
-            }
-            writeEpochStats(stats_out, ok_names, ptrs);
+            writeEpochStats(stats_out, names, results);
             std::printf("epoch stats written to %s\n",
                         stats_out.c_str());
         }
         flush_trace();
-        if (!sweep_ok)
-            std::fprintf(stderr,
-                         "sweep finished with failed shards; partial "
-                         "results merged, exiting nonzero\n");
-        return sweep_ok ? 0 : 1;
+        return 0;
     }
 
     if (!scale_set)
@@ -539,7 +366,7 @@ main(int argc, char **argv)
                     last.dramUsedBytes / (1 << 20));
     }
     if (!stats_out.empty()) {
-        writeEpochStats(stats_out, {cfg.workload}, {&r});
+        writeEpochStats(stats_out, {cfg.workload}, {r});
         std::printf("epoch stats written to %s\n", stats_out.c_str());
     }
     flush_trace();

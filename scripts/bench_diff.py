@@ -3,7 +3,7 @@
 
 The harnesses (bench/bench_util.hh) and the sweep CLI write one JSON
 report per run with bit-exact headline metrics (printed with %.17g, so
-doubles round-trip) plus wall-clock and sweep counters.
+doubles round-trip) plus wall-clock and phase totals.
 This tool diffs the reports two runs produced:
 
   - deterministic headline metrics must match EXACTLY (the simulator

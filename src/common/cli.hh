@@ -113,8 +113,8 @@ using Values = std::vector<std::string>;
 using Setter = std::function<void(const std::string &what, const Values &)>;
 
 /**
- * A setter storing into `target`; its type picks the parser, as in
- * writeConfigField: std::string verbatim, bool as a switch (set true),
+ * A setter storing into `target`; its type picks the parser:
+ * std::string verbatim, bool as a switch (set true),
  * unsigned/u64/double through parseNumber in [lo, hi], and any other
  * type through a `parseFlagValue(what, text, T &)` declared beside it.
  */

@@ -39,19 +39,6 @@ Histogram::percentile(double p) const
     return hi_;
 }
 
-void
-Histogram::restore(std::vector<std::uint64_t> counts,
-                   std::uint64_t underflow, std::uint64_t overflow,
-                   double sum, std::uint64_t count)
-{
-    panicIf(counts.size() != counts_.size(),
-            "Histogram::restore bucket-count mismatch");
-    counts_ = std::move(counts);
-    underflow_ = underflow;
-    overflow_ = overflow;
-    avg_.restore(sum, count);
-}
-
 double
 StatDump::getRequired(const std::string &name) const
 {

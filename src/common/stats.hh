@@ -45,14 +45,6 @@ class Average
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }
 
-    /** Restore serialized state bit-exactly (sweep shard merging). */
-    void
-    restore(double sum, std::uint64_t count)
-    {
-        sum_ = sum;
-        count_ = count;
-    }
-
     void
     reset()
     {
@@ -97,8 +89,8 @@ class Histogram
     double lo() const { return lo_; }
     double hi() const { return hi_; }
     double mean() const { return avg_.mean(); }
-    /** Exact running sum of all samples (serialization needs the sum,
-     * not the derived mean, for bit-exact round trips). */
+    /** Exact running sum of all samples (the golden digests hash the
+     * sum, not the derived mean). */
     double sampleSum() const { return avg_.sum(); }
     std::uint64_t count() const { return avg_.count(); }
     const std::vector<std::uint64_t> &buckets() const { return counts_; }
@@ -116,14 +108,6 @@ class Histogram
      * when the histogram is empty or p falls off either end.
      */
     double percentile(double p) const;
-
-    /**
-     * Restore serialized state bit-exactly (sweep shard merging).  The
-     * bucket count must match this histogram's geometry.
-     */
-    void restore(std::vector<std::uint64_t> counts,
-                 std::uint64_t underflow, std::uint64_t overflow,
-                 double sum, std::uint64_t count);
 
     void
     reset()

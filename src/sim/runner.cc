@@ -34,16 +34,6 @@ SimRunner::phaseTotals()
     return t;
 }
 
-void
-SimRunner::recordExternalRun(const SimResult &result)
-{
-    setupNsTotal.fetch_add(
-        static_cast<std::uint64_t>(result.setupSeconds * 1e9));
-    measureNsTotal.fetch_add(
-        static_cast<std::uint64_t>(result.measureSeconds * 1e9));
-    runsTotal.fetch_add(1);
-}
-
 SimRunner::SimRunner(unsigned jobs)
     : jobs_(jobs ? jobs : defaultJobs())
 {}

@@ -46,13 +46,6 @@ class SimRunner
     static PhaseTotals phaseTotals();
 
     /**
-     * Fold a run executed in another process (a sweep shard worker)
-     * into this process's phase totals, so sharded sweeps report the
-     * same setup/measure split and run counts as in-process ones.
-     */
-    static void recordExternalRun(const SimResult &result);
-
-    /**
      * TMCC_JOBS if set (anything but a positive integer that fits
      * `unsigned` exits with an error naming it), else
      * hardware_concurrency, else 1.

@@ -1,8 +1,7 @@
 /**
  * @file
  * Experiment configuration: Table III defaults plus the architecture
- * selector and workload/scale knobs, and the field table
- * (forEachField) that encodes and keys it.
+ * selector and workload/scale knobs.
  */
 
 #ifndef TMCC_SIM_SIM_CONFIG_HH
@@ -12,13 +11,11 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "cache/hierarchy.hh"
 #include "common/cli.hh"
 #include "common/log.hh"
-#include "common/serial.hh"
 #include "compresso/compresso_mc.hh"
 #include "dram/dram_config.hh"
 #include "tmcc/os_mc.hh"
@@ -139,7 +136,7 @@ struct SimConfig
     std::uint64_t sampleWarmAccesses = 0;
 
     /** Inert: the simulator never reads them; perfbench/perfbench.cc is
-     * their only reader.  Not in forEachField, so not on the wire. */
+     * their only reader. */
     unsigned tenants = 6;
     double tenantChurn = 0.001;
     double tenantZipf = 1.1;
@@ -170,149 +167,6 @@ applyScalePreset(SimConfig &cfg)
     if (cfg.workload == "mcf" || cfg.workload == "omnetpp" ||
         cfg.workload == "canneal")
         cfg.scale = 0.8;
-}
-
-/**
- * The one list of SimConfig's fields, in wire order: calls
- * `visit(name, member)` for each.  It drives the sweep format
- * (serializeSimConfig / deserializeSimConfig, hence sweepGridKey), so a
- * field added here travels to workers and enters the grid key.
- * `kernel` is inert and stays out.
- */
-template <typename Config, typename Visitor>
-    requires std::is_same_v<std::remove_const_t<Config>, SimConfig>
-void
-forEachField(Config &c, Visitor &&visit)
-{
-    visit("workload", c.workload);
-    visit("scale", c.scale);
-    visit("cores", c.cores);
-    visit("seed", c.seed);
-    visit("arch", c.arch);
-
-    visit("cpuGhz", c.cpuGhz);
-    visit("l1Cycles", c.l1Cycles);
-    visit("l2Cycles", c.l2Cycles);
-    visit("l3Cycles", c.l3Cycles);
-    visit("nocToMcNs", c.nocToMcNs);
-    visit("tlbEntries", c.tlbEntries);
-    visit("cteBufferEntries", c.cteBufferEntries);
-    visit("hugePages", c.hugePages);
-    visit("nestedPaging", c.nestedPaging);
-    visit("memOverlapFactor", c.memOverlapFactor);
-
-    visit("hierarchy.l1Bytes", c.hierarchy.l1Bytes);
-    visit("hierarchy.l1Assoc", c.hierarchy.l1Assoc);
-    visit("hierarchy.l2Bytes", c.hierarchy.l2Bytes);
-    visit("hierarchy.l2Assoc", c.hierarchy.l2Assoc);
-    visit("hierarchy.l3Bytes", c.hierarchy.l3Bytes);
-    visit("hierarchy.l3Assoc", c.hierarchy.l3Assoc);
-    visit("hierarchy.prefetchers", c.hierarchy.prefetchers);
-    visit("hierarchy.strideDegreeL1", c.hierarchy.strideDegreeL1);
-    visit("hierarchy.strideDegreeL2", c.hierarchy.strideDegreeL2);
-
-    visit("dram.ranks", c.dram.ranks);
-    visit("dram.bankGroups", c.dram.bankGroups);
-    visit("dram.banksPerGroup", c.dram.banksPerGroup);
-    visit("dram.rowBytes", c.dram.rowBytes);
-    visit("dram.channelBytes", c.dram.channelBytes);
-    visit("dram.tCkNs", c.dram.tCkNs);
-    visit("dram.tClNs", c.dram.tClNs);
-    visit("dram.tRcdNs", c.dram.tRcdNs);
-    visit("dram.tRpNs", c.dram.tRpNs);
-    visit("dram.tBurstNs", c.dram.tBurstNs);
-    visit("dram.tWrNs", c.dram.tWrNs);
-    visit("dram.tRtwNs", c.dram.tRtwNs);
-    visit("dram.tWtrNs", c.dram.tWtrNs);
-    visit("dram.rowAccessCap", c.dram.rowAccessCap);
-    visit("dram.writeQueueDepth", c.dram.writeQueueDepth);
-    visit("dram.writeDrainHigh", c.dram.writeDrainHigh);
-    visit("dram.writeDrainLow", c.dram.writeDrainLow);
-
-    visit("interleave.numMcs", c.interleave.numMcs);
-    visit("interleave.channelsPerMc", c.interleave.channelsPerMc);
-    visit("interleave.mcGranularity", c.interleave.mcGranularity);
-    visit("interleave.channelGranularity", c.interleave.channelGranularity);
-
-    visit("compresso.cteCacheBytes", c.compresso.cteCacheBytes);
-    visit("compresso.chunkBytes", c.compresso.chunkBytes);
-    visit("compresso.mcProcNs", c.compresso.mcProcNs);
-    visit("compresso.blockDecompressNs", c.compresso.blockDecompressNs);
-    visit("compresso.llcVictimLatNs", c.compresso.llcVictimLatNs);
-    visit("compresso.cteVictimInLlc", c.compresso.cteVictimInLlc);
-    visit("compresso.llcVictimBytes", c.compresso.llcVictimBytes);
-    visit("compresso.repackBlockFraction", c.compresso.repackBlockFraction);
-
-    visit("osMc.cteCacheBytes", c.osMc.cteCacheBytes);
-    visit("osMc.mcProcNs", c.osMc.mcProcNs);
-    // osMc.{embedCtes,fastDeflate,dramBudgetBytes,ml1TargetPages,cores,
-    // cteBufferEntries} are absent: System derives them from `arch`, the
-    // DRAM budget, `cores` and `cteBufferEntries`.
-    visit("osMc.freeListLow", c.osMc.freeListLow);
-    visit("osMc.freeListCritical", c.osMc.freeListCritical);
-    visit("osMc.evictBatch", c.osMc.evictBatch);
-    visit("osMc.migrationBufferEntries", c.osMc.migrationBufferEntries);
-    visit("osMc.migrationGBs", c.osMc.migrationGBs);
-    visit("osMc.recencySampleP", c.osMc.recencySampleP);
-    visit("osMc.ptb.managedDramBytes", c.osMc.ptb.managedDramBytes);
-    visit("osMc.ptb.physPages", c.osMc.ptb.physPages);
-    visit("osMc.faults.ml2BitFlipRate", c.osMc.faults.ml2BitFlipRate);
-    visit("osMc.faults.cteBitFlipRate", c.osMc.faults.cteBitFlipRate);
-    visit("osMc.faults.ptbBitFlipRate", c.osMc.faults.ptbBitFlipRate);
-    visit("osMc.faults.transientFraction", c.osMc.faults.transientFraction);
-    visit("osMc.faults.seed", c.osMc.faults.seed);
-
-    visit("dramBudgetFraction", c.dramBudgetFraction);
-    visit("placementAccesses", c.placementAccesses);
-    visit("warmAccesses", c.warmAccesses);
-    visit("measureAccesses", c.measureAccesses);
-    visit("statsInterval", c.statsInterval);
-    visit("sampleWindows", c.sampleWindows);
-    visit("sampleWindowAccesses", c.sampleWindowAccesses);
-    visit("sampleWarmAccesses", c.sampleWarmAccesses);
-}
-
-/** Wire encoding of one table field: each member type has exactly one. */
-template <typename T>
-void
-writeConfigField(ByteWriter &w, const T &v)
-{
-    if constexpr (std::is_same_v<T, std::string>)
-        w.str(v);
-    else if constexpr (std::is_same_v<T, double>)
-        w.f64(v);
-    else if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, Arch>)
-        w.u8(static_cast<std::uint8_t>(v));
-    else if constexpr (std::is_same_v<T, unsigned>)
-        w.u32(v);
-    else {
-        static_assert(std::is_unsigned_v<T> && sizeof(T) == 8);
-        w.u64(v);
-    }
-}
-
-/** Inverse of writeConfigField; false when an Arch byte is out of range. */
-template <typename T>
-bool
-readConfigField(ByteReader &r, T &v)
-{
-    if constexpr (std::is_same_v<T, std::string>)
-        v = r.str();
-    else if constexpr (std::is_same_v<T, double>)
-        v = r.f64();
-    else if constexpr (std::is_same_v<T, bool>)
-        v = r.u8() != 0;
-    else if constexpr (std::is_same_v<T, Arch>) {
-        const std::uint8_t a = r.u8();
-        v = static_cast<Arch>(a);
-        return a <= static_cast<std::uint8_t>(Arch::Tmcc);
-    } else if constexpr (std::is_same_v<T, unsigned>)
-        v = r.u32();
-    else {
-        static_assert(std::is_unsigned_v<T> && sizeof(T) == 8);
-        v = r.u64();
-    }
-    return true;
 }
 
 /**

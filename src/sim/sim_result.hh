@@ -1,7 +1,8 @@
 /**
  * @file
  * Aggregated results of one simulation run: everything the paper's
- * tables and figures consume.
+ * tables and figures consume, and serializeSimResult, the byte
+ * encoding the golden digests are computed over.
  */
 
 #ifndef TMCC_SIM_SIM_RESULT_HH
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/serial.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -146,6 +148,14 @@ struct SimResult
     /** Interval-sampling CI summary (empty unless sampleWindows > 0). */
     SampleSummary sample;
 };
+
+/**
+ * Append every field of `res` to `w`, in declaration order, doubles as
+ * their exact bit patterns.  GoldenFingerprint and KernelIdentity
+ * digest these bytes, so any change to the encoding re-pins every
+ * golden.
+ */
+void serializeSimResult(ByteWriter &w, const SimResult &res);
 
 } // namespace tmcc
 

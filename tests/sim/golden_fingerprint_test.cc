@@ -25,9 +25,8 @@
 #include <string>
 
 #include "common/crc32.hh"
-#include "common/serial.hh"
 #include "common/trace.hh"
-#include "sim/sweep_manifest.hh"
+#include "sim/sim_result.hh"
 #include "sim/system.hh"
 
 namespace tmcc

@@ -15,9 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "common/serial.hh"
 #include "common/trace.hh"
-#include "sim/sweep_manifest.hh"
+#include "sim/sim_result.hh"
 #include "sim/system.hh"
 
 namespace tmcc
@@ -56,7 +55,7 @@ fingerprint(SimResult res)
     res.measureSeconds = 0.0;
     ByteWriter w;
     serializeSimResult(w, res);
-    return w.take();
+    return w.buffer();
 }
 
 TEST(KernelIdentity, TmccOnIrregularWorkload)

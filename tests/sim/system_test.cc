@@ -10,9 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.hh"
-#include "common/serial.hh"
 #include "common/trace.hh"
-#include "sim/sweep_manifest.hh"
+#include "sim/sim_result.hh"
 #include "sim/system.hh"
 #include "tests/sim/system_test_peer.hh"
 
