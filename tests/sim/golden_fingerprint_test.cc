@@ -2,9 +2,10 @@
  * @file
  * Identity against history: checked-in digests of the full SimResult
  * for a fixed matrix of small runs — every architecture, exact and
- * sampled, plus epoch statistics, nested paging (TMCC and Compresso),
- * huge pages, nested paging with huge pages, and traced runs with and
- * without epochs and nested paging.
+ * sampled, plus epoch statistics (exact and sampled), nested paging
+ * (TMCC and Compresso), huge pages, nested paging with huge pages, and
+ * traced runs: exact with and without epochs and nested paging, and
+ * sampled.
  *
  * These digests were recorded from an earlier build and pin the
  * simulated behaviour itself: a host-side optimisation must leave
@@ -43,6 +44,7 @@ enum class Variant
     Huge,       //!< 2MB pages
     NestedHuge, //!< nested paging with 2MB pages
     Sampled,    //!< --sample 4:2000:500
+    SampledEpochs, //!< --sample 4:2000:500 with statsInterval = 2000
 };
 
 struct GoldenCase
@@ -60,6 +62,7 @@ struct GoldenCase
 constexpr std::uint32_t tmccPageRank = 0xd7b64060u;
 constexpr std::uint32_t tmccEpochs = 0xd9e6a016u;
 constexpr std::uint32_t tmccNestedPaging = 0x976717feu;
+constexpr std::uint32_t sampledTmcc = 0xb6ecec9cu;
 
 // mcf's footprint at this scale never reaches ML2, where TMCC and
 // barebone+ml1opt differ, so their digests coincide.
@@ -103,13 +106,17 @@ constexpr GoldenCase goldenCases[] = {
     {"SampledBarebonePlusMl2", Arch::BarebonePlusMl2, "pageRank",
      Variant::Sampled, 0x8035aeb4u},
     {"SampledTmcc", Arch::Tmcc, "pageRank", Variant::Sampled,
-     0xb6ecec9cu},
+     sampledTmcc},
+    {"SampledTmccEpochs", Arch::Tmcc, "pageRank", Variant::SampledEpochs,
+     0x180d57a6u},
     {"TmccPageRankTraced", Arch::Tmcc, "pageRank", Variant::Exact,
      tmccPageRank, true},
     {"TmccEpochsTraced", Arch::Tmcc, "pageRank", Variant::Epochs,
      tmccEpochs, true},
     {"TmccNestedPagingTraced", Arch::Tmcc, "pageRank", Variant::Nested,
      tmccNestedPaging, true},
+    {"SampledTmccTraced", Arch::Tmcc, "pageRank", Variant::Sampled,
+     sampledTmcc, true},
 };
 
 SimConfig
@@ -137,9 +144,12 @@ goldenConfig(const GoldenCase &c)
         cfg.hugePages = true;
         break;
       case Variant::Sampled:
+      case Variant::SampledEpochs:
         cfg.sampleWindows = 4;
         cfg.sampleWindowAccesses = 2'000;
         cfg.sampleWarmAccesses = 500;
+        if (c.variant == Variant::SampledEpochs)
+            cfg.statsInterval = 2'000;
         break;
       case Variant::Exact:
         break;
