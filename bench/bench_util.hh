@@ -125,12 +125,12 @@ class BenchReport
         std::fprintf(f, "  \"bench\": \"%s\",\n",
                      jsonEscape(name_).c_str());
         std::fprintf(f, "  \"wall_seconds\": %.3f,\n", wall);
-        std::fprintf(f, "  \"jobs\": %u,\n", SimRunner::defaultJobs());
+        // Worker threads and the setup/measured wall-clock split across
+        // every run this process dispatched.
+        const SimRunner::PhaseTotals phases = SimRunner::phaseTotals();
+        std::fprintf(f, "  \"jobs\": %u,\n", phases.jobs);
         std::fprintf(f, "  \"quick\": %s,\n",
                      quickEnabled() ? "true" : "false");
-        // Setup/measured wall-clock split across every run this
-        // process dispatched.
-        const SimRunner::PhaseTotals phases = SimRunner::phaseTotals();
         std::fprintf(f, "  \"setup_seconds\": %.3f,\n",
                      phases.setupSeconds);
         std::fprintf(f, "  \"measure_seconds\": %.3f,\n",

@@ -38,11 +38,11 @@ main(int argc, char **argv)
     // Reference points.
     SimConfig none = base;
     none.arch = Arch::NoCompression;
-    const SimResult rn = System(none).run();
+    const SimResult rn = System(none).measure();
 
     SimConfig comp = base;
     comp.arch = Arch::Compresso;
-    const SimResult rc = System(comp).run();
+    const SimResult rc = System(comp).measure();
 
     std::printf("%-26s %10s %12s %10s\n", "configuration", "ratio",
                 "perf(acc/us)", "vs nocomp");
@@ -59,7 +59,7 @@ main(int argc, char **argv)
         SimConfig cfg = base;
         cfg.arch = Arch::Tmcc;
         cfg.dramBudgetFraction = frac;
-        const SimResult r = System(cfg).run();
+        const SimResult r = System(cfg).measure();
         char label[64];
         std::snprintf(label, sizeof(label), "tmcc @ %.0f%% of footprint",
                       100.0 * frac);

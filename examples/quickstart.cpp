@@ -39,7 +39,7 @@ main(int argc, char **argv)
         cfg.measureAccesses = 120'000;
 
         System system(cfg);
-        const SimResult r = system.run();
+        const SimResult r = system.measure();
 
         const double perf = r.accessesPerNs() * 1000.0;
         if (arch == Arch::NoCompression)

@@ -39,9 +39,8 @@ usage(const std::string &header, const std::vector<Flag> &flags)
         out += line + "\n";
     };
     for (const Flag &f : flags)
-        if (!f.help.empty())
-            entry(f.metavar.empty() ? f.name : f.name + " " + f.metavar,
-                  f.env.empty() ? f.help : f.help + " (env: " + f.env + ")");
+        entry(f.metavar.empty() ? f.name : f.name + " " + f.metavar,
+              f.env.empty() ? f.help : f.help + " (env: " + f.env + ")");
     entry("-h, --help", "print this help and exit");
     return out;
 }

@@ -140,12 +140,12 @@ struct Flag
 {
     std::string name;    //!< "--scale"
     std::string metavar; //!< one word per value ("FILE N"); empty = switch
-    std::string help;    //!< one paragraph; empty = internal, not in usage()
+    std::string help;    //!< one paragraph
     Setter set;
     std::string env = {}; //!< environment variable supplying a default
 };
 
-/** `header`, then one aligned, wrapped entry per visible row. */
+/** `header`, then one aligned, wrapped entry per row. */
 std::string usage(const std::string &header, const std::vector<Flag> &flags);
 
 /**

@@ -23,9 +23,9 @@
  *      metadata rather than silently lost.
  *
  * Timestamps are simulation nanoseconds for in-System events (the
- * current-pid track is set for the duration of System::run) and
- * wall-clock nanoseconds since tracer creation for host-side events
- * (SimRunner worker jobs, pid 0).  The two timebases share a file but
+ * current-pid track is set while System::setup and System::measure
+ * run) and wall-clock nanoseconds since tracer creation for host-side
+ * events (SimRunner worker jobs, pid 0).  The two timebases share a file but
  * not a track, so Perfetto renders both coherently.
  */
 
@@ -83,7 +83,7 @@ class Tracer
     }
 
     /** The pid (Perfetto process track) of the current thread's
-     * enclosing System::run, 0 outside one. */
+     * enclosing System::setup or System::measure, 0 outside one. */
     static std::uint32_t currentPid() { return tlsPid_; }
 
     /** RAII: route this thread's events to `pid` while in scope. */

@@ -146,7 +146,6 @@ struct AccessEngine
             const Tick miss_start = start + l1 + l2 + l3;
             if (measuring) {
                 const double lat_ns = ticksToNs(done - miss_start);
-                sys.l3MissLatency_.sample(lat_ns);
                 sys.result_.l3MissLatency.sample(lat_ns);
                 if (resp.hitMl2)
                     sys.result_.ml2FaultLatency.sample(lat_ns);

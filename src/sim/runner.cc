@@ -20,6 +20,7 @@ namespace
 std::atomic<std::uint64_t> setupNsTotal{0};
 std::atomic<std::uint64_t> measureNsTotal{0};
 std::atomic<std::uint64_t> runsTotal{0};
+std::atomic<unsigned> jobsMax{0};
 
 } // namespace
 
@@ -31,6 +32,7 @@ SimRunner::phaseTotals()
     t.measureSeconds =
         static_cast<double>(measureNsTotal.load()) * 1e-9;
     t.runs = runsTotal.load();
+    t.jobs = jobsMax.load();
     return t;
 }
 
@@ -58,7 +60,7 @@ SimRunner::run(const std::vector<SimConfig> &configs) const
         Tracer *tr = Tracer::active();
         const double t0 = tr ? tr->wallNs() : 0.0;
         System sys(configs[i]);
-        results[i] = sys.run();
+        results[i] = sys.measure();
         setupNsTotal.fetch_add(static_cast<std::uint64_t>(
             results[i].setupSeconds * 1e9));
         measureNsTotal.fetch_add(static_cast<std::uint64_t>(
@@ -77,6 +79,12 @@ SimRunner::run(const std::vector<SimConfig> &configs) const
                              "\",\"index\":" + std::to_string(i));
         }
     };
+
+    // phaseTotals().jobs: the most workers any batch ran on.
+    const unsigned workers = parallelWorkers(configs.size(), jobs_);
+    unsigned seen = jobsMax.load();
+    while (seen < workers && !jobsMax.compare_exchange_weak(seen, workers))
+        ;
 
     // Results land by submission index, so the output order (and
     // content -- every System is self-contained and seeded from its

@@ -35,13 +35,15 @@ class SimRunner
 
     /**
      * Process-wide setup/measured wall-clock totals across every run
-     * dispatched through SimRunner (the BenchReport phase split).
+     * dispatched through SimRunner (the BenchReport phase split), and
+     * the most worker threads any one run() used.
      */
     struct PhaseTotals
     {
         double setupSeconds = 0.0;
         double measureSeconds = 0.0;
         std::uint64_t runs = 0;
+        unsigned jobs = 0;
     };
     static PhaseTotals phaseTotals();
 

@@ -274,6 +274,7 @@ System::buildMcAndCores()
     }
 
     cores_.assign(cfg_.cores, CoreState{});
+    rings_.resize(cfg_.cores);
     for (unsigned c = 0; c < cfg_.cores; ++c) {
         tlbs_.push_back(std::make_unique<Tlb>(cfg_.tlbEntries));
         walkers_.push_back(std::make_unique<Walker>(*pageTable_));
@@ -452,26 +453,17 @@ System::placePages(const std::vector<std::uint64_t> &hot)
         mc_->placePage(f);
 }
 
-// The access supply: per-core rings refilled in blocks through
-// Workload::nextBatch, so the loops touch the workload engine's virtual
-// dispatch once per 64 accesses instead of once per access.  Rings only
-// move the *fetch* earlier within each core's own stream, which is
-// invisible because workload engines are per-core; processing always
-// interleaves cores round-robin (warm and fast-forward: the access
-// engine's timed and functional instantiations) or by local time
-// (measured loop).  The stream position a phase leaves behind is what
-// the next phase starts from:
-//   - warm / fast-forward: the per-core access count is known up
-//     front, so rings refill with exactly min(64, remaining);
-//   - exact-mode measured loop: the run ends with the loop, so a ring
-//     may fetch ahead harmlessly;
-//   - sampled windows: accesses beyond the window belong to the next
-//     fast-forward stretch, so the ring refills one access at a time.
+// Every loop draws through nextAccess, whose per-core rings refill in
+// blocks of 64 through Workload::nextBatch, so the loops touch the
+// workload engine's virtual dispatch once per 64 accesses instead of
+// once per access.  Fetching ahead only moves the *fetch* earlier
+// within each core's own stream, which is invisible because workload
+// engines are per-core.  Processing interleaves cores round-robin
+// (warm-up and fast-forward: the access engine's timed and functional
+// instantiations) or by local time (the measured loop).
 
 namespace
 {
-constexpr std::size_t ringCap = 64;
-
 /**
  * How many ring slots ahead of the consuming step the metadata
  * prefetches run.  Far enough for the loads to land before the probe,
@@ -501,18 +493,9 @@ template <class Step>
 void
 System::roundRobin(std::uint64_t per_core, Step &&step)
 {
-    std::vector<std::array<MemAccess, ringCap>> ring(cfg_.cores);
-    std::uint64_t issued = 0;
-    while (issued < per_core) {
-        const auto n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(ringCap, per_core - issued));
+    for (std::uint64_t i = 0; i < per_core; ++i)
         for (unsigned c = 0; c < cfg_.cores; ++c)
-            workloads_[c]->nextBatch(ring[c].data(), n);
-        for (std::size_t i = 0; i < n; ++i)
-            for (unsigned c = 0; c < cfg_.cores; ++c)
-                step(c, ring[c][i]);
-        issued += n;
-    }
+            step(c, nextAccess(c));
 }
 
 void
@@ -530,15 +513,8 @@ System::runWarm(std::uint64_t per_core)
 
 template <bool Tracing, bool Epochs>
 void
-System::runMeasuredLoopT(std::uint64_t quota, std::size_t refill)
+System::runMeasuredLoopT(std::uint64_t quota)
 {
-    struct Ring
-    {
-        std::array<MemAccess, ringCap> buf;
-        std::size_t head = 0, count = 0;
-    };
-    std::vector<Ring> rings(cfg_.cores);
-
     // Interleave cores by local time.
     bool running = true;
     while (running) {
@@ -546,21 +522,17 @@ System::runMeasuredLoopT(std::uint64_t quota, std::size_t refill)
         for (unsigned c = 1; c < cfg_.cores; ++c)
             if (cores_[c].now < cores_[next].now)
                 next = c;
-        Ring &r = rings[next];
+        const AccessRing &r = rings_[next];
         Tlb &tlb = *tlbs_[next];
         Cache &l1 = hierarchy_->l1(next);
-        if (r.head == r.count) {
-            workloads_[next]->nextBatch(r.buf.data(), refill);
-            r.head = 0;
-            r.count = refill;
-            const std::size_t pn = std::min(lookahead, r.count);
-            for (std::size_t i = 0; i < pn; ++i)
+        const bool refill = r.head == ringCap;
+        const MemAccess &a = nextAccess(next);
+        if (refill)
+            for (std::size_t i = 0; i < lookahead; ++i)
                 prefetchAccess(tlb, l1, r.buf[i]);
-        }
-        if (r.head + lookahead < r.count)
-            prefetchAccess(tlb, l1, r.buf[r.head + lookahead]);
-        AccessEngine<Tracing, false>::step(*this, next, r.buf[r.head++],
-                                           true);
+        if (r.head - 1 + lookahead < ringCap)
+            prefetchAccess(tlb, l1, r.buf[r.head - 1 + lookahead]);
+        AccessEngine<Tracing, false>::step(*this, next, a, true);
         if constexpr (Epochs) {
             if (result_.accesses >= nextEpochAt_) {
                 snapshotEpoch(cores_[next].now);
@@ -575,21 +547,20 @@ System::runMeasuredLoopT(std::uint64_t quota, std::size_t refill)
 }
 
 void
-System::runMeasuredLoop(std::uint64_t quota, bool use_ring)
+System::runMeasuredLoop(std::uint64_t quota)
 {
-    const std::size_t refill = use_ring ? ringCap : 1;
     const bool tracing = Tracer::active() != nullptr;
     const bool epochs = cfg_.statsInterval > 0;
     if (tracing) {
         if (epochs)
-            runMeasuredLoopT<true, true>(quota, refill);
+            runMeasuredLoopT<true, true>(quota);
         else
-            runMeasuredLoopT<true, false>(quota, refill);
+            runMeasuredLoopT<true, false>(quota);
     } else {
         if (epochs)
-            runMeasuredLoopT<false, true>(quota, refill);
+            runMeasuredLoopT<false, true>(quota);
         else
-            runMeasuredLoopT<false, false>(quota, refill);
+            runMeasuredLoopT<false, false>(quota);
     }
 }
 
@@ -693,23 +664,6 @@ System::setup()
                         .count();
 }
 
-SimResult
-System::run()
-{
-    return measure();
-}
-
-SimResult
-System::measure()
-{
-    validateRunConfig();
-    if (!setupDone_)
-        setup();
-    if (cfg_.sampleWindows > 0)
-        return measureSampled();
-    return measureExact();
-}
-
 void
 System::validateRunConfig() const
 {
@@ -736,101 +690,8 @@ System::validateRunConfig() const
             "(epochs cannot be finer than the detailed windows)");
 }
 
-SimResult
-System::measureExact()
-{
-    const auto wall0 = std::chrono::steady_clock::now();
-    Tracer::PidScope pid_scope(tracePid_);
-
-    // Cache/TLB/ML warm-up window.
-    for (unsigned c = 0; c < cfg_.cores; ++c)
-        cores_[c] = CoreState{};
-    runWarm(cfg_.warmAccesses);
-
-    // Measured window.
-    measureStart_ = 0;
-    for (unsigned c = 0; c < cfg_.cores; ++c) {
-        measureStart_ = std::max(measureStart_, cores_[c].now);
-        cores_[c].accesses = 0;
-    }
-    for (unsigned c = 0; c < cfg_.cores; ++c)
-        cores_[c].now = measureStart_;
-    busReadsAtStart_ = dram_->busBusyReads();
-    busWritesAtStart_ = dram_->busBusyWrites();
-
-    // Epoch snapshots diff against the measure-start baseline so the
-    // first epoch's deltas exclude warm-up activity.
-    if (cfg_.statsInterval > 0) {
-        prevEpoch_ = StatDump{};
-        dumpAllStats(prevEpoch_);
-        prevEpochAccesses_ = 0;
-        nextEpochAt_ = cfg_.statsInterval;
-    }
-
-    runMeasuredLoop(cfg_.measureAccesses, true);
-
-    Tick end = 0;
-    for (unsigned c = 0; c < cfg_.cores; ++c)
-        end = std::max(end, cores_[c].now);
-    mc_->drain(end);
-
-    // Flush the final (possibly partial) epoch after the drain so the
-    // epoch deltas sum exactly to the end-of-run totals.
-    if (cfg_.statsInterval > 0 &&
-        result_.accesses > prevEpochAccesses_)
-        snapshotEpoch(end);
-
-    finishResult(
-        end - measureStart_,
-        static_cast<double>(dram_->busBusyReads() - busReadsAtStart_),
-        static_cast<double>(dram_->busBusyWrites() - busWritesAtStart_),
-        wall0);
-    return result_;
-}
-
-void
-System::finishResult(Tick elapsed, double bus_reads, double bus_writes,
-                     std::chrono::steady_clock::time_point wall0)
-{
-    result_.elapsed = elapsed;
-    result_.footprintBytes = footprintBytes_;
-    result_.dramUsedBytes = mc_->dramUsedBytes();
-    result_.avgL3MissLatencyNs = l3MissLatency_.mean();
-    const Tick window = result_.elapsed * cfg_.cores > 0
-                            ? result_.elapsed
-                            : Tick{1};
-    result_.readBusUtil = bus_reads / static_cast<double>(window);
-    result_.writeBusUtil = bus_writes / static_cast<double>(window);
-
-    // Raw component counters plus sys.* pipeline counters.
-    dumpAllStats(result_.stats);
-
-    // Phase bookkeeping (wall-clock only; never part of the StatDump,
-    // so bit-identity comparisons are unaffected).
-    result_.setupSeconds = setupSeconds_;
-    result_.measureSeconds = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() -
-                                 wall0)
-                                 .count();
-}
-
 namespace
 {
-
-/** Raw counter/timing state captured around one detailed window. */
-struct WindowSnap
-{
-    std::uint64_t accesses = 0;
-    std::uint64_t tlbHits = 0, tlbMisses = 0;
-    std::uint64_t llcMisses = 0, llcWritebacks = 0;
-    std::uint64_t cteHits = 0, cteMisses = 0;
-    std::uint64_t ml2Accesses = 0;
-    double l3LatSum = 0.0;
-    std::uint64_t l3LatCount = 0;
-    double walkLatSum = 0.0;
-    std::uint64_t walkLatCount = 0;
-    Tick busReads = 0, busWrites = 0;
-};
 
 /**
  * Two-sided Student-t critical value at 95% confidence.  Exact table
@@ -879,29 +740,39 @@ summarize(const std::string &name, const std::vector<double> &xs)
 } // namespace
 
 SimResult
-System::measureSampled()
+System::measure()
 {
+    validateRunConfig();
+    if (!setupDone_)
+        setup();
     const auto wall0 = std::chrono::steady_clock::now();
     Tracer::PidScope pid_scope(tracePid_);
 
-    const std::uint64_t k = cfg_.sampleWindows;
-    const std::uint64_t w = cfg_.sampleWindowAccesses;
-    const std::uint64_t dw = cfg_.sampleWarmAccesses;
-    // Stratified intervals: each of the k windows owns an equal slice
-    // of the measure-phase access budget and is measured at its end,
-    // after a functional fast-forward and a short detailed warm-up
-    // re-primes timing state (SMARTS-style detailed warming).
+    // One schedule.  A lead-in fast-forwards warm - lead accesses and
+    // warms the last `lead` in detail.  Then each of k windows owns an
+    // equal slice (stratum) of the measure-phase access budget and is
+    // measured at its end, after a functional fast-forward and a short
+    // detailed warm-up that re-primes timing state (SMARTS-style
+    // detailed warming).  An exact run is the one-window case: the
+    // window is the whole budget, with no window warm-up and an
+    // all-detailed lead-in.
+    const bool sampled = cfg_.sampleWindows > 0;
+    const std::uint64_t k = sampled ? cfg_.sampleWindows : 1;
+    const std::uint64_t w =
+        sampled ? cfg_.sampleWindowAccesses : cfg_.measureAccesses;
+    const std::uint64_t dw = cfg_.sampleWarmAccesses; // 0 unless sampled
+    const std::uint64_t lead =
+        sampled ? std::min(cfg_.warmAccesses, dw) : cfg_.warmAccesses;
     const std::uint64_t stratum = cfg_.measureAccesses / k;
 
     for (unsigned c = 0; c < cfg_.cores; ++c)
         cores_[c] = CoreState{};
+    std::uint64_t ff_total = cfg_.warmAccesses - lead;
+    fastForward(ff_total);
+    runWarm(lead);
 
-    // Warm-up phase: functional except for the last dw accesses.
-    const std::uint64_t warm_detail = std::min(cfg_.warmAccesses, dw);
-    std::uint64_t ff_total = cfg_.warmAccesses - warm_detail;
-    fastForward(cfg_.warmAccesses - warm_detail);
-    runWarm(warm_detail);
-
+    // Epoch snapshots diff against this baseline so the first epoch's
+    // deltas exclude warm-up activity.
     if (cfg_.statsInterval > 0) {
         prevEpoch_ = StatDump{};
         dumpAllStats(prevEpoch_);
@@ -909,32 +780,12 @@ System::measureSampled()
         nextEpochAt_ = cfg_.statsInterval;
     }
 
-    const auto snap = [this]() {
-        WindowSnap s;
-        s.accesses = result_.accesses;
-        s.tlbHits = result_.tlbHits;
-        s.tlbMisses = result_.tlbMisses;
-        s.llcMisses = result_.llcMisses;
-        s.llcWritebacks = result_.llcWritebacks;
-        s.cteHits = result_.cteHits;
-        s.cteMisses = result_.cteMisses;
-        s.ml2Accesses = result_.ml2Accesses;
-        s.l3LatSum = result_.l3MissLatency.sampleSum();
-        s.l3LatCount = result_.l3MissLatency.count();
-        s.walkLatSum = result_.pageWalkLatency.sampleSum();
-        s.walkLatCount = result_.pageWalkLatency.count();
-        s.busReads = dram_->busBusyReads();
-        s.busWrites = dram_->busBusyWrites();
-        return s;
-    };
     const auto frac = [](double num, double den) {
         return den > 0.0 ? num / den : 0.0;
     };
-
     std::vector<std::vector<double>> obs(10);
-    Tick elapsed_total = 0;
-    double bus_reads_total = 0.0, bus_writes_total = 0.0;
-    measureStart_ = 0;
+    Tick elapsed = 0;
+    double bus_reads = 0.0, bus_writes = 0.0;
 
     for (std::uint64_t win = 0; win < k; ++win) {
         const std::uint64_t ff_n = stratum - w - dw;
@@ -942,80 +793,92 @@ System::measureSampled()
         ff_total += ff_n;
         runWarm(dw);
 
-        // Align clocks at the window start (as measureExact does for
-        // its single window) so the interleave is well-defined.
-        Tick wstart = 0;
+        // Align clocks at the window start so the interleave is
+        // well-defined.
+        Tick start = 0;
         for (unsigned c = 0; c < cfg_.cores; ++c)
-            wstart = std::max(wstart, cores_[c].now);
+            start = std::max(start, cores_[c].now);
         for (unsigned c = 0; c < cfg_.cores; ++c) {
-            cores_[c].now = wstart;
+            cores_[c].now = start;
             cores_[c].accesses = 0;
         }
         if (win == 0)
-            measureStart_ = wstart;
+            measureStart_ = start;
 
-        const WindowSnap before = snap();
-        runMeasuredLoop(w, false);
+        const SimResult before = result_;
+        const Tick reads0 = dram_->busBusyReads();
+        const Tick writes0 = dram_->busBusyWrites();
+        runMeasuredLoop(w);
 
-        Tick wend = 0;
+        Tick end = 0;
         for (unsigned c = 0; c < cfg_.cores; ++c)
-            wend = std::max(wend, cores_[c].now);
-        mc_->drain(wend);
-        const WindowSnap after = snap();
+            end = std::max(end, cores_[c].now);
+        mc_->drain(end);
 
-        const Tick welapsed = wend - wstart;
-        elapsed_total += welapsed;
-        const double d_acc =
-            static_cast<double>(after.accesses - before.accesses);
-        const double d_elapsed_ns = ticksToNs(welapsed);
-        const double d_tlb_miss =
-            static_cast<double>(after.tlbMisses - before.tlbMisses);
-        const double d_tlb_hit =
-            static_cast<double>(after.tlbHits - before.tlbHits);
-        const double d_llc_miss =
-            static_cast<double>(after.llcMisses - before.llcMisses);
-        const double d_llc_wb = static_cast<double>(
-            after.llcWritebacks - before.llcWritebacks);
-        const double d_cte_hit =
-            static_cast<double>(after.cteHits - before.cteHits);
-        const double d_cte_miss =
-            static_cast<double>(after.cteMisses - before.cteMisses);
-        const double d_ml2 = static_cast<double>(after.ml2Accesses -
-                                                 before.ml2Accesses);
+        // This window's observations, from the counters' deltas.
+        const Tick welapsed = end - start;
+        elapsed += welapsed;
+        const auto delta = [&](std::uint64_t SimResult::*counter) {
+            return static_cast<double>(result_.*counter - before.*counter);
+        };
+        const auto mean = [&](Histogram SimResult::*h) {
+            return frac((result_.*h).sampleSum() - (before.*h).sampleSum(),
+                        static_cast<double>((result_.*h).count() -
+                                            (before.*h).count()));
+        };
+        const double d_acc = delta(&SimResult::accesses);
+        const double d_tlb_miss = delta(&SimResult::tlbMisses);
+        const double d_llc_miss = delta(&SimResult::llcMisses);
+        const double d_llc_wb = delta(&SimResult::llcWritebacks);
+        const double d_cte_hit = delta(&SimResult::cteHits);
         const double d_bus_r =
-            static_cast<double>(after.busReads - before.busReads);
+            static_cast<double>(dram_->busBusyReads() - reads0);
         const double d_bus_w =
-            static_cast<double>(after.busWrites - before.busWrites);
-        bus_reads_total += d_bus_r;
-        bus_writes_total += d_bus_w;
+            static_cast<double>(dram_->busBusyWrites() - writes0);
+        bus_reads += d_bus_r;
+        bus_writes += d_bus_w;
 
-        obs[0].push_back(frac(d_acc, d_elapsed_ns));
-        obs[1].push_back(frac(d_tlb_miss, d_tlb_hit + d_tlb_miss));
+        obs[0].push_back(frac(d_acc, ticksToNs(welapsed)));
+        obs[1].push_back(frac(
+            d_tlb_miss, delta(&SimResult::tlbHits) + d_tlb_miss));
         obs[2].push_back(frac(1000.0 * d_llc_miss, d_acc));
         obs[3].push_back(frac(1000.0 * d_llc_wb, d_acc));
-        obs[4].push_back(frac(d_cte_hit, d_cte_hit + d_cte_miss));
-        obs[5].push_back(frac(d_ml2, d_llc_miss + d_llc_wb));
-        obs[6].push_back(
-            frac(after.l3LatSum - before.l3LatSum,
-                 static_cast<double>(after.l3LatCount -
-                                     before.l3LatCount)));
-        obs[7].push_back(
-            frac(after.walkLatSum - before.walkLatSum,
-                 static_cast<double>(after.walkLatCount -
-                                     before.walkLatCount)));
-        obs[8].push_back(
-            frac(d_bus_r, static_cast<double>(welapsed)));
-        obs[9].push_back(
-            frac(d_bus_w, static_cast<double>(welapsed)));
+        obs[4].push_back(frac(
+            d_cte_hit, d_cte_hit + delta(&SimResult::cteMisses)));
+        obs[5].push_back(
+            frac(delta(&SimResult::ml2Accesses), d_llc_miss + d_llc_wb));
+        obs[6].push_back(mean(&SimResult::l3MissLatency));
+        obs[7].push_back(mean(&SimResult::pageWalkLatency));
+        obs[8].push_back(frac(d_bus_r, static_cast<double>(welapsed)));
+        obs[9].push_back(frac(d_bus_w, static_cast<double>(welapsed)));
 
-        // Final epoch flush per the exact-mode convention: deltas sum
-        // to the totals over all measured windows.
+        // Flush the final (possibly partial) epoch after the last
+        // drain so the epoch deltas sum exactly to the end-of-run
+        // totals.
         if (win + 1 == k && cfg_.statsInterval > 0 &&
             result_.accesses > prevEpochAccesses_)
-            snapshotEpoch(wend);
+            snapshotEpoch(end);
     }
 
-    finishResult(elapsed_total, bus_reads_total, bus_writes_total, wall0);
+    result_.elapsed = elapsed;
+    result_.footprintBytes = footprintBytes_;
+    result_.dramUsedBytes = mc_->dramUsedBytes();
+    result_.avgL3MissLatencyNs = result_.l3MissLatency.mean();
+    const Tick window = elapsed * cfg_.cores > 0 ? elapsed : Tick{1};
+    result_.readBusUtil = bus_reads / static_cast<double>(window);
+    result_.writeBusUtil = bus_writes / static_cast<double>(window);
+
+    // Raw component counters plus sys.* pipeline counters.
+    dumpAllStats(result_.stats);
+
+    // Phase bookkeeping (wall-clock only; never part of the StatDump,
+    // so bit-identity comparisons are unaffected).
+    result_.setupSeconds = setupSeconds_;
+    result_.measureSeconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - wall0)
+                                 .count();
+    if (!sampled)
+        return result_;
 
     // CI summary over the k windows for every headline metric.
     static const char *const names[10] = {

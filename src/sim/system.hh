@@ -8,16 +8,18 @@
  * map the address space (each region page once, recording its data
  * frame in a dense frame table), warm placement (touch-count ordering
  * stands in for the KVM fast-forward; pages are placed straight from
- * the frame table), ML1/ML2 + cache/TLB warm-up, then a measured
- * window.  Every detailed access runs through the one access engine
- * (sim/access_path.hh), fed from per-core 64-slot rings of workload
- * accesses.
+ * the frame table), then one measurement schedule: a lead-in warm-up
+ * and k measured windows, each after a fast-forward and a detailed
+ * warm-up.  An exact run is the schedule's one-window case; SMARTS-style
+ * interval sampling is k > 1.  Every access runs through the one access
+ * engine (sim/access_path.hh), drawn from one persistent 64-slot ring
+ * of workload accesses per core.
  */
 
 #ifndef TMCC_SIM_SYSTEM_HH
 #define TMCC_SIM_SYSTEM_HH
 
-#include <chrono>
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -46,16 +48,16 @@ class System
     /** Build the memories, page tables, MC and cores for `cfg`. */
     explicit System(const SimConfig &cfg);
 
-    /** Run all phases; returns the measured-window results. */
-    SimResult run();
-
     /**
      * Phase 1: the fast-forward stand-in (touch-count placement); then
      * releases the frame table, which only setup reads.
      */
     void setup();
 
-    /** Phase 2: warm window + measured window (runs setup if needed). */
+    /**
+     * Phase 2 (runs setup if needed): the measurement schedule, a
+     * lead-in warm-up then the measured windows; returns their results.
+     */
     SimResult measure();
 
     // Component access for tests and benches.
@@ -130,9 +132,26 @@ class System
     void validateRunConfig() const;
 
     /**
+     * The next access of `core`'s workload stream, from its ring; an
+     * empty ring refills with the next ringCap accesses of the stream.
+     * Every phase draws through here, so accesses a phase leaves in the
+     * ring are the next phase's first, and each stream is consumed in
+     * order whatever the phase boundaries.
+     */
+    const MemAccess &
+    nextAccess(unsigned core)
+    {
+        AccessRing &r = rings_[core];
+        if (r.head == ringCap) {
+            workloads_[core]->nextBatch(r.buf.data(), ringCap);
+            r.head = 0;
+        }
+        return r.buf[r.head++];
+    }
+
+    /**
      * Feed `per_core` accesses of every core to `step(core, access)`,
-     * round-robin, fetching them from the workloads in blocks of up to
-     * 64 per core and never beyond `per_core`.
+     * round-robin.
      */
     template <class Step>
     void roundRobin(std::uint64_t per_core, Step &&step);
@@ -143,13 +162,12 @@ class System
     /**
      * The measured loop: interleave cores by local time until every
      * core has retired `quota` measured accesses, snapshotting epochs
-     * when configured.  `use_ring` refills each core's 64-slot access
-     * ring in blocks; sampled windows pass false so no access beyond
-     * the window is fetched from the workload stream.
+     * when configured, and hint the host prefetcher at the TLB and L1
+     * sets of the ring slots a few accesses ahead.
      */
-    void runMeasuredLoop(std::uint64_t quota, bool use_ring);
+    void runMeasuredLoop(std::uint64_t quota);
     template <bool Tracing, bool Epochs>
-    void runMeasuredLoopT(std::uint64_t quota, std::size_t refill);
+    void runMeasuredLoopT(std::uint64_t quota);
 
     /**
      * Functionally fast-forward `per_core` accesses per core: the
@@ -157,22 +175,6 @@ class System
      * and cache state update matches runWarm's, without timing.
      */
     void fastForward(std::uint64_t per_core);
-
-    /** The exact (non-sampled) measurement: warm + full window. */
-    SimResult measureExact();
-
-    /** SMARTS-style interval sampling: k detailed windows + CI. */
-    SimResult measureSampled();
-
-    /**
-     * The closing bookkeeping both measurements share: whole-run
-     * figures for `elapsed` measured ticks in which the DRAM read and
-     * write buses were busy `bus_reads` and `bus_writes` ticks, the
-     * end-of-run StatDump, and the wall-clock phase times (measure
-     * time counted from `wall0`).
-     */
-    void finishResult(Tick elapsed, double bus_reads, double bus_writes,
-                      std::chrono::steady_clock::time_point wall0);
 
     /**
      * Dump every component's counters plus the measured-window
@@ -210,6 +212,15 @@ class System
     std::vector<std::unique_ptr<Walker>> walkers_;
     std::vector<CoreState> cores_;
 
+    static constexpr std::size_t ringCap = 64;
+    /** One core's ring of fetched accesses; empty when head == ringCap. */
+    struct AccessRing
+    {
+        std::array<MemAccess, ringCap> buf;
+        std::size_t head = ringCap;
+    };
+    std::vector<AccessRing> rings_; //!< one per core, see nextAccess
+
     std::uint64_t footprintBytes_ = 0;
     std::vector<const WlRegion *> regions_; //!< regionMap(), sorted
     std::vector<unsigned> regionMix_;       //!< mix id per regions_ entry
@@ -228,9 +239,7 @@ class System
 
     // Measured-window accumulators.
     SimResult result_;
-    Average l3MissLatency_;
-    Tick measureStart_ = 0;
-    Tick busReadsAtStart_ = 0, busWritesAtStart_ = 0;
+    Tick measureStart_ = 0; //!< the first measured window's start
 
     // Epoch-snapshot state (active only when cfg_.statsInterval > 0).
     StatDump prevEpoch_;

@@ -174,15 +174,11 @@ TEST(CliParse, FlagOverridesEnvDefault)
 
 TEST(CliParse, UsageListsVisibleRowsWithTheirEnv)
 {
-    std::vector<cli::Flag> flags = Front().flags();
-    bool ignored = false;
-    flags.push_back({"--internal", "DIR", "", cli::bind(ignored)});
-    const std::string text = cli::usage("Usage: prog\n", flags);
+    const std::string text = cli::usage("Usage: prog\n", Front().flags());
     for (const char *row : {"--cores N", "--scale F", "--huge",
                             "--record FILE N", "(env: TMCC_CLI_TEST_TRACE)",
                             "-h, --help"})
         EXPECT_NE(text.find(row), std::string::npos) << row;
-    EXPECT_EQ(text.find("--internal"), std::string::npos);
 }
 
 TEST(CliParseDeathTest, RejectsMisuse)

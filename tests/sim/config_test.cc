@@ -106,7 +106,7 @@ TEST(System, SixteenCoreTwoMcConfigRuns)
     cfg.measureAccesses = 4000;
     cfg.arch = Arch::NoCompression;
     System sys(cfg);
-    const SimResult r = sys.run();
+    const SimResult r = sys.measure();
     EXPECT_GT(r.accesses, 0u);
     // Traffic must reach every channel of both MCs.
     EXPECT_GT(r.stats.get("dram.mc0.ch0.reads"), 0.0);
@@ -126,7 +126,7 @@ TEST(System, PrefetchersOffStillCorrect)
     cfg.measureAccesses = 10000;
     cfg.arch = Arch::Tmcc;
     System sys(cfg);
-    const SimResult r = sys.run();
+    const SimResult r = sys.measure();
     EXPECT_GT(r.accesses, 0u);
     EXPECT_EQ(r.stats.get("hier.pf.nl1.0.issued"), 0.0);
 }
@@ -142,11 +142,11 @@ TEST(NestedPaging, TwoDWalksFetchMorePtbs)
     cfg.measureAccesses = 8000;
 
     System native(cfg);
-    const SimResult rn = native.run();
+    const SimResult rn = native.measure();
 
     cfg.nestedPaging = true;
     System nested(cfg);
-    const SimResult rv = nested.run();
+    const SimResult rv = nested.measure();
 
     const double native_fetches =
         rn.stats.get("hier.walker_accesses") /
@@ -171,11 +171,11 @@ TEST(NestedPaging, TmccStillWorksUnderVms)
 
     cfg.arch = Arch::Barebone;
     System bb(cfg);
-    const SimResult rb = bb.run();
+    const SimResult rb = bb.measure();
 
     cfg.arch = Arch::Tmcc;
     System tm(cfg);
-    const SimResult rt = tm.run();
+    const SimResult rt = tm.measure();
 
     // Host PTBs still embed CTEs: the parallel path must exist and
     // TMCC must not lose to barebone.
@@ -195,8 +195,8 @@ TEST(NestedPaging, DeterministicAndConsistent)
     cfg.measureAccesses = 5000;
     System a(cfg);
     System b(cfg);
-    const SimResult ra = a.run();
-    const SimResult rb = b.run();
+    const SimResult ra = a.measure();
+    const SimResult rb = b.measure();
     EXPECT_EQ(ra.elapsed, rb.elapsed);
     EXPECT_EQ(ra.llcMisses, rb.llcMisses);
 }

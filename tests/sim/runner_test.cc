@@ -81,7 +81,7 @@ TEST(SimRunner, ParallelMatchesSerialBitIdentically)
     std::vector<SimResult> serial;
     for (const auto &cfg : configs) {
         System sys(cfg);
-        serial.push_back(sys.run());
+        serial.push_back(sys.measure());
     }
 
     const std::vector<SimResult> par = SimRunner(4).run(configs);
@@ -108,7 +108,7 @@ TEST(SimRunner, ResultsInSubmissionOrder)
 
     for (std::size_t i = 0; i < configs.size(); ++i) {
         System sys(configs[i]);
-        const SimResult want = sys.run();
+        const SimResult want = sys.measure();
         EXPECT_EQ(results[i].footprintBytes, want.footprintBytes)
             << "result " << i << " out of submission order";
         EXPECT_EQ(results[i].accesses, want.accesses);
@@ -128,7 +128,7 @@ TEST(SimRunner, SingleConfigRunsInline)
     ASSERT_EQ(results.size(), 1u);
 
     System sys(one[0]);
-    expectIdentical(sys.run(), results[0]);
+    expectIdentical(sys.measure(), results[0]);
 }
 
 TEST(SimRunner, MoreJobsThanConfigs)
@@ -158,6 +158,22 @@ TEST(SimRunner, JobsAccessor)
     // jobs = 0 resolves to the environment/hardware default.
     EXPECT_GE(SimRunner(0).jobs(), 1u);
     EXPECT_GE(SimRunner::defaultJobs(), 1u);
+}
+
+// phaseTotals() is process-wide, so the check runs in a fresh process.
+TEST(SimRunnerDeathTest, PhaseTotalsReportTheWorkersUsed)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const std::vector<SimConfig> two = {
+        tinyConfig(Arch::NoCompression, "pageRank"),
+        tinyConfig(Arch::Compresso, "pageRank"),
+    };
+    EXPECT_EXIT(
+        {
+            SimRunner(1).run(two);
+            std::exit(SimRunner::phaseTotals().jobs == 1 ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 TEST(SimRunnerDeathTest, RejectsMalformedTmccJobs)

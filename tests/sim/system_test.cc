@@ -36,7 +36,7 @@ tinyConfig(Arch arch, const std::string &workload = "pageRank")
 TEST(System, NoCompressionRuns)
 {
     System sys(tinyConfig(Arch::NoCompression));
-    const SimResult r = sys.run();
+    const SimResult r = sys.measure();
     EXPECT_GT(r.accesses, 0u);
     EXPECT_GT(r.elapsed, 0u);
     EXPECT_GT(r.accessesPerNs(), 0.0);
@@ -52,7 +52,7 @@ TEST(SystemTest, CteBufferStatsOnlyWhereTheArchHasOne)
                       Arch::Barebone, Arch::BarebonePlusMl1,
                       Arch::BarebonePlusMl2, Arch::Tmcc}) {
         const SimConfig cfg = tinyConfig(arch);
-        const SimResult r = System(cfg).run();
+        const SimResult r = System(cfg).measure();
         const bool has =
             arch == Arch::Tmcc || arch == Arch::BarebonePlusMl1;
         for (unsigned c = 0; c < cfg.cores; ++c) {
@@ -73,9 +73,9 @@ TEST(SystemTest, CteBufferStatsOnlyWhereTheArchHasOne)
 TEST(System, CompressoSavesMemoryAndPaysLatency)
 {
     System base(tinyConfig(Arch::NoCompression));
-    const SimResult rb = base.run();
+    const SimResult rb = base.measure();
     System comp(tinyConfig(Arch::Compresso));
-    const SimResult rc = comp.run();
+    const SimResult rc = comp.measure();
 
     EXPECT_GT(rc.compressionRatio(), 1.02);
     EXPECT_GT(rc.avgL3MissLatencyNs, rb.avgL3MissLatencyNs);
@@ -91,10 +91,10 @@ TEST(System, TmccBeatsCompressoAtIsoSavings)
     cfg.warmAccesses = 20'000;
     cfg.measureAccesses = 40'000;
     System comp(cfg);
-    const SimResult rc = comp.run();
+    const SimResult rc = comp.measure();
     cfg.arch = Arch::Tmcc;
     System tmcc(cfg);
-    const SimResult rt = tmcc.run();
+    const SimResult rt = tmcc.measure();
 
     // Iso-savings (Fig. 17): similar DRAM usage, higher performance.
     EXPECT_NEAR(rt.compressionRatio(), rc.compressionRatio(),
@@ -106,16 +106,16 @@ TEST(System, TmccBeatsCompressoAtIsoSavings)
 TEST(System, TmccNoSlowerThanBarebone)
 {
     System bb(tinyConfig(Arch::Barebone));
-    const SimResult r1 = bb.run();
+    const SimResult r1 = bb.measure();
     System tm(tinyConfig(Arch::Tmcc));
-    const SimResult r2 = tm.run();
+    const SimResult r2 = tm.measure();
     EXPECT_GE(r2.accessesPerNs(), r1.accessesPerNs() * 0.98);
 }
 
 TEST(System, TlbAndWalksHappen)
 {
     System sys(tinyConfig(Arch::Tmcc));
-    const SimResult r = sys.run();
+    const SimResult r = sys.measure();
     EXPECT_GT(r.tlbMisses, 0u);
     EXPECT_GT(r.stats.get("core0.walker.walks"), 0.0);
     EXPECT_GT(r.stats.get("core0.walker.pwc.hits"), 0.0);
@@ -125,7 +125,7 @@ TEST(System, CteMissesFollowTlbMisses)
 {
     // §V-A1 / Fig. 5: most CTE misses follow TLB misses.
     System sys(tinyConfig(Arch::Tmcc, "mcf"));
-    const SimResult r = sys.run();
+    const SimResult r = sys.measure();
     ASSERT_GT(r.cteMisses, 0u);
     EXPECT_GT(static_cast<double>(r.cteMissesAfterTlbMiss) /
                   static_cast<double>(r.cteMisses),
@@ -135,11 +135,11 @@ TEST(System, CteMissesFollowTlbMisses)
 TEST(System, EmbeddedCtesProduceParallelAccesses)
 {
     System sys(tinyConfig(Arch::Tmcc, "mcf"));
-    const SimResult r = sys.run();
+    const SimResult r = sys.measure();
     EXPECT_GT(r.ml1Parallel, 0u);
     // Barebone never uses the parallel path.
     System bb(tinyConfig(Arch::Barebone, "mcf"));
-    const SimResult rb = bb.run();
+    const SimResult rb = bb.measure();
     EXPECT_EQ(rb.ml1Parallel, 0u);
 }
 
@@ -147,8 +147,8 @@ TEST(System, DeterministicAcrossRuns)
 {
     System a(tinyConfig(Arch::Tmcc));
     System b(tinyConfig(Arch::Tmcc));
-    const SimResult ra = a.run();
-    const SimResult rb = b.run();
+    const SimResult ra = a.measure();
+    const SimResult rb = b.measure();
     EXPECT_EQ(ra.accesses, rb.accesses);
     EXPECT_EQ(ra.elapsed, rb.elapsed);
     EXPECT_EQ(ra.llcMisses, rb.llcMisses);
@@ -159,12 +159,12 @@ TEST(System, HugePagesReduceTlbMisses)
 {
     SimConfig small = tinyConfig(Arch::NoCompression, "mcf");
     System sys4k(small);
-    const SimResult r4k = sys4k.run();
+    const SimResult r4k = sys4k.measure();
 
     SimConfig huge = small;
     huge.hugePages = true;
     System sys2m(huge);
-    const SimResult r2m = sys2m.run();
+    const SimResult r2m = sys2m.measure();
 
     EXPECT_LT(r2m.tlbMisses, r4k.tlbMisses / 2 + 1);
 }
@@ -176,7 +176,7 @@ TEST(System, HugePagesDisableMl1Embedding)
     SimConfig cfg = tinyConfig(Arch::Tmcc, "mcf");
     cfg.hugePages = true;
     System sys(cfg);
-    const SimResult r = sys.run();
+    const SimResult r = sys.measure();
     EXPECT_EQ(r.ml1Parallel, 0u);
 }
 
@@ -185,12 +185,12 @@ TEST(System, BudgetFractionControlsCapacity)
     SimConfig loose = tinyConfig(Arch::Tmcc);
     loose.dramBudgetFraction = 0.9;
     System a(loose);
-    const SimResult ra = a.run();
+    const SimResult ra = a.measure();
 
     SimConfig tight = tinyConfig(Arch::Tmcc);
     tight.dramBudgetFraction = 0.55;
     System b(tight);
-    const SimResult rb = b.run();
+    const SimResult rb = b.measure();
 
     EXPECT_GT(rb.compressionRatio(), ra.compressionRatio());
     EXPECT_GT(rb.ml2Accesses, ra.ml2Accesses);
@@ -199,7 +199,7 @@ TEST(System, BudgetFractionControlsCapacity)
 TEST(System, StorePerformanceMetricPopulated)
 {
     System sys(tinyConfig(Arch::NoCompression, "canneal"));
-    const SimResult r = sys.run();
+    const SimResult r = sys.measure();
     EXPECT_GT(r.storeAccesses, 0u);
     EXPECT_GT(r.storesPerCycle(), 0.0);
 }
@@ -207,7 +207,7 @@ TEST(System, StorePerformanceMetricPopulated)
 TEST(System, BandwidthUtilizationBounded)
 {
     System sys(tinyConfig(Arch::NoCompression, "stream"));
-    const SimResult r = sys.run();
+    const SimResult r = sys.measure();
     EXPECT_GT(r.readBusUtil + r.writeBusUtil, 0.005);
     EXPECT_LT(r.readBusUtil + r.writeBusUtil, 1.2);
 }
@@ -215,7 +215,7 @@ TEST(System, BandwidthUtilizationBounded)
 TEST(System, SysStatsMatchHeadlineCounters)
 {
     System sys(tinyConfig(Arch::Tmcc));
-    const SimResult r = sys.run();
+    const SimResult r = sys.measure();
     EXPECT_DOUBLE_EQ(r.stats.getRequired("sys.accesses"),
                      static_cast<double>(r.accesses));
     EXPECT_DOUBLE_EQ(r.stats.getRequired("sys.llc_misses"),
@@ -232,7 +232,7 @@ TEST(System, SysStatsMatchHeadlineCounters)
 TEST(System, EpochsDisabledByDefault)
 {
     System sys(tinyConfig(Arch::Tmcc));
-    EXPECT_TRUE(sys.run().epochs.empty());
+    EXPECT_TRUE(sys.measure().epochs.empty());
 }
 
 TEST(System, EpochDeltasSumToRunTotals)
@@ -240,7 +240,7 @@ TEST(System, EpochDeltasSumToRunTotals)
     SimConfig cfg = tinyConfig(Arch::Tmcc);
     cfg.statsInterval = 5'000;
     System sys(cfg);
-    const SimResult r = sys.run();
+    const SimResult r = sys.measure();
 
     ASSERT_GT(r.epochs.size(), 2u);
     std::uint64_t acc = 0;
@@ -276,7 +276,7 @@ TEST(System, TracingDoesNotPerturbResults)
     // Tracing only reads simulator state: a traced run must produce
     // exactly the same timing and counters as an untraced one.
     System plain(tinyConfig(Arch::Tmcc));
-    const SimResult rp = plain.run();
+    const SimResult rp = plain.measure();
 
     const std::string path =
         ::testing::TempDir() + "system_trace_test.json";
@@ -286,7 +286,7 @@ TEST(System, TracingDoesNotPerturbResults)
         Tracer tracer(path);
         Tracer::setActive(&tracer);
         System traced(tinyConfig(Arch::Tmcc));
-        rt = traced.run();
+        rt = traced.measure();
         Tracer::setActive(nullptr);
         EXPECT_TRUE(tracer.finish());
         EXPECT_GT(tracer.eventCount(), 0u);
@@ -402,7 +402,7 @@ TEST(System, SetupIndependentOfWorkerCount)
     System parallel(cfg);
     const std::vector<Vpn> hot_parallel = SystemTestPeer::hotPages(parallel);
     ProfileLibrary::clearCache();
-    const SimResult r_parallel = System(cfg).run();
+    const SimResult r_parallel = System(cfg).measure();
 
     std::vector<Vpn> hot_inline;
     SimResult r_inline;
@@ -414,7 +414,7 @@ TEST(System, SetupIndependentOfWorkerCount)
         System single(cfg);
         hot_inline = SystemTestPeer::hotPages(single);
         ProfileLibrary::clearCache();
-        r_inline = System(cfg).run();
+        r_inline = System(cfg).measure();
     }
     EXPECT_FALSE(hot_parallel.empty());
     EXPECT_EQ(hot_parallel, hot_inline);
