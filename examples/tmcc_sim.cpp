@@ -156,14 +156,6 @@ main(int argc, char **argv)
         {"--measure", "N", "measured accesses per core",
          cli::bind(cfg.measureAccesses, 1)},
         {"--seed", "N", "RNG seed", cli::bind(cfg.seed, 0)},
-        {"--fault-ml2", "R", "per-bit flip rate injected into ML2 images",
-         cli::bind(cfg.osMc.faults.ml2BitFlipRate, 0.0, 1.0)},
-        {"--fault-cte", "R", "per-bit flip rate injected into embedded CTEs",
-         cli::bind(cfg.osMc.faults.cteBitFlipRate, 0.0, 1.0)},
-        {"--fault-ptb", "R", "per-bit flip rate injected into compressed PTBs",
-         cli::bind(cfg.osMc.faults.ptbBitFlipRate, 0.0, 1.0)},
-        {"--fault-seed", "N", "fault-injection RNG seed",
-         cli::bind(cfg.osMc.faults.seed, 0)},
         {"--stats", "", "dump every component counter", cli::bind(dump_all)},
         {"--trace", "FILE",
          "write a Chrome trace-event / Perfetto JSON trace of the run",
@@ -324,21 +316,6 @@ main(int argc, char **argv)
                 r.readBusUtil, r.writeBusUtil);
     std::printf("wall clock          setup %.2fs + measured %.2fs\n",
                 r.setupSeconds, r.measureSeconds);
-
-    if (cfg.osMc.faults.enabled()) {
-        const auto stat = [&](const char *name) {
-            return static_cast<unsigned long>(r.stats.get(name));
-        };
-        std::printf("corruption          detected %lu (recovered %lu, "
-                    "unrecoverable %lu)\n",
-                    stat("mc.ml2.corruption_detected"),
-                    stat("mc.ml2.corruption_recovered"),
-                    stat("mc.ml2.corruption_unrecoverable"));
-        std::printf("                    cte mismatches %lu, ptb decode "
-                    "rejects %lu\n",
-                    stat("mc.cte_mismatch"),
-                    stat("mc.ptb_decode_rejects"));
-    }
 
     if (r.sample.windows > 0) {
         std::printf("sampling            %llu windows x %llu accesses "

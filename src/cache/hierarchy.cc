@@ -38,12 +38,6 @@ Hierarchy::Hierarchy(const HierarchyConfig &cfg, unsigned cores)
     l3_ = std::make_unique<Cache>("l3", cfg.l3Bytes, cfg.l3Assoc);
 }
 
-bool
-Hierarchy::l2CompressedCopy(unsigned core, Addr addr) const
-{
-    return l2_[core]->isCompressed(blockAlign(addr));
-}
-
 void
 Hierarchy::touchL2Dirty(unsigned core, Addr addr)
 {

@@ -77,9 +77,6 @@ struct SmallOutcome
 {
     HitLevel level = HitLevel::Memory;
 
-    /** Compressed bit of the L2/L3 copy that satisfied the access. */
-    bool compressedCopy = false;
-
     /** Dirty lines evicted from L3 that must be written to memory. */
     SmallVec<CacheLine, 4> memWritebacks;
 
@@ -139,7 +136,6 @@ class Hierarchy : public Stated
         }
         if (l2_hit) {
             out.level = HitLevel::L2;
-            out.compressedCopy = l2_[core]->isCompressed(block);
             if (!from_walker)
                 fillL1(core, CacheLine{block, is_write, false});
             return out;
@@ -148,7 +144,6 @@ class Hierarchy : public Stated
         // L3 (exclusive: hits are extracted and promoted to L2/L1).
         if (auto line = l3_->extract(block); line.has_value()) {
             out.level = HitLevel::L3;
-            out.compressedCopy = line->compressed;
             CacheLine promoted = *line;
             promoted.dirty |= is_write && from_walker;
             fillL2T(core, promoted, out.memWritebacks);
@@ -204,9 +199,6 @@ class Hierarchy : public Stated
         }
         return true; // caller fetches from memory, then calls fill()
     }
-
-    /** Probe the compressed bit of the L2 copy (walker fast path). */
-    bool l2CompressedCopy(unsigned core, Addr addr) const;
 
     /** Mark the resident L2 copy dirty (lazy PTB CTE update, §V-A3). */
     void touchL2Dirty(unsigned core, Addr addr);

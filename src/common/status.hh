@@ -3,13 +3,12 @@
  * Lightweight, exception-free error propagation for corruption-safe
  * decode paths.
  *
- * The decompressors are fed bitstreams that — under fault injection or
- * real DRAM corruption — may be arbitrary garbage.  panic()/fatal() are
- * reserved for internal invariant violations; *input* badness must flow
- * back to the caller so the memory controller can execute a recovery
- * policy (retry, re-fault, fall back to the uncompressed path) instead
- * of taking the simulator down.  Status/StatusOr<T> carry that outcome
- * without exceptions, in the spirit of absl::Status / gem5's Fault.
+ * The decompressors may be fed bitstreams that — as real DRAM
+ * corruption would leave them — are arbitrary garbage.  panic()/fatal()
+ * are reserved for internal invariant violations; *input* badness must
+ * flow back to the caller instead of taking the simulator down.
+ * Status/StatusOr<T> carry that outcome without exceptions, in the
+ * spirit of absl::Status / gem5's Fault.
  */
 
 #ifndef TMCC_COMMON_STATUS_HH

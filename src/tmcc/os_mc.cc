@@ -19,7 +19,7 @@ constexpr Addr cteTableBase = 1ULL << 46;
 OsInspiredMc::OsInspiredMc(DramSystem &dram, const PageInfoProvider &info,
                            const PhysMem &phys_mem, const OsMcConfig &cfg)
     : MemController(dram), info_(info), physMem_(phys_mem), cfg_(cfg),
-      codec_(cfg.ptb), injector_(cfg.faults),
+      codec_(cfg.ptb),
       cteCache_(cfg.cteCacheBytes,
                 /*pages_per_block=*/blockSize / pageCteBytes),
       ml2Free_(ml1Free_), recency_(cfg.recencySampleP),
@@ -205,21 +205,15 @@ OsInspiredMc::readMl1(const McReadRequest &req, PageCte &c,
     // CTE cache miss.
     if (embedded) {
         // Speculative parallel access (Fig. 11): use the embedded CTE
-        // to fetch data while the real CTE is verified from DRAM.  A
-        // bit flip in the embedded field is indistinguishable from a
-        // stale CTE: the verification fetch catches either and the
-        // mismatch path re-accesses serially, so corruption here costs
-        // latency, never correctness.
-        const Addr spec_frame = injector_.corruptCte(
-            *embedded, codec_.truncatedCteBits());
+        // to fetch data while the real CTE is verified from DRAM.
         const Addr spec_addr =
-            (spec_frame << pageShift) + (req.paddr & (pageSize - 1));
+            (*embedded << pageShift) + (req.paddr & (pageSize - 1));
         cteDramFetches_.inc();
         const Tick cte_ready = dram_.read(cteDramAddr(ppn), t0);
         const Tick spec_done = dram_.read(spec_addr, t0);
         cteCache_.insert(ppn);
 
-        if (spec_frame == c.truncated(codec_.truncatedCteBits())) {
+        if (*embedded == c.truncated(codec_.truncatedCteBits())) {
             parallelAccesses_.inc();
             resp.parallelAccess = true;
             resp.complete = std::max(cte_ready, spec_done);
@@ -304,38 +298,10 @@ OsInspiredMc::readMl2(const McReadRequest &req, Ppn ppn, PageCte &c)
     // decompressor, the rest overlap with decompression (its pipeline
     // consumes faster than one DDR4 channel supplies) and ride the
     // background-bandwidth share.
-    Tick first_beat = dram_.read(c.ml2Addr, t);
+    const Tick first_beat = dram_.read(c.ml2Addr, t);
     backgroundBytes_ += prof.deflateBytes;
-
-    const std::size_t offset = req.paddr & (pageSize - 1);
-    bool zero_refault = false;
-    if (injector_.enabled() &&
-        injector_.ml2ImageCorrupted(
-            static_cast<std::uint64_t>(prof.deflateBytes) * 8)) {
-        // The page CRC flags the damage once the streamed decode
-        // finishes.  Retry the image read once: transient upsets clear,
-        // a damaged stored image does not.
-        corruptionDetected_.inc();
-        const Tick detected =
-            first_beat +
-            deflateDecompressToOffset(prof, pageSize - blockSize);
-        first_beat = dram_.read(c.ml2Addr, detected);
-        backgroundBytes_ += prof.deflateBytes;
-        if (injector_.ml2CorruptionTransient()) {
-            corruptionRecovered_.inc();
-        } else {
-            // No retry can help: degrade gracefully by re-faulting the
-            // page as zero-filled.  The migration below re-homes it in
-            // a fresh ML1 frame, so the corrupt ML2 image is discarded.
-            corruptionUnrecoverable_.inc();
-            zero_refault = true;
-        }
-    }
-
-    resp.complete =
-        first_beat + deflateDecompressToOffset(
-                         prof, zero_refault ? pageSize - blockSize
-                                            : offset);
+    resp.complete = first_beat + deflateDecompressToOffset(
+                                     prof, req.paddr & (pageSize - 1));
 
     // Background migration to ML1 (§VI): occupy a buffer slot until the
     // full page has decompressed and written back to a fresh frame.
@@ -544,26 +510,6 @@ OsInspiredMc::ptbView(Addr ptb_addr)
         view.cte[i] = shadow.cte[i];
     }
 
-    if (injector_.enabled() && injector_.config().ptbBitFlipRate > 0.0) {
-        // Round-trip the PTB through its real 64B wire image with bit
-        // flips injected.  A rejected decode falls back to uncompressed
-        // PTB semantics (no embedded CTEs, a full serial walk); the
-        // rare CRC escape serves possibly-wrong embedded CTEs, which
-        // the §V-A verification fetch catches downstream.
-        auto image = codec_.encode(ptes, shadow.hasCte, shadow.cte);
-        injector_.corruptPtbImage(image.data(), image.size());
-        const auto decoded = codec_.decode(image);
-        if (!decoded.ok()) {
-            ptbDecodeRejects_.inc();
-            return PtbView{};
-        }
-        for (unsigned i = 0; i < ptesPerPtb; ++i) {
-            if (!view.present[i])
-                continue;
-            view.hasCte[i] = decoded.value().hasCte[i];
-            view.cte[i] = decoded.value().cte[i];
-        }
-    }
     return view;
 }
 
@@ -632,15 +578,6 @@ OsInspiredMc::dumpStats(StatDump &dump, const std::string &prefix) const
     dump.set(prefix + ".background_bytes", backgroundBytes_);
     dump.set(prefix + ".budget_overruns", budgetOverruns_.value());
     dump.set(prefix + ".dram_used_bytes", dramUsedBytes());
-    dump.set(prefix + ".ml2.corruption_detected",
-             corruptionDetected_.value());
-    dump.set(prefix + ".ml2.corruption_recovered",
-             corruptionRecovered_.value());
-    dump.set(prefix + ".ml2.corruption_unrecoverable",
-             corruptionUnrecoverable_.value());
-    dump.set(prefix + ".cte_mismatch", mismatches_.value());
-    dump.set(prefix + ".ptb_decode_rejects", ptbDecodeRejects_.value());
-    injector_.dumpStats(dump, prefix + ".faults");
     cteCache_.dumpStats(dump, prefix + ".cte_cache");
     recency_.dumpStats(dump, prefix + ".recency");
     ml1Free_.dumpStats(dump, prefix + ".ml1_free");

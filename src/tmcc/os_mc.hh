@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "compress/deflate_timing.hh"
-#include "fault/fault_injector.hh"
 #include "mc/cte.hh"
 #include "mc/cte_cache.hh"
 #include "mc/free_list.hh"
@@ -81,8 +80,6 @@ struct OsMcConfig
     double recencySampleP = 0.01;
 
     PtbCodecConfig ptb; //!< truncation geometry (§V-A5)
-
-    FaultConfig faults; //!< bit-flip injection (off by default)
 
     // Derived from SimConfig by System's factory, like embedCtes.
     unsigned cores = 1;             //!< one CTE buffer each (embedCtes)
@@ -209,7 +206,6 @@ class OsInspiredMc final : public MemController
     const PhysMem &physMem_;
     OsMcConfig cfg_;
     PtbCodec codec_;
-    FaultInjector injector_;
     CteCache cteCache_;
     Ml1FreeList ml1Free_;
     Ml2FreeLists ml2Free_;
@@ -267,8 +263,6 @@ class OsInspiredMc final : public MemController
     Counter migrationStalls_, cteDramFetches_;
     Counter ptbCompressedFetches_, ptbIncompressibleFetches_;
     Counter lazyPtbUpdates_, budgetOverruns_;
-    Counter corruptionDetected_, corruptionRecovered_;
-    Counter corruptionUnrecoverable_, ptbDecodeRejects_;
 };
 
 } // namespace tmcc

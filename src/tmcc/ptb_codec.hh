@@ -81,9 +81,8 @@ class PtbCodec
      * eight truncated PPNs, then the freed bits holding embedded CTE
      * slots) into a 64B image.  The last byte is an 8-bit CRC over the
      * rest — the integrity budget a real PTB format could afford, so a
-     * corrupt image is *usually* rejected at decode and occasionally
-     * slips through to exercise the §V-A verify-then-reaccess path.
-     * The PTB must have analyzed compressible.
+     * corrupt image is *usually* rejected at decode.  The PTB must
+     * have analyzed compressible.
      */
     std::array<std::uint8_t, ptbBytes>
     encode(const std::uint64_t *ptes,
@@ -92,8 +91,7 @@ class PtbCodec
 
     /**
      * Recover PTB contents from a 64B image, rejecting bad CRCs and
-     * out-of-range PPN/CTE fields.  On error the caller falls back to
-     * uncompressed PTB semantics.
+     * out-of-range PPN/CTE fields.
      */
     StatusOr<DecodedPtb>
     decode(const std::array<std::uint8_t, ptbBytes> &image) const;

@@ -56,11 +56,10 @@ class Workload
 
     /**
      * Produce the next `n` accesses into `out` (the access rings'
-     * refill).  The default simply drains next(), so every engine
-     * keeps one canonical stream; engines may override with a fused
-     * generator as long as the stream stays identical.
+     * refill) by draining next(), so every engine keeps one canonical
+     * stream.
      */
-    virtual void
+    void
     nextBatch(MemAccess *out, std::size_t n)
     {
         for (std::size_t i = 0; i < n; ++i)

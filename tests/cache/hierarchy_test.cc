@@ -123,10 +123,7 @@ TEST(Hierarchy, WalkerFillKeepsCompressedBit)
     Hierarchy h(smallConfig(), 1);
     h.accessT<SmallOutcome>(0, 0x2000, false, true);
     h.fillT<SmallOutcome>(0, 0x2000, false, /*compressed=*/true, true);
-    EXPECT_TRUE(h.l2CompressedCopy(0, 0x2000));
-    // A walker re-access reports the compressed copy.
-    const auto out = h.accessT<SmallOutcome>(0, 0x2000, false, true);
-    EXPECT_TRUE(out.compressedCopy);
+    EXPECT_TRUE(h.l2(0).isCompressed(0x2000));
 }
 
 TEST(Hierarchy, L1FillIsAlwaysDecompressed)

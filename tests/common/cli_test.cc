@@ -91,9 +91,9 @@ TEST(CliNumberDeathTest, MessagesNameTheFlagAndTheRange)
     EXPECT_EXIT(cli::parseNumber<unsigned>("--cores", "0", 1, 1024),
                 ::testing::ExitedWithCode(1),
                 "--cores must be an integer in \\[1, 1024\\]");
-    EXPECT_EXIT(cli::parseNumber("--fault-ml2", "inf", 0.0, 1.0),
+    EXPECT_EXIT(cli::parseNumber("--rate", "inf", 0.0, 1.0),
                 ::testing::ExitedWithCode(1),
-                "--fault-ml2 must be a rate in \\[0, 1\\]");
+                "--rate must be a rate in \\[0, 1\\]");
     EXPECT_EXIT(cli::parseNumber("--scale", "0", cli::kPositive, kRealMax),
                 ::testing::ExitedWithCode(1),
                 "--scale must be a positive number");

@@ -378,89 +378,5 @@ TEST_F(OsMcTest, BackgroundReadTouchesOnlyCteCache)
     EXPECT_TRUE(r2.cteCacheHit);
 }
 
-TEST_F(OsMcTest, Ml2CorruptionAccountingBalances)
-{
-    cfg_.faults.ml2BitFlipRate = 1e-4; // ~0.67 per 1400B image read
-    cfg_.faults.transientFraction = 0.5;
-    cfg_.faults.seed = 9;
-    OsInspiredMc mc(dram_, info_, phys_, cfg_);
-    for (Ppn p = 1; p <= 4096; ++p)
-        mc.placePage(p);
-    for (Ppn p = 5000; p < 5400; ++p) {
-        mc.placePage(p);
-        ASSERT_TRUE(mc.inMl2(p));
-        const McReadResponse r = mc.read(readReq(p, 1000));
-        EXPECT_GT(r.complete, 1000u); // always served, corrupt or not
-    }
-
-    StatDump dump;
-    mc.dumpStats(dump, "mc");
-    const double detected = dump.get("mc.ml2.corruption_detected");
-    EXPECT_GT(detected, 0.0);
-    EXPECT_GT(dump.get("mc.ml2.corruption_recovered"), 0.0);
-    EXPECT_GT(dump.get("mc.ml2.corruption_unrecoverable"), 0.0);
-    EXPECT_EQ(detected, dump.get("mc.ml2.corruption_recovered") +
-                            dump.get("mc.ml2.corruption_unrecoverable"));
-}
-
-TEST_F(OsMcTest, CorruptEmbeddedCteCaughtByVerification)
-{
-    cfg_.faults.cteBitFlipRate = 0.05; // ~0.8 per 30-bit field
-    cfg_.faults.seed = 10;
-    OsInspiredMc mc(dram_, info_, phys_, cfg_);
-    unsigned mismatches = 0;
-    // Stride by the CTE-cache block reach (8 pages/block) so every
-    // read misses the CTE cache and takes the speculative path.
-    for (Ppn p = 8; p <= 1600; p += 8) {
-        mc.placePage(p);
-        // Correct before the flip.
-        mc.cteBuffer(0).insert(p, true, mc.truncatedCte(p), invalidAddr);
-        const McReadResponse r = mc.read(readReq(p));
-        // A flipped embedded CTE must surface as a verification
-        // mismatch (slower re-access), never as wrong data.
-        EXPECT_TRUE(r.parallelAccess || r.embeddedMismatch);
-        mismatches += r.embeddedMismatch;
-        // The flip never reaches the buffer: the response wrote back
-        // the correct CTE.
-        EXPECT_EQ(mc.cteBuffer(0).lookup(p)->cte, mc.truncatedCte(p));
-    }
-    EXPECT_GT(mismatches, 0u);
-
-    StatDump dump;
-    mc.dumpStats(dump, "mc");
-    EXPECT_EQ(dump.get("mc.cte_mismatch"),
-              static_cast<double>(mismatches));
-}
-
-TEST_F(OsMcTest, CorruptPtbImageFallsBackToUncompressed)
-{
-    cfg_.faults.ptbBitFlipRate = 5e-3; // most 64B images take a hit
-    cfg_.faults.seed = 11;
-    OsInspiredMc mc(dram_, info_, phys_, cfg_);
-    const Addr ptb = mapLeafPtb(mc);
-
-    unsigned rejected = 0;
-    for (int i = 0; i < 200; ++i) {
-        const auto view = mc.ptbView(ptb);
-        if (!view.compressed) {
-            ++rejected;
-            continue;
-        }
-        // Accepted views carry in-range CTE values even when a CRC
-        // escape let damage through.
-        for (unsigned s = 0; s < ptesPerPtb; ++s)
-            if (view.hasCte[s]) {
-                EXPECT_LT(view.cte[s],
-                          1ULL << mc.ptbCodec().truncatedCteBits());
-            }
-    }
-    EXPECT_GT(rejected, 0u);
-
-    StatDump dump;
-    mc.dumpStats(dump, "mc");
-    EXPECT_EQ(dump.get("mc.ptb_decode_rejects"),
-              static_cast<double>(rejected));
-}
-
 } // namespace
 } // namespace tmcc
