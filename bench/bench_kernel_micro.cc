@@ -3,7 +3,8 @@
  * Probe-engine microbenchmark: the SIMD set-probe engine structure by
  * structure — ns/probe through each cache level's geometry, the CTE
  * cache and the TLB, on both the hit path (resident probe + LRU
- * refresh) and the miss path (whole-set compare that finds nothing).
+ * refresh) and the miss path (whole-set compare that finds nothing) —
+ * plus the per-core CTE buffer's PTB harvest and lookup.
  *
  * Each figure is the fastest of several timed repetitions.
  *
@@ -19,6 +20,7 @@
 
 #include "cache/cache.hh"
 #include "mc/cte_cache.hh"
+#include "tmcc/cte_buffer.hh"
 #include "vm/tlb.hh"
 
 using namespace tmcc;
@@ -159,6 +161,51 @@ probeStructures(BenchReport &report, std::uint64_t iters)
     }
 }
 
+/**
+ * The CTE buffer on the walker's side: ns per PTB harvest (eight
+ * inserts of one PTB's adjacent PPNs into a full 64-entry buffer, as
+ * every compressed-PTB fetch does) and ns per lookup of a resident PPN
+ * (as every demand LLC miss does).
+ */
+void
+probeCteBuffer(BenchReport &report, std::uint64_t iters)
+{
+    constexpr unsigned entries = 64;
+    constexpr std::uint64_t ptbs = 1 << 14;  // PTBs the harvest cycles
+    constexpr std::uint64_t ptbStride = 512; // one leaf table apart
+    const std::uint64_t mask = indexMask(ptbs);
+    auto fill = [&](CteBuffer &buf) {
+        // Cover the highest PPN first, so no timed insert grows a table.
+        buf.insert(ptbs * ptbStride, false, 0, 0);
+        for (Ppn p = 0; p < entries; ++p)
+            buf.insert((p / ptesPerPtb) * ptbStride + p % ptesPerPtb,
+                       true, p, 0);
+    };
+
+    CteBuffer harvested(entries);
+    fill(harvested);
+    const double harvest = nsPerOp(iters, [&](std::uint64_t r) {
+        const Ppn first = (r & mask) * ptbStride;
+        for (unsigned i = 0; i < ptesPerPtb; ++i)
+            harvested.insert(first + i, true, i, first);
+        return 1;
+    });
+
+    CteBuffer looked_up(entries);
+    fill(looked_up);
+    const double lookup = nsPerOp(iters, [&](std::uint64_t r) {
+        const std::uint64_t p = r & (entries - 1);
+        const CteBuffer::Entry *e = looked_up.lookup(
+            (p / ptesPerPtb) * ptbStride + p % ptesPerPtb);
+        return e != nullptr ? e->cte : 0;
+    });
+
+    std::printf("%-14s %8.1f %8.1f  (harvest of 8 / lookup)\n",
+                "cte_buffer", harvest, lookup);
+    report.metric("host.probe.cte_buffer.harvest_ns", harvest);
+    report.metric("host.probe.cte_buffer.lookup_ns", lookup);
+}
+
 } // namespace
 
 int
@@ -168,6 +215,8 @@ main()
     header("Probe-engine micro: ns per set probe, structure by structure",
            "host-dependent trends only; ns/probe, fastest of 7 "
            "repetitions");
-    probeStructures(report, quickEnabled() ? 300'000 : 3'000'000);
+    const std::uint64_t iters = quickEnabled() ? 300'000 : 3'000'000;
+    probeStructures(report, iters);
+    probeCteBuffer(report, iters);
     return 0;
 }

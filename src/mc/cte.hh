@@ -6,9 +6,11 @@
  * TMCC's page-level CTE is 8 bytes:
  *   - the DRAM frame (or sub-chunk) the page currently occupies,
  *   - location level (ML1 / ML2),
- *   - isIncompressible (§IV-B),
- *   - the 32-bit vector tracking which adjacent-block pairs of the page
- *     use the compressed-PTB encoding (§V-A4).
+ *   - isIncompressible (§IV-B).
+ *
+ * The CTE's 32-bit vector of which adjacent-block pairs use the
+ * compressed-PTB encoding (§V-A4) is not modelled: no simulated result
+ * depends on it.
  *
  * Compresso-style block-level metadata costs a full 64B per 4KB page
  * (per-block positions); it is modelled by BlockCte.
@@ -40,7 +42,6 @@ struct PageCte
     PageLevel level = PageLevel::ML1;
     bool valid = false;
     bool isIncompressible = false;
-    std::uint32_t ptbPairVector = 0; //!< compressed-PTB pair tracking
 
     /** The truncated CTE embedded into PTBs (§V-A5): frame bits only. */
     std::uint64_t

@@ -67,7 +67,8 @@ class MemController : public Stated
 
     /**
      * Accept a dirty line leaving L3.  `line_compressed` is the on-chip
-     * PTB-encoding bit (TMCC uses it to maintain the CTE bit vector).
+     * PTB-encoding bit; the CTE bit vector it would maintain (§V-A4) is
+     * not modelled, so no controller reads it.
      */
     virtual void writeback(Addr paddr, Tick when,
                            bool line_compressed) = 0;

@@ -5,32 +5,54 @@
 namespace tmcc
 {
 
-RecencyList::RecencyList(double sample_probability, std::uint64_t seed)
-    : sampleP_(sample_probability), rng_(seed)
+RecencyList::RecencyList(double sample_probability, std::uint64_t seed,
+                         std::size_t ppns)
+    : sampleP_(sample_probability), rng_(seed), links_(ppns)
 {}
+
+void
+RecencyList::ensure(Ppn ppn)
+{
+    fatalIf(ppn >= absent, "recency list PPN does not fit 32 bits");
+    if (ppn >= links_.size())
+        links_.resize(ppn + 1);
+}
+
+void
+RecencyList::unlink(std::uint32_t ppn)
+{
+    Link &l = links_[ppn];
+    (l.prev == nil ? head_ : links_[l.prev].next) = l.next;
+    (l.next == nil ? tail_ : links_[l.next].prev) = l.prev;
+    l.prev = l.next = absent;
+    --size_;
+}
+
+void
+RecencyList::link(std::uint32_t ppn, std::uint32_t prev, std::uint32_t next)
+{
+    links_[ppn] = {prev, next};
+    (prev == nil ? head_ : links_[prev].next) = ppn;
+    (next == nil ? tail_ : links_[next].prev) = ppn;
+    ++size_;
+}
 
 void
 RecencyList::insertHot(Ppn ppn)
 {
-    auto it = index_.find(ppn);
-    if (it != index_.end()) {
-        list_.erase(it->second);
-        index_.erase(it);
-    }
-    list_.push_front(ppn);
-    index_[ppn] = list_.begin();
+    ensure(ppn);
+    if (contains(ppn))
+        unlink(ppn);
+    link(ppn, nil, head_);
 }
 
 void
 RecencyList::insertCold(Ppn ppn)
 {
-    auto it = index_.find(ppn);
-    if (it != index_.end()) {
-        list_.erase(it->second);
-        index_.erase(it);
-    }
-    list_.push_back(ppn);
-    index_[ppn] = std::prev(list_.end());
+    ensure(ppn);
+    if (contains(ppn))
+        unlink(ppn);
+    link(ppn, tail_, nil);
 }
 
 void
@@ -39,40 +61,34 @@ RecencyList::touch(Ppn ppn)
     touches_.inc();
     if (!rng_.chance(sampleP_))
         return;
-    auto it = index_.find(ppn);
-    if (it == index_.end())
+    if (!contains(ppn))
         return; // not tracked (e.g., incompressible)
     promotions_.inc();
-    list_.erase(it->second);
-    list_.push_front(ppn);
-    it->second = list_.begin();
+    unlink(ppn);
+    link(ppn, nil, head_);
 }
 
 Ppn
 RecencyList::coldest() const
 {
-    return list_.empty() ? invalidAddr : list_.back();
+    return size_ == 0 ? invalidAddr : tail_;
 }
 
 Ppn
 RecencyList::popColdest()
 {
-    panicIf(list_.empty(), "recency list underflow");
+    panicIf(size_ == 0, "recency list underflow");
     evictions_.inc();
-    const Ppn ppn = list_.back();
-    list_.pop_back();
-    index_.erase(ppn);
+    const std::uint32_t ppn = tail_;
+    unlink(ppn);
     return ppn;
 }
 
 void
 RecencyList::remove(Ppn ppn)
 {
-    auto it = index_.find(ppn);
-    if (it == index_.end())
-        return;
-    list_.erase(it->second);
-    index_.erase(it);
+    if (contains(ppn))
+        unlink(ppn);
 }
 
 bool
@@ -88,7 +104,7 @@ RecencyList::maybeReadmit(Ppn ppn)
 void
 RecencyList::dumpStats(StatDump &dump, const std::string &prefix) const
 {
-    dump.set(prefix + ".size", list_.size());
+    dump.set(prefix + ".size", size_);
     dump.set(prefix + ".touches", touches_.value());
     dump.set(prefix + ".promotions", promotions_.value());
     dump.set(prefix + ".evictions", evictions_.value());

@@ -9,14 +9,17 @@
  * The real structure stores PPN + two pointers per element; that DRAM
  * overhead ("Recency List uses 0.4% of DRAM", §V-A6) is reported by
  * overheadBytes().
+ *
+ * The model threads the list through dense PPN-indexed prev/next links
+ * (8 bytes per frame, grown for a larger PPN), so every operation is a
+ * few array loads with no hashing or allocation.  PPNs must fit 32 bits.
  */
 
 #ifndef TMCC_MC_RECENCY_LIST_HH
 #define TMCC_MC_RECENCY_LIST_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -29,8 +32,12 @@ namespace tmcc
 class RecencyList : public Stated
 {
   public:
+    static constexpr std::uint64_t defaultSeed = 0x5eed;
+
+    /** The link table starts out covering `ppns` frames. */
     explicit RecencyList(double sample_probability = 0.01,
-                         std::uint64_t seed = 0x5eed);
+                         std::uint64_t seed = defaultSeed,
+                         std::size_t ppns = 0);
 
     /** Add a page at the hot end (new arrivals in ML1). */
     void insertHot(Ppn ppn);
@@ -53,8 +60,13 @@ class RecencyList : public Stated
     /** Remove a page (migrated to ML2 or marked incompressible). */
     void remove(Ppn ppn);
 
-    bool contains(Ppn ppn) const { return index_.count(ppn) != 0; }
-    std::size_t size() const { return list_.size(); }
+    bool
+    contains(Ppn ppn) const
+    {
+        return ppn < links_.size() && links_[ppn].next != absent;
+    }
+
+    std::size_t size() const { return size_; }
 
     /**
      * Called on a writeback to an incompressible ML1 page: with 1%
@@ -67,17 +79,36 @@ class RecencyList : public Stated
     std::uint64_t
     overheadBytes() const
     {
-        return list_.size() * 3 * 8;
+        return size_ * 3 * 8;
     }
 
     void dumpStats(StatDump &dump,
                    const std::string &prefix) const override;
 
   private:
+    /** End of the list; `absent` marks an untracked page's links. */
+    static constexpr std::uint32_t nil = ~std::uint32_t{0};
+    static constexpr std::uint32_t absent = nil - 1;
+
+    /** One frame's neighbours; both `absent` while untracked. */
+    struct Link
+    {
+        std::uint32_t prev = absent; //!< towards the hot head
+        std::uint32_t next = absent; //!< towards the cold tail
+    };
+
+    void unlink(std::uint32_t ppn);
+    void link(std::uint32_t ppn, std::uint32_t prev, std::uint32_t next);
+
+    /** Grow the link table to cover `ppn` (fatal past 32 bits). */
+    void ensure(Ppn ppn);
+
     double sampleP_;
     Rng rng_;
-    std::list<Ppn> list_; //!< front = hottest, back = coldest
-    std::unordered_map<Ppn, std::list<Ppn>::iterator> index_;
+    std::vector<Link> links_;   //!< indexed by PPN
+    std::uint32_t head_ = nil;  //!< hottest
+    std::uint32_t tail_ = nil;  //!< coldest
+    std::size_t size_ = 0;
     Counter touches_, promotions_, evictions_, readmissions_;
 };
 

@@ -1,31 +1,29 @@
 #include "tmcc/cte_buffer.hh"
 
-#include <algorithm>
+#include <string>
 
 #include "common/log.hh"
 
 namespace tmcc
 {
 
-CteBuffer::CteBuffer(unsigned entries)
+CteBuffer::CteBuffer(unsigned entries, std::size_t ppns)
 {
     fatalIf(entries == 0, "CTE buffer needs at least one entry "
                           "(cteBufferEntries = 0)");
+    fatalIf(entries > maxEntries,
+            "CTE buffer holds at most " + std::to_string(maxEntries) +
+                " entries (cteBufferEntries = " + std::to_string(entries) +
+                ")");
     slots_.resize(entries);
-    // At most half full, so probe chains stay short and find() always
-    // reaches an empty bucket.
-    unsigned bits = 1;
-    while ((std::size_t{1} << bits) < 2 * std::size_t{entries})
-        ++bits;
-    index_.assign(std::size_t{1} << bits, nil);
-    mask_ = index_.size() - 1;
-    hashShift_ = 64 - bits;
+    index_.assign(ppns, nil);
 }
 
 void
 CteBuffer::flush()
 {
-    std::fill(index_.begin(), index_.end(), nil);
+    for (SlotId s = 0; s < used_; ++s)
+        index_[slots_[s].entry.ppn] = nil;
     used_ = 0;
     head_ = tail_ = nil;
 }

@@ -12,9 +12,9 @@
  * consulted on every LLC-bound access and written eight times per
  * compressed-PTB fetch, so every operation is constant time:
  *
- *  - an open-addressing PPN -> slot index (linear probing, backward-
- *    shift deletion, at most half full) finds an entry in one or two
- *    probes;
+ *  - a dense PPN -> slot table (2 bytes per frame, sized for the
+ *    physical pool up front and grown for a larger PPN) finds an entry
+ *    in one load, with no hashing or probing;
  *  - an intrusive doubly-linked list threaded through the slots keeps
  *    recency: insert and lookup move the entry to the head, eviction
  *    takes the tail, and a response update leaves recency alone.
@@ -41,8 +41,14 @@ namespace tmcc
 class CteBuffer : public Stated
 {
   public:
-    /** `entries` must be at least 1 (fatal otherwise). */
-    explicit CteBuffer(unsigned entries = 64);
+    /**
+     * `entries` must be in [1, maxEntries] (fatal otherwise); the PPN
+     * table starts out covering `ppns` frames.
+     */
+    explicit CteBuffer(unsigned entries = 64, std::size_t ppns = 0);
+
+    /** Slot numbers are 16 bits wide, one value reserved for nil. */
+    static constexpr unsigned maxEntries = 0xfffe;
 
     struct Entry
     {
@@ -57,7 +63,9 @@ class CteBuffer : public Stated
     insert(Ppn ppn, bool has_cte, std::uint64_t cte, Addr ptb_addr)
     {
         inserts_.inc();
-        std::uint32_t s = find(ppn);
+        if (ppn >= index_.size())
+            index_.resize(ppn + 1, nil);
+        SlotId s = index_[ppn];
         if (s != nil) {
             unlink(s); // resident: refresh in place
         } else {
@@ -66,10 +74,10 @@ class CteBuffer : public Stated
             } else {
                 s = tail_; // full: evict the least recently used
                 unlink(s);
-                unindex(s);
+                index_[slots_[s].entry.ppn] = nil;
             }
             slots_[s].entry.ppn = ppn;
-            index(s);
+            index_[ppn] = s;
         }
         Entry &e = slots_[s].entry;
         e.hasCte = has_cte;
@@ -86,7 +94,7 @@ class CteBuffer : public Stated
     const Entry *
     lookup(Ppn ppn)
     {
-        const std::uint32_t s = find(ppn);
+        const SlotId s = find(ppn);
         if (s == nil) {
             misses_.inc();
             return nullptr;
@@ -107,7 +115,7 @@ class CteBuffer : public Stated
     Addr
     updateOnResponse(Ppn ppn, std::uint64_t correct_cte)
     {
-        const std::uint32_t s = find(ppn);
+        const SlotId s = find(ppn);
         if (s == nil)
             return invalidAddr;
         Entry &e = slots_[s].entry;
@@ -127,71 +135,27 @@ class CteBuffer : public Stated
                    const std::string &prefix) const override;
 
   private:
-    /** Empty index bucket / end of the recency list. */
-    static constexpr std::uint32_t nil = ~std::uint32_t{0};
+    /** Slot number; nil marks a PPN with no slot and ends the list. */
+    using SlotId = std::uint16_t;
+    static constexpr SlotId nil = 0xffff;
 
     /** One entry plus its recency-list links. */
     struct Slot
     {
         Entry entry;
-        std::uint32_t prev = nil; //!< towards the MRU head
-        std::uint32_t next = nil; //!< towards the LRU tail
+        SlotId prev = nil; //!< towards the MRU head
+        SlotId next = nil; //!< towards the LRU tail
     };
 
-    /** Home bucket: Fibonacci hashing spreads runs of adjacent PPNs. */
-    std::size_t
-    home(Ppn ppn) const
-    {
-        return static_cast<std::size_t>(
-            (ppn * 0x9e3779b97f4a7c15ULL) >> hashShift_);
-    }
-
-    /** Slot holding `ppn`, or nil.  The index is never full. */
-    std::uint32_t
+    /** Slot holding `ppn`, or nil. */
+    SlotId
     find(Ppn ppn) const
     {
-        for (std::size_t i = home(ppn);; i = (i + 1) & mask_) {
-            const std::uint32_t s = index_[i];
-            if (s == nil || slots_[s].entry.ppn == ppn)
-                return s;
-        }
-    }
-
-    /** Add slot `s` (keyed by its entry's PPN) to the index. */
-    void
-    index(std::uint32_t s)
-    {
-        std::size_t i = home(slots_[s].entry.ppn);
-        while (index_[i] != nil)
-            i = (i + 1) & mask_;
-        index_[i] = s;
-    }
-
-    /**
-     * Remove slot `s` from the index.  Backward-shift deletion pulls
-     * the displaced buckets of the probe chain back into the hole, so
-     * find() never needs tombstones.
-     */
-    void
-    unindex(std::uint32_t s)
-    {
-        std::size_t hole = home(slots_[s].entry.ppn);
-        while (index_[hole] != s)
-            hole = (hole + 1) & mask_;
-        for (std::size_t j = (hole + 1) & mask_; index_[j] != nil;
-             j = (j + 1) & mask_) {
-            const std::size_t h = home(slots_[index_[j]].entry.ppn);
-            // Does bucket j's probe chain (h..j, wrapping) pass the hole?
-            if (((j - h) & mask_) >= ((j - hole) & mask_)) {
-                index_[hole] = index_[j];
-                hole = j;
-            }
-        }
-        index_[hole] = nil;
+        return ppn < index_.size() ? index_[ppn] : nil;
     }
 
     void
-    unlink(std::uint32_t s)
+    unlink(SlotId s)
     {
         const Slot &n = slots_[s];
         (n.prev == nil ? head_ : slots_[n.prev].next) = n.next;
@@ -199,7 +163,7 @@ class CteBuffer : public Stated
     }
 
     void
-    pushFront(std::uint32_t s)
+    pushFront(SlotId s)
     {
         Slot &n = slots_[s];
         n.prev = nil;
@@ -208,13 +172,11 @@ class CteBuffer : public Stated
         head_ = s;
     }
 
-    std::vector<Slot> slots_;          //!< capacity-many entries
-    std::uint32_t used_ = 0;           //!< slots [0, used_) are live
-    std::uint32_t head_ = nil;         //!< most recently used
-    std::uint32_t tail_ = nil;         //!< least recently used
-    std::vector<std::uint32_t> index_; //!< PPN-hashed slot numbers
-    std::size_t mask_ = 0;             //!< index_.size() - 1
-    unsigned hashShift_ = 0;           //!< 64 - log2(index_.size())
+    std::vector<Slot> slots_;    //!< capacity-many entries
+    SlotId used_ = 0;            //!< slots [0, used_) are live
+    SlotId head_ = nil;          //!< most recently used
+    SlotId tail_ = nil;          //!< least recently used
+    std::vector<SlotId> index_;  //!< PPN -> slot, nil where absent
 
     Counter inserts_, hits_, misses_, staleUpdates_;
 };

@@ -22,7 +22,9 @@ OsInspiredMc::OsInspiredMc(DramSystem &dram, const PageInfoProvider &info,
       codec_(cfg.ptb),
       cteCache_(cfg.cteCacheBytes,
                 /*pages_per_block=*/blockSize / pageCteBytes),
-      ml2Free_(ml1Free_), recency_(cfg.recencySampleP),
+      ml2Free_(ml1Free_),
+      recency_(cfg.recencySampleP, RecencyList::defaultSeed,
+               phys_mem.totalPages()),
       migrationSlots_(cfg.migrationBufferEntries, 0)
 {
     // Seed ML1 with the DRAM budget worth of 4KB frames.
@@ -34,8 +36,11 @@ OsInspiredMc::OsInspiredMc(DramSystem &dram, const PageInfoProvider &info,
     cteTable_.resize(phys_mem.totalPages());
     ml2Location_.resize(phys_mem.totalPages());
 
-    if (cfg.embedCtes)
-        cteBuffers_.assign(cfg.cores, CteBuffer(cfg.cteBufferEntries));
+    if (cfg.embedCtes) {
+        cteBuffers_.assign(cfg.cores, CteBuffer(cfg.cteBufferEntries,
+                                                phys_mem.totalPages()));
+        ptShadowIndex_.assign(phys_mem.totalPages(), noShadow);
+    }
 }
 
 PageCte &
@@ -438,19 +443,11 @@ OsInspiredMc::evictToMl2(Ppn ppn, Tick when)
 }
 
 void
-OsInspiredMc::writeback(Addr paddr, Tick when, bool line_compressed)
+OsInspiredMc::writeback(Addr paddr, Tick when, bool /*line_compressed*/)
 {
     writebacks_.inc();
     const Ppn ppn = pageNumber(paddr);
     PageCte &c = cte(ppn);
-
-    // Maintain the compressed-PTB pair bit vector (§V-A4): bit i tracks
-    // whether blocks 2i and 2i+1 both use the compressed PTB encoding.
-    const unsigned pair = blockInPage(paddr) / 2;
-    if (line_compressed)
-        c.ptbPairVector |= 1u << pair;
-    else
-        c.ptbPairVector &= ~(1u << pair);
 
     if (c.level == PageLevel::ML1) {
         dram_.write(ml1BlockAddr(c, paddr), when);
@@ -488,8 +485,16 @@ OsInspiredMc::ptbView(Addr ptb_addr)
     ptbCompressedFetches_.inc();
     view.compressed = true;
 
-    auto [it, fresh] = ptbShadow_.try_emplace(ptb_addr);
-    PtbShadow &shadow = it->second;
+    if (ptb_page >= ptShadowIndex_.size())
+        ptShadowIndex_.resize(ptb_page + 1, noShadow);
+    if (ptShadowIndex_[ptb_page] == noShadow) {
+        ptShadowIndex_[ptb_page] =
+            static_cast<std::uint32_t>(ptShadows_.size());
+        ptShadows_.emplace_back();
+    }
+    PtbShadow &shadow = *findShadow(ptb_addr);
+    const bool fresh = !shadow.valid;
+    shadow.valid = true;
 
     for (unsigned i = 0; i < ptesPerPtb; ++i) {
         view.present[i] = ptePresent(ptes[i]);
@@ -516,9 +521,9 @@ OsInspiredMc::ptbView(Addr ptb_addr)
 void
 OsInspiredMc::lazyUpdatePtb(Addr ptb_addr, Ppn ppn, std::uint64_t new_cte)
 {
-    auto it = ptbShadow_.find(ptb_addr);
-    if (it == ptbShadow_.end())
-        return;
+    PtbShadow *shadow = findShadow(ptb_addr);
+    if (shadow == nullptr || !shadow->valid)
+        return; // never compressed: nothing embedded to patch
     const Ppn ptb_page = pageNumber(ptb_addr);
     if (!physMem_.isPageTablePage(ptb_page))
         return;
@@ -527,8 +532,8 @@ OsInspiredMc::lazyUpdatePtb(Addr ptb_addr, Ppn ppn, std::uint64_t new_cte)
     for (unsigned i = 0; i < ptesPerPtb; ++i) {
         if (ptePpn(page[first + i]) == ppn &&
             ptePresent(page[first + i])) {
-            it->second.hasCte[i] = true;
-            it->second.cte[i] = new_cte;
+            shadow->hasCte[i] = true;
+            shadow->cte[i] = new_cte;
             lazyPtbUpdates_.inc();
         }
     }

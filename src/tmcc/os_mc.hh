@@ -27,8 +27,6 @@
 
 #include <array>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "compress/deflate_timing.hh"
@@ -234,13 +232,36 @@ class OsInspiredMc final : public MemController
     };
     std::vector<Ml2Slot> ml2Location_;
 
-    /** Shadow of embedded CTE values stored in compressed PTBs. */
+    /**
+     * Shadow of the embedded CTE values one compressed PTB stores;
+     * `valid` once the walker has fetched (compressed) it.
+     */
     struct PtbShadow
     {
+        bool valid = false;
         std::array<bool, ptesPerPtb> hasCte{};
         std::array<std::uint64_t, ptesPerPtb> cte{};
     };
-    std::unordered_map<Addr, PtbShadow> ptbShadow_;
+    /** The shadows of one page-table page's PTBs. */
+    using PtPageShadow = std::array<PtbShadow, blocksPerPage>;
+
+    /** Shadow of the PTB at `ptb_addr`, or nullptr if never made. */
+    PtbShadow *
+    findShadow(Addr ptb_addr)
+    {
+        const Ppn page = pageNumber(ptb_addr);
+        if (page >= ptShadowIndex_.size() ||
+            ptShadowIndex_[page] == noShadow)
+            return nullptr;
+        return &ptShadows_[ptShadowIndex_[page]][blockInPage(ptb_addr)];
+    }
+
+    // Dense like cteTable_: a PT page's PPN indexes ptShadowIndex_,
+    // which names its slot in ptShadows_ (allocated on the first
+    // compressed fetch of any of its PTBs).
+    static constexpr std::uint32_t noShadow = ~std::uint32_t{0};
+    std::vector<std::uint32_t> ptShadowIndex_;
+    std::vector<PtPageShadow> ptShadows_;
 
     /** Migration buffer: completion time of each in-flight transfer. */
     std::vector<Tick> migrationSlots_;

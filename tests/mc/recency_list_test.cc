@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <list>
+#include <string>
+
+#include "common/rng.hh"
 #include "mc/recency_list.hh"
 
 namespace tmcc
@@ -108,6 +114,156 @@ TEST(RecencyList, OverheadBytesTracksSize)
         list.insertHot(p);
     // PPN + two pointers per element.
     EXPECT_EQ(list.overheadBytes(), 10u * 24u);
+}
+
+/**
+ * Reference model: a plain hottest-first std::list, searched linearly.
+ * It draws from its own Rng, seeded like the list under test, at
+ * exactly the points the list draws (every touch, and a readmission of
+ * an untracked page), so the two see the same random stream.
+ */
+class RecencyModel
+{
+  public:
+    RecencyModel(double sample_p, std::uint64_t seed)
+        : sampleP_(sample_p), rng_(seed)
+    {}
+
+    void
+    insertHot(Ppn ppn)
+    {
+        list_.remove(ppn);
+        list_.push_front(ppn);
+    }
+
+    void
+    insertCold(Ppn ppn)
+    {
+        list_.remove(ppn);
+        list_.push_back(ppn);
+    }
+
+    void
+    touch(Ppn ppn)
+    {
+        ++touches;
+        if (!rng_.chance(sampleP_))
+            return;
+        auto it = std::find(list_.begin(), list_.end(), ppn);
+        if (it == list_.end())
+            return;
+        ++promotions;
+        list_.splice(list_.begin(), list_, it);
+    }
+
+    Ppn coldest() const { return list_.empty() ? invalidAddr : list_.back(); }
+
+    Ppn
+    popColdest()
+    {
+        ++evictions;
+        const Ppn ppn = list_.back();
+        list_.pop_back();
+        return ppn;
+    }
+
+    void remove(Ppn ppn) { list_.remove(ppn); }
+
+    bool
+    contains(Ppn ppn) const
+    {
+        return std::find(list_.begin(), list_.end(), ppn) != list_.end();
+    }
+
+    bool
+    maybeReadmit(Ppn ppn)
+    {
+        if (contains(ppn) || !rng_.chance(sampleP_))
+            return false;
+        ++readmissions;
+        insertHot(ppn);
+        return true;
+    }
+
+    std::size_t size() const { return list_.size(); }
+
+    std::uint64_t touches = 0, promotions = 0, evictions = 0,
+                  readmissions = 0;
+
+  private:
+    double sampleP_;
+    Rng rng_;
+    std::list<Ppn> list_; //!< front = hottest
+};
+
+TEST(RecencyListProperty, MatchesReferenceModel)
+{
+    constexpr double sampleP = 0.5;
+    constexpr std::uint64_t seed = 0x7ecc;
+    constexpr int ops = 100'000;
+    RecencyList list(sampleP, seed);
+    RecencyModel model(sampleP, seed);
+    Rng rng(0x1157);
+    // Pairs of adjacent PPNs spread ~16K frames apart (page 0 included):
+    // keys are neither dense nor all distant.
+    constexpr std::uint64_t universe = 96;
+    auto pick = [&] {
+        const std::uint64_t k = rng.below(universe);
+        return static_cast<Ppn>((k / 2) * 0x4001 + (k & 1));
+    };
+    std::uint64_t pops = 0;
+    for (int op = 0; op < ops; ++op) {
+        const std::uint64_t r = rng.below(100);
+        const Ppn ppn = pick();
+        if (r < 20) {
+            list.insertHot(ppn);
+            model.insertHot(ppn);
+        } else if (r < 30) {
+            list.insertCold(ppn);
+            model.insertCold(ppn);
+        } else if (r < 65) {
+            list.touch(ppn);
+            model.touch(ppn);
+        } else if (r < 75) {
+            if (model.size() > 0) {
+                ASSERT_EQ(list.popColdest(), model.popColdest())
+                    << "op " << op;
+                ++pops;
+            }
+        } else if (r < 85) {
+            list.remove(ppn);
+            model.remove(ppn);
+        } else {
+            ASSERT_EQ(list.maybeReadmit(ppn), model.maybeReadmit(ppn))
+                << "op " << op << " readmit " << ppn;
+        }
+        ASSERT_EQ(list.size(), model.size()) << "op " << op;
+        ASSERT_EQ(list.coldest(), model.coldest()) << "op " << op;
+        ASSERT_EQ(list.contains(ppn), model.contains(ppn))
+            << "op " << op << " ppn " << ppn;
+        ASSERT_EQ(list.overheadBytes(), model.size() * 3 * 8)
+            << "op " << op;
+    }
+    // Every path was exercised, and the counters agree.
+    EXPECT_GT(pops, 0u);
+    EXPECT_GT(model.promotions, 0u);
+    EXPECT_GT(model.readmissions, 0u);
+    StatDump dump;
+    list.dumpStats(dump, "r");
+    EXPECT_EQ(dump.get("r.size"), static_cast<double>(model.size()));
+    EXPECT_EQ(dump.get("r.touches"), static_cast<double>(model.touches));
+    EXPECT_EQ(dump.get("r.promotions"),
+              static_cast<double>(model.promotions));
+    EXPECT_EQ(dump.get("r.evictions"), static_cast<double>(model.evictions));
+    EXPECT_EQ(dump.get("r.readmissions"),
+              static_cast<double>(model.readmissions));
+    EXPECT_EQ(dump.get("r.overhead_bytes"),
+              static_cast<double>(model.size() * 3 * 8));
+    // The whole order agrees, coldest first.
+    while (model.size() > 0)
+        ASSERT_EQ(list.popColdest(), model.popColdest());
+    EXPECT_EQ(list.size(), 0u);
+    EXPECT_EQ(list.coldest(), invalidAddr);
 }
 
 } // namespace

@@ -108,6 +108,31 @@ TEST(CteBufferDeathTest, ZeroEntriesIsFatal)
     EXPECT_DEATH(CteBuffer(0), "at least one entry");
 }
 
+TEST(CteBufferDeathTest, MoreEntriesThanSlotNumbersIsFatal)
+{
+    CteBuffer largest(CteBuffer::maxEntries);
+    largest.insert(1, true, 1, 0x100);
+    EXPECT_NE(largest.lookup(1), nullptr);
+    EXPECT_DEATH(CteBuffer(CteBuffer::maxEntries + 1), "at most 65534");
+}
+
+TEST(CteBuffer, FlushForgetsOnlyWhatItHeld)
+{
+    // The PPN table starts sized for 16 frames and grows for PPN 1000.
+    CteBuffer buf(2, 16);
+    buf.insert(3, true, 3, 0x300);
+    buf.insert(1000, true, 7, 0x700);
+    buf.flush();
+    EXPECT_EQ(buf.lookup(3), nullptr);
+    EXPECT_EQ(buf.lookup(1000), nullptr);
+    buf.insert(1000, false, 0, 0x800);
+    buf.insert(5, true, 5, 0x500);
+    buf.insert(6, true, 6, 0x600); // evicts 1000
+    EXPECT_EQ(buf.lookup(1000), nullptr);
+    EXPECT_NE(buf.lookup(5), nullptr);
+    EXPECT_NE(buf.lookup(6), nullptr);
+}
+
 /**
  * Reference model: a plain MRU-first list, searched linearly.  Exact
  * LRU by construction; the buffer under test must agree with it on

@@ -346,15 +346,67 @@ TEST_F(OsMcTest, ReadAfterMigrationLazilyUpdatesHarvestedPtb)
     EXPECT_EQ(e->cte, mc_->truncatedCte(100));
 }
 
-TEST_F(OsMcTest, WritebackMaintainsPtbPairVector)
+TEST_F(OsMcTest, PtbShadowIsPerPtbWithinOnePageTablePage)
+{
+    OsMcConfig cfg = cfg_;
+    cfg.ml1TargetPages = ~0ULL; // allow the free-list floor to drain
+    mc_ = std::make_unique<OsInspiredMc>(dram_, info_, phys_, cfg);
+
+    // Two PTBs of one leaf page-table page: vpns 0..7 -> ppns 100..107
+    // (fetched by the walker) and vpns 8..15 -> ppns 200..207 (never).
+    const Addr fetched = mapLeafPtb(*mc_);
+    PteFlags f;
+    f.accessed = true;
+    f.dirty = true;
+    for (Vpn v = ptesPerPtb; v < 2 * ptesPerPtb; ++v)
+        table_.map(v, 200 + v - ptesPerPtb, f);
+    for (Ppn p = 200; p < 200 + ptesPerPtb; ++p)
+        mc_->placePage(p);
+    const Addr unfetched =
+        table_.walk(Addr{ptesPerPtb} << pageShift).steps.back().ptbAddr;
+    ASSERT_EQ(pageNumber(unfetched), pageNumber(fetched));
+    ASSERT_EQ(unfetched, fetched + blockSize);
+    ASSERT_TRUE(mc_->walkerFetched(0, fetched));
+
+    // Page 200 moves to a new frame before its PTB is ever compressed.
+    const std::uint64_t old_cte = mc_->truncatedCte(200);
+    evictToMl2(*mc_, 200);
+    mc_->read(readReq(200, 50000));
+    ASSERT_NE(mc_->truncatedCte(200), old_cte);
+
+    StatDump before;
+    mc_->dumpStats(before, "mc");
+
+    // A lazy update naming the never-compressed PTB is a no-op ...
+    mc_->lazyUpdatePtb(unfetched, 200, old_cte);
+    // ... and so is one naming a data page.
+    mc_->lazyUpdatePtb(Addr{100} << pageShift, 100, old_cte);
+    EXPECT_FALSE(mc_->ptbView(Addr{100} << pageShift).compressed);
+
+    StatDump after;
+    mc_->dumpStats(after, "mc");
+    EXPECT_EQ(after.get("mc.lazy_ptb_updates"),
+              before.get("mc.lazy_ptb_updates"));
+
+    // The unfetched PTB's first view still embeds the current CTEs.
+    const auto view = mc_->ptbView(unfetched);
+    ASSERT_TRUE(view.compressed);
+    for (unsigned i = 0; i < ptesPerPtb; ++i) {
+        ASSERT_TRUE(view.present[i]);
+        EXPECT_EQ(view.ppns[i], 200 + i);
+        EXPECT_TRUE(view.hasCte[i]);
+        EXPECT_EQ(view.cte[i], mc_->truncatedCte(200 + i));
+    }
+}
+
+TEST_F(OsMcTest, WrittenBackMl1PageStaysInMl1)
 {
     mc_->placePage(1);
     const Addr block0 = (1ULL << pageShift);
     mc_->writeback(block0, 2000, /*line_compressed=*/true);
-    // Bit-vector effects are internal; at minimum the write must not
-    // disturb the page's location.
     EXPECT_FALSE(mc_->inMl2(1));
     mc_->writeback(block0, 3000, false);
+    EXPECT_FALSE(mc_->inMl2(1));
 }
 
 TEST_F(OsMcTest, DramUsageTracksBudgetShape)
